@@ -242,7 +242,7 @@ def _cmd_full_suite(config: RunConfig):
         else:
             checks["normalization_roundtrip"] = True
 
-    if t in (2, 3, 4):
+    if t >= 2:
         counts = covering.covering_census_check(t)
         checks["covering_counts"] = counts["double_count_identity"]
         checks["riemann_hurwitz"] = counts["riemann_hurwitz_ok"]

@@ -23,7 +23,7 @@ from .census import (
     sample_points,
 )
 from .curves import PlaneCurve, hermitian, trace_curve
-from .fields import FieldElement, solve_artin_schreier
+from .fields import MAX_T, FieldElement, solve_artin_schreier
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,8 @@ def covering_census_check(t: int) -> dict:
     """Point-count and Riemann-Hurwitz bookkeeping of the degree-2 cover:
     2 * #X(GF(q^2)) = #H(GF(q^2)) + 1, and
     (2g_H - 2) - 2(2g_X - 2) = q + 2 (the different degree over x = inf)."""
-    if t not in (2, 3, 4):
-        raise ValueError("census check supported for t in {2, 3, 4}")
+    if not 2 <= t <= MAX_T:
+        raise ValueError(f"census check supported for 2 <= t <= {MAX_T}")
     q = 1 << t
     n_h = count_rational(hermitian(t), 1)
     n_x = count_rational(trace_curve(t), 1)

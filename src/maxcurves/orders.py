@@ -26,10 +26,12 @@ from .census import AffinePoint, is_rational, sample_points
 from .curves import PlaneCurve
 from .fields import FieldElement
 from .series import (
+    CheckFailed,
     PrecisionError,
     TruncatedSeries,
+    _check_derivative_facts,
+    _derivative_facts,
     expand_y_at,
-    verify_derivative_facts,
 )
 
 
@@ -113,7 +115,11 @@ def dp_orders(curve: PlaneCurve, point: AffinePoint, n: int | None = None) -> Or
             f"only {len(pivots)} orders visible below precision {n}; increase precision"
         )
     orders = tuple(pivots)
-    assert orders[0] == 0 and orders[1] == 1, "system must be base-point-free and classical"
+    if orders[:2] != (0, 1):
+        raise CheckFailed(
+            f"orders {orders} at ({point.x.hex()}, {point.y.hex()}): "
+            "system must be base-point-free and classical"
+        )
     tag = "rational" if is_rational(curve, point) else "non-rational"
     return OrderData(point=(point.x.hex(), point.y.hex()), orders=orders, classification=tag)
 
@@ -139,6 +145,11 @@ def frobenius_identity_check(curve: PlaneCurve, point: AffinePoint, n: int | Non
     Needs n <= q^2 so that tau^(q^2) truncates away and the Frobenius
     twists of x and y reduce to constants.
     """
+    n = _frobenius_precision(curve, n)
+    return _frobenius_residual(curve, point, expand_y_at(curve, point, n))
+
+
+def _frobenius_precision(curve: PlaneCurve, n: int | None) -> int:
     q = curve.q
     if n is None:
         n = min(2 * q + 8, q * q)
@@ -146,9 +157,14 @@ def frobenius_identity_check(curve: PlaneCurve, point: AffinePoint, n: int | Non
         raise ValueError(f"precision {n} exceeds q^2 = {q * q}; Frobenius twist would survive")
     if n < 4:
         raise ValueError("precision too small to see the identity")
-    fld = point.x.field
+    return n
+
+
+def _frobenius_residual(curve: PlaneCurve, point: AffinePoint, ys: TruncatedSeries) -> dict:
+    """The report of :func:`frobenius_identity_check`, from the expansion
+    ys of y at the point; its precision is the n checked."""
+    n = ys.prec
     k = 2 * curve.t  # the GF(q^2)-Frobenius is the 2^(2t)-power
-    ys = expand_y_at(curve, point, n)
     xs = TruncatedSeries.local_parameter_shifted(point.x, n)
     dy = ys.hasse_derivative(1)
     d2y = ys.hasse_derivative(2)
@@ -179,13 +195,14 @@ def frobenius_orders(
     if sample_size < 1:
         raise ValueError("sample_size must be at least 1")
     q = curve.q
-    if n is None:
-        n = min(2 * q + 8, q * q)
+    n = _frobenius_precision(curve, n)
+    _check_derivative_facts(curve, n)
     points = sample_points(curve, level=1, count=sample_size, rng=rng)
     evidence = []
     for p in points:
-        facts = verify_derivative_facts(curve, p, n)
-        frob = frobenius_identity_check(curve, p, n)
+        ys = expand_y_at(curve, p, n)
+        facts = _derivative_facts(curve, p, ys)
+        frob = _frobenius_residual(curve, p, ys)
         entry = {
             "point": frob["point"],
             "middle_derivatives_vanish": facts.middle_vanish,

@@ -8,10 +8,13 @@ the stored precision raises :class:`PrecisionError` rather than
 guessing: "insufficient precision" is always distinct from "identity
 fails".
 
-Expansions of y along the curve are produced by Newton iteration, which
-doubles the correct precision each round; the built-in families have a
-constant nonzero dF/dy, so every affine point is a simple (Hensel) root
-in y.
+Expansions of y along the curve are computed coefficient by coefficient.
+Every built-in model reads A(y) = P(x) + c with A additive (a linearized
+polynomial in y), so y = y(P) + eta with A(eta) = P(x(P) + tau) + P(x(P)),
+and the coefficient of tau^r in eta depends only on those at r / 2^k: one
+pass over r gives the unique Hensel lift (dF/dy is a nonzero constant, so
+every affine point is a simple root in y).  Each expansion is then checked
+by evaluating F on the series.
 
 Hasse derivatives act coefficientwise through binomials mod 2, evaluated
 by Lucas' rule: binom(n, i) is odd iff the bits of i are a subset of the
@@ -22,12 +25,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .census import _split_parts
 from .curves import PlaneCurve, Poly2
 from .fields import BinaryField, FieldElement
 
 
 class PrecisionError(ArithmeticError):
     """A computation asked for more precision than the operands carry."""
+
+
+class CheckFailed(ArithmeticError):
+    """An identity that holds exactly in theory failed on computed values."""
 
 
 def binom_mod2(n: int, k: int) -> int:
@@ -219,25 +227,75 @@ def series_equal_mod(a: TruncatedSeries, b: TruncatedSeries, prec: int | None = 
     return diff.is_zero_mod(min(prec, diff.prec))
 
 
+def _power(cache: dict[int, TruncatedSeries], e: int, prec: int) -> TruncatedSeries:
+    """cache[1]^e mod tau^prec, memoising every power built on the way;
+    even exponents come from the half power by pow2k(1)."""
+    if e not in cache:
+        if e & 1:
+            cache[e] = (_power(cache, e - 1, prec) * cache[1]).truncate(prec)
+        else:
+            cache[e] = _power(cache, e >> 1, prec).pow2k(1).truncate(prec)
+    return cache[e]
+
+
 def _poly_on_series(poly: Poly2, xs: TruncatedSeries, ys: TruncatedSeries, prec: int) -> TruncatedSeries:
     """Evaluate a bivariate polynomial on series arguments, mod tau^prec."""
     fld = xs.field
+    one = TruncatedSeries.constant(fld.one, prec)
+    xpow = {0: one, 1: xs.truncate(prec)}
+    ypow = {0: one, 1: ys.truncate(prec)}
     acc = TruncatedSeries(fld, 0, (0,) * prec)
-    xpow: dict[int, TruncatedSeries] = {}
-    ypow: dict[int, TruncatedSeries] = {}
-    for (i, j), c in sorted(poly.terms.items()):
-        if i not in xpow:
-            xpow[i] = (xs ** i).truncate(prec) if i else TruncatedSeries.constant(fld.one, prec)
-        if j not in ypow:
-            ypow[j] = (ys ** j).truncate(prec) if j else TruncatedSeries.constant(fld.one, prec)
-        term = (xpow[i] * ypow[j]).truncate(prec).scale(FieldElement(c, fld))
-        acc = acc + term
+    for (i, j), c in poly.terms.items():
+        if not j:
+            term = _power(xpow, i, prec)
+        elif not i:
+            term = _power(ypow, j, prec)
+        else:
+            term = (_power(xpow, i, prec) * _power(ypow, j, prec)).truncate(prec)
+        acc = acc + term.scale(FieldElement(c, fld))
     return acc
+
+
+def _additive_lift(
+    fld: BinaryField, x0: int, xpart: dict[int, int], ypart: dict[int, int], n: int
+) -> list[int]:
+    """Coefficients eta_0..eta_{n-1} of eta(tau) with
+    sum_j a_j eta^j = P(x0 + tau) + P(x0), over the 2-power exponents j of
+    ypart = {j: a_j}, P = sum_i b_i x^i from xpart = {i: b_i}, eta(0) = 0.
+
+    The right side has coefficient sum_i b_i binom(i, r) x0^(i-r) at tau^r
+    (binom(i, r) odd iff r is a submask of i); eta^(2^k) contributes
+    eta_{r/2^k}^(2^k) at tau^r when 2^k divides r, so solving for eta_r
+    needs only coefficients already found.
+    """
+    rhs = [0] * n
+    for i, b in xpart.items():
+        for r in range(1, min(i, n - 1) + 1):
+            if binom_mod2(i, r):
+                rhs[r] ^= fld.mul_int(b, fld.pow_int(x0, i - r))
+    cinv = fld.inv_int(ypart[1])
+    higher = sorted((j.bit_length() - 1, a) for j, a in ypart.items() if j > 1)
+    eta = [0] * n
+    for r in range(1, n):
+        acc = rhs[r]
+        for k, a in higher:
+            if r & ((1 << k) - 1):
+                break  # 2^k does not divide r, nor does any higher power
+            if eta[r >> k]:
+                acc ^= fld.mul_int(a, fld.frob_int(eta[r >> k], k))
+        eta[r] = fld.mul_int(cinv, acc)
+    return eta
 
 
 def expand_y_at(curve: PlaneCurve, point, n: int) -> TruncatedSeries:
     """The unique series y(tau), tau = x - x(P), with y(0) = y(P) and
-    F(x(P) + tau, y(tau)) = 0 mod tau^n, by Newton iteration."""
+    F(x(P) + tau, y(tau)) = 0 mod tau^n.
+
+    The model must read A(y) = P(x) + c with A additive; the coefficients
+    come from the one-pass recurrence of :func:`_additive_lift`, and the
+    series is checked against F before it is returned (raising
+    :class:`CheckFailed` if the residual is nonzero).
+    """
     if n < 1:
         raise ValueError("precision must be at least 1")
     x0, y0 = point.x, point.y
@@ -246,25 +304,22 @@ def expand_y_at(curve: PlaneCurve, point, n: int) -> TruncatedSeries:
     poly = curve.poly_at_level(level)
     if curve.evaluate(x0, y0):
         raise ValueError("point does not lie on the curve")
-    fy = poly.partial_y()
-    if not fy.is_constant():
-        raise ValueError("dF/dy is not constant; expansion supports the built-in models")
-    c = fy.coefficient(0, 0)
-    if not c:
+    # a mixed or non-2-power y term is also what makes dF/dy nonconstant
+    parts = _split_parts(curve, level)
+    if parts is None or any(j & (j - 1) for j in parts[1]):
+        raise ValueError("mixed or non-2-power y term; expansion needs A(y) = P(x) + c, A additive")
+    xpart, ypart, _ = parts
+    if not ypart.get(1):
         raise ValueError("singular point: dF/dy vanishes")
-    cinv = c.inv()
 
-    correct = 1
-    ys = TruncatedSeries.constant(y0, 1)
-    while correct < n:
-        correct = min(2 * correct, n)
-        ys = TruncatedSeries(fld, 0, ys.coeffs + (0,) * (correct - len(ys.coeffs)))
-        xs = TruncatedSeries.local_parameter_shifted(x0, correct)
-        residual = _poly_on_series(poly, xs, ys, correct)
-        ys = (ys + residual.scale(cinv)).truncate(correct)
+    coeffs = _additive_lift(fld, x0.bits, xpart, ypart, n)
+    coeffs[0] = y0.bits
+    ys = TruncatedSeries(fld, 0, tuple(coeffs))
     xs = TruncatedSeries.local_parameter_shifted(x0, n)
     if not _poly_on_series(poly, xs, ys, n).is_zero_mod(n):
-        raise AssertionError("Newton iteration left a nonzero residual")
+        raise CheckFailed(
+            f"expansion at ({x0.hex()}, {y0.hex()}) leaves a nonzero residual mod tau^{n}"
+        )
     return ys
 
 
@@ -346,20 +401,29 @@ def verify_derivative_facts(curve: PlaneCurve, point, n: int) -> DerivativeFacts
     """Check, as truncated-series identities at an affine point:
     a_t Dy = x^q, a_t^3 D^2 y = a_{t-1} x^(2q), and D^i y = 0 for
     3 <= i <= min(q-1, n-1)."""
+    _check_derivative_facts(curve, n)
+    return _derivative_facts(curve, point, expand_y_at(curve, point, n))
+
+
+def _check_derivative_facts(curve: PlaneCurve, n: int) -> None:
     if curve.family not in ("trace-standard", "trace-form"):
         raise ValueError("derivative facts apply to the trace-shaped families")
-    t, q = curve.t, curve.q
-    if t < 2:
+    if curve.t < 2:
         raise ValueError("derivative facts need t >= 2 (the a_{t-1} coefficient)")
-    if n <= q + 2:
-        raise ValueError(f"precision {n} too small; need n > q+2 = {q + 2}")
+    if n <= curve.q + 2:
+        raise ValueError(f"precision {n} too small; need n > q+2 = {curve.q + 2}")
+
+
+def _derivative_facts(curve: PlaneCurve, point, ys: TruncatedSeries) -> DerivativeFactsReport:
+    """The facts of :func:`verify_derivative_facts`, read off the
+    expansion ys of y at the point; its precision is the n checked."""
+    t, q, n = curve.t, curve.q, ys.prec
     fld = point.x.field
     coeffs = curve.y_coeffs()
     if fld is not curve.field:
         coeffs = [fld.embed(a) for a in coeffs]
     a_t, a_t1 = coeffs[-1], coeffs[-2]
 
-    ys = expand_y_at(curve, point, n)
     xs = TruncatedSeries.local_parameter_shifted(point.x, n)
 
     dy = ys.hasse_derivative(1)

@@ -162,9 +162,10 @@ def test_covering_census_check(t, counts):
 
 def test_covering_census_check_domain():
     with pytest.raises(ValueError):
-        covering_census_check(5)
-    with pytest.raises(ValueError):
         covering_census_check(1)
+    report = covering_census_check(5)
+    assert (report["count_hermitian"], report["count_trace"]) == (32769, 16385)
+    assert report["double_count_identity"] and report["riemann_hurwitz_ok"]
 
 
 def test_riemann_hurwitz_arithmetic_by_hand():

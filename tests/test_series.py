@@ -5,10 +5,19 @@ import random
 
 import pytest
 
-from maxcurves.census import AffinePoint, sample_points
-from maxcurves.curves import hermitian, trace_curve
-from maxcurves.fields import make_field
+from maxcurves import series
+from maxcurves.census import AffinePoint, enumerate_points, sample_points
+from maxcurves.curves import (
+    CoordinateChange,
+    PlaneCurve,
+    Poly2,
+    apply_record,
+    hermitian,
+    trace_curve,
+)
+from maxcurves.fields import FieldElement, linearized_solve, make_field
 from maxcurves.series import (
+    CheckFailed,
     PrecisionError,
     TruncatedSeries,
     binom_mod2,
@@ -153,6 +162,124 @@ def test_expand_rejects_bad_points():
     bad = AffinePoint(tc.field.one, tc.field.zero, 1)
     with pytest.raises(ValueError):
         expand_y_at(tc, bad, 8)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(5, 0): 1, (1, 1): 1, (0, 1): 1},  # dF/dy = x + 1 is not constant
+        {(5, 0): 1, (0, 2): 1},  # dF/dy vanishes
+        {(5, 0): 1, (2, 2): 1, (0, 1): 1},  # mixed monomial
+        {(5, 0): 1, (0, 6): 1, (0, 1): 1},  # y^6 is not a 2-power term
+    ],
+)
+def test_expand_refuses_models_outside_the_additive_form(terms):
+    # every model passes through the origin; only its shape is refused
+    tc = trace_curve(2)
+    curve = PlaneCurve(tc.field, Poly2(tc.field, terms), "trace-standard", tc.infinity)
+    origin = AffinePoint(tc.field.zero, tc.field.zero, 1)
+    with pytest.raises(ValueError):
+        expand_y_at(curve, origin, 12)
+
+
+def newton_reference(curve, point, n):
+    """y(tau) mod tau^n by Newton's iteration y <- y + F(x0 + tau, y) / F_y
+    on plain coefficient lists, ceil(log2 n) rounds from y = y0."""
+    fld = point.x.field
+    poly = curve.poly_at_level(1 if fld is curve.field else 2)
+    cinv = fld.inv_int(poly.partial_y().coefficient(0, 0).bits)
+
+    def mul(a, b):
+        out = [0] * n
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(n - i):
+                    if b[j]:
+                        out[i + j] ^= fld.mul_int(ai, b[j])
+        return out
+
+    def square(a):  # exact in characteristic 2
+        out = [0] * n
+        for i in range((n + 1) // 2):
+            out[2 * i] = fld.mul_int(a[i], a[i])
+        return out
+
+    def power(a, e):
+        result = [1] + [0] * (n - 1)
+        while e:
+            if e & 1:
+                result = mul(result, a)
+            e >>= 1
+            if e:
+                a = square(a)
+        return result
+
+    xs = [point.x.bits, 1] + [0] * (n - 2)
+    ys = [point.y.bits] + [0] * (n - 1)
+    for _ in range((n - 1).bit_length()):
+        residual = [0] * n
+        for (i, j), c in poly.terms.items():
+            term = mul(power(xs, i), power(ys, j))
+            residual = [r ^ fld.mul_int(c, v) for r, v in zip(residual, term)]
+        ys = [y ^ fld.mul_int(cinv, r) for y, r in zip(ys, residual)]
+    return ys
+
+
+def random_extended_curve(t, rng):
+    """A trace-form-extended curve: the standard curve moved by a random
+    shear (x-linear terms), y-scaling and y-translation."""
+    fld = make_field(t)
+    record = [
+        CoordinateChange("shear", fld.element(rng.randrange(1, fld.order))),
+        CoordinateChange("scale-y", fld.element(rng.randrange(1, fld.order))),
+        CoordinateChange("translate-y", fld.element(rng.randrange(fld.order))),
+    ]
+    curve = apply_record(trace_curve(t), record)
+    assert curve.family == "trace-form-extended"
+    return curve
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_expansion_matches_newton_at_every_rational_point(t):
+    rng = random.Random(30 + t)
+    n = 2 * (1 << t) + 8
+    for curve in (hermitian(t), trace_curve(t), random_extended_curve(t, rng)):
+        points = [p for p in enumerate_points(curve, 1) if isinstance(p, AffinePoint)]
+        assert points
+        for p in points:
+            assert list(expand_y_at(curve, p, n).coeffs) == newton_reference(curve, p, n)
+
+
+@pytest.mark.parametrize("t", [4, 5])
+def test_expansion_matches_newton_at_quartic_points(t):
+    # level-2 points solved from random x: S(y) = x^(q+1) is GF(2)-linear in y
+    curve = trace_curve(t)
+    fld = curve.level_field(2)
+    rng = random.Random(40 + t)
+    n = 2 * curve.q + 8
+    points = []
+    while len(points) < 3:
+        x = FieldElement(rng.randrange(fld.order), fld)
+        ys = linearized_solve([fld.one] * t, x ** (curve.q + 1))
+        if ys:
+            points.append(AffinePoint(x, rng.choice(ys), 2))
+    for p in points:
+        assert list(expand_y_at(curve, p, n).coeffs) == newton_reference(curve, p, n)
+
+
+def test_planted_recurrence_defect_is_caught(monkeypatch):
+    lift = series._additive_lift
+
+    def planted(*args):
+        coeffs = lift(*args)
+        coeffs[3] ^= 1
+        return coeffs
+
+    monkeypatch.setattr(series, "_additive_lift", planted)
+    tc = trace_curve(2)
+    origin = AffinePoint(tc.field.zero, tc.field.zero, 1)
+    with pytest.raises(CheckFailed):
+        expand_y_at(tc, origin, 16)
 
 
 @pytest.mark.parametrize("t", [2, 3])
