@@ -1,15 +1,19 @@
 """Exact point enumeration over GF(q^2) and GF(q^4), and maximality checks.
 
-Enumeration is elementary by design: affine solutions are found by
-matching the pure-x part against the pure-y part of the defining
-polynomial (the built-in models have no mixed monomials), or by a plain
-double loop as a fallback.  Points over x = infinity come from the
-curve's declared descriptor, never from a blow-up.
+Every built-in model reads A(y) = P(x) + c with A additive, so A is
+GF(2)-linear and each fibre of A is empty or a coset of ker A.  One
+Gaussian elimination on the images A(1 << j) (:func:`fields.reduce_gf2`)
+gives ker A, parity checks that cut out im A and a linear section of
+it.  Counting adds 2^(dim ker A) for each x whose P(x) + c passes the
+checks; enumeration lists the coset over each such x, in ascending
+(x, y) order.  A y-part that is not additive raises ``ValueError``.
+Points over x = infinity come from the curve's declared descriptor,
+never from a blow-up.
 
-A hard ceiling keeps full censuses at desk scale: enumeration refuses
-fields of 2^16 elements or more, so level 2 is available for q <= 8
-only.  Counting is slice-parallel over x and deterministic regardless
-of partitioning.
+Censuses cover fields of at most 2^16 elements: every level-1 field,
+and level 2 for q <= 16.  Larger fields are refused with
+:class:`CensusLimitError`; they have no log tables, so each of the 2^m
+values of x would cost tens of microseconds.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .curves import PlaneCurve
-from .fields import BinaryField, FieldElement
+from .fields import BinaryField, FieldElement, GF2Reduction, reduce_gf2
 
 CENSUS_FIELD_LIMIT = 1 << 16
 
@@ -51,23 +55,28 @@ CurvePoint = Union[AffinePoint, InfinitePoint]
 
 def _census_field(curve: PlaneCurve, level: int) -> BinaryField:
     fld = curve.level_field(level)
-    if fld.order >= CENSUS_FIELD_LIMIT:
+    if fld.order > CENSUS_FIELD_LIMIT:
         raise CensusLimitError(
-            f"census over GF(2^{fld.m}) exceeds the 2^16-element ceiling; sample instead"
+            f"census over GF(2^{fld.m}) refused: censuses cover fields of at most 2^16 elements"
         )
     return fld
 
 
-def _split_parts(curve: PlaneCurve, level: int):
-    """(x-part, y-part, constant) of the defining polynomial, or None if
-    mixed monomials prevent the separated fast path."""
+def _additive_parts(curve: PlaneCurve, level: int):
+    """(x-part, y-part, constant) of a model A(y) = P(x) + c, A additive.
+
+    Raises ValueError for a mixed monomial or a y exponent that is not a
+    power of 2.
+    """
     poly = curve.poly_at_level(level)
     xpart: dict[int, int] = {}
     ypart: dict[int, int] = {}
     const = 0
     for (i, j), c in poly.terms.items():
-        if i and j:
-            return None
+        if (i and j) or j & (j - 1):
+            raise ValueError(
+                "mixed or non-2-power y term; the model must read A(y) = P(x) + c, A additive"
+            )
         if j:
             ypart[j] = c
         elif i:
@@ -84,55 +93,42 @@ def _eval_sparse(fld: BinaryField, part: dict[int, int], v: int) -> int:
     return acc
 
 
-def _solution_table(fld: BinaryField, ypart: dict[int, int]) -> dict[int, list[int]]:
-    table: dict[int, list[int]] = {}
-    for yb in range(fld.order):
-        table.setdefault(_eval_sparse(fld, ypart, yb), []).append(yb)
-    return table
+def _column_images(fld: BinaryField, ypart: dict[int, int]) -> list[int]:
+    """A(1 << j) for j < m: the columns of A as a GF(2)-linear map."""
+    return [_eval_sparse(fld, ypart, 1 << j) for j in range(fld.m)]
+
+
+def _census_setup(
+    curve: PlaneCurve, level: int
+) -> tuple[BinaryField, dict[int, int], int, GF2Reduction]:
+    """The field, P, c and the reduced A of the model A(y) = P(x) + c."""
+    fld = _census_field(curve, level)
+    xpart, ypart, const = _additive_parts(curve, level)
+    return fld, xpart, const, reduce_gf2(_column_images(fld, ypart))
 
 
 def enumerate_points(curve: PlaneCurve, level: int) -> list[CurvePoint]:
     """All points at the given tower level, affine ones in lexicographic
     order of serialized (x, y), then the declared infinite points."""
-    fld = _census_field(curve, level)
+    fld, xpart, const, a_map = _census_setup(curve, level)
     points: list[CurvePoint] = []
-    parts = _split_parts(curve, level)
-    if parts is not None:
-        xpart, ypart, const = parts
-        table = _solution_table(fld, ypart)
-        for xb in range(fld.order):
-            target = _eval_sparse(fld, xpart, xb) ^ const
-            for yb in table.get(target, ()):
-                points.append(AffinePoint(FieldElement(xb, fld), FieldElement(yb, fld), level))
-    else:
-        poly = curve.poly_at_level(level)
-        for xb in range(fld.order):
+    for xb in range(fld.order):
+        y0 = a_map.preimage(_eval_sparse(fld, xpart, xb) ^ const)
+        if y0 is not None:
             x = FieldElement(xb, fld)
-            for yb in range(fld.order):
-                if not poly.evaluate(x, FieldElement(yb, fld)):
-                    points.append(AffinePoint(x, FieldElement(yb, fld), level))
+            points.extend(AffinePoint(x, FieldElement(y0 ^ k, fld), level) for k in a_map.kernel)
     points.extend(InfinitePoint(k) for k in range(curve.infinity.count))
     return points
 
 
-def count_rational(curve: PlaneCurve, level: int = 1, slices: int = 1) -> int:
-    """Number of points at the given level; slice-partitioned fold over x."""
-    fld = _census_field(curve, level)
-    parts = _split_parts(curve, level)
-    if parts is None:
-        return len(enumerate_points(curve, level))
-    xpart, ypart, const = parts
-    table = _solution_table(fld, ypart)
-    slices = max(1, min(slices, fld.order))
-    bounds = [fld.order * k // slices for k in range(slices + 1)]
-    total = 0
-    for lo, hi in zip(bounds, bounds[1:]):
-        part_count = 0
-        for xb in range(lo, hi):
-            target = _eval_sparse(fld, xpart, xb) ^ const
-            part_count += len(table.get(target, ()))
-        total += part_count
-    return total + curve.infinity.count
+def count_rational(curve: PlaneCurve, level: int = 1) -> int:
+    """Number of points at the given level: |ker A| for each x whose
+    P(x) + c lies in im A, plus the declared infinite points."""
+    fld, xpart, const, a_map = _census_setup(curve, level)
+    fibres = sum(
+        1 for xb in range(fld.order) if a_map.in_image(_eval_sparse(fld, xpart, xb) ^ const)
+    )
+    return fibres * len(a_map.kernel) + curve.infinity.count
 
 
 def frobenius_point(curve: PlaneCurve, point: CurvePoint) -> CurvePoint:
@@ -212,8 +208,8 @@ class CensusReport:
         }
 
 
-def census_report(curve: PlaneCurve, genus: int, level: int = 1, slices: int = 1) -> CensusReport:
-    count = count_rational(curve, level, slices)
+def census_report(curve: PlaneCurve, genus: int, level: int = 1) -> CensusReport:
+    count = count_rational(curve, level)
     expected = hasse_weil_max(curve.q, genus)
     return CensusReport(
         q=curve.q,

@@ -20,7 +20,7 @@ for m <= 16; inverses are computed as a^(2^m - 2).
 from __future__ import annotations
 
 from importlib import resources
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 MAX_T = 5
 LEVELS = ("base-square", "quartic")
@@ -394,59 +394,84 @@ def make_field(t: int, level: str = "base-square") -> BinaryField:
 # -- GF(2)-linear solvers ------------------------------------------------------
 
 
-def _solve_gf2(field: BinaryField, columns: Sequence[int], target: int) -> list[int]:
-    """All masks v with sum over set bits j of columns[j] equal to target.
+class GF2Reduction(NamedTuple):
+    """A GF(2)-linear map A of GF(2^m), reduced once by :func:`reduce_gf2`.
 
-    columns[j] is the image of the basis mask 1<<j under a GF(2)-linear
-    map of the field; solving is plain Gaussian elimination on the m x m
-    system.  Returns the full (possibly empty) coset, ascending.
+    ``kernel`` lists every y with A(y) = 0, ascending.  ``checks`` are
+    parity masks that cut out the image: v = A(y) for some y iff v & h
+    has even weight for every h.  ``section`` pairs each pivot bit of
+    the reduced image basis with a preimage of that basis row, so the
+    preimages of the pivot bits set in an image v sum to a y with
+    A(y) = v.
     """
-    m = field.m
-    rows = []
-    for i in range(m):
-        row = 0
-        for j in range(m):
-            row |= ((columns[j] >> i) & 1) << j
-        rows.append((row, (target >> i) & 1))
 
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for col in range(m):
-        sel = None
-        for k in range(r, m):
-            if (rows[k][0] >> col) & 1:
-                sel = k
-                break
-        if sel is None:
+    kernel: list[int]
+    checks: list[int]
+    section: list[tuple[int, int]]
+
+    def in_image(self, v: int) -> bool:
+        """True iff v = A(y) for some y."""
+        for h in self.checks:
+            if (v & h).bit_count() & 1:
+                return False
+        return True
+
+    def preimage(self, v: int) -> int | None:
+        """The least y with A(y) = v, or None if v is not an image."""
+        if not self.in_image(v):
+            return None
+        y = 0
+        for bit, pre in self.section:
+            if v >> bit & 1:
+                y ^= pre
+        return y
+
+    def coset(self, v: int) -> list[int]:
+        """All y with A(y) = v, ascending (empty if v is not an image)."""
+        y = self.preimage(v)
+        return [] if y is None else [y ^ k for k in self.kernel]
+
+
+def reduce_gf2(columns: Sequence[int]) -> GF2Reduction:
+    """Reduce the GF(2)-linear map with A(1 << j) = columns[j].
+
+    One Gaussian elimination brings the images to reduced echelon form,
+    carrying each row's preimage along; column j that reduces to zero
+    leaves the kernel vector 1 << j plus earlier pivot columns.  Every
+    preimage is a sum of pivot columns, so it has no bit at a kernel
+    vector's leading bit j.  Hence the section's y is the least of its
+    coset, and y ^ k over the kernel in spanning order is ascending.
+    """
+    rows: dict[int, tuple[int, int]] = {}  # pivot bit -> (image row, preimage)
+    basis: list[int] = []
+    for j, img in enumerate(columns):
+        pre = 1 << j
+        for bit, (r_img, r_pre) in rows.items():
+            if img >> bit & 1:
+                img ^= r_img
+                pre ^= r_pre
+        if not img:
+            basis.append(pre)
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        for k in range(m):
-            if k != r and (rows[k][0] >> col) & 1:
-                rows[k] = (rows[k][0] ^ rows[r][0], rows[k][1] ^ rows[r][1])
-        pivot_of_col[col] = r
-        r += 1
-    for k in range(r, m):
-        if rows[k][1]:
-            return []
+        lead = img.bit_length() - 1
+        for bit, (r_img, r_pre) in list(rows.items()):
+            if r_img >> lead & 1:
+                rows[bit] = (r_img ^ img, r_pre ^ pre)
+        rows[lead] = (img, pre)
 
-    particular = 0
-    for col, prow in pivot_of_col.items():
-        if rows[prow][1]:
-            particular |= 1 << col
-    kernel = []
-    for free in range(m):
-        if free in pivot_of_col:
-            continue
-        vec = 1 << free
-        for col, prow in pivot_of_col.items():
-            if (rows[prow][0] >> free) & 1:
-                vec |= 1 << col
-        kernel.append(vec)
-
-    sols = [particular]
-    for basis_vec in kernel:
-        sols += [s ^ basis_vec for s in sols]
-    return sorted(sols)
+    kernel = [0]
+    for b in basis:
+        kernel += [k ^ b for k in kernel]
+    checks = []
+    for f in range(len(columns)):
+        if f not in rows:
+            h = 1 << f
+            for bit, (r_img, _) in rows.items():
+                if r_img >> f & 1:
+                    h |= 1 << bit
+            checks.append(h)
+    section = [(bit, pre) for bit, (_, pre) in rows.items()]
+    return GF2Reduction(kernel, checks, section)
 
 
 def solve_artin_schreier(c: FieldElement) -> list[FieldElement]:
@@ -457,7 +482,7 @@ def solve_artin_schreier(c: FieldElement) -> list[FieldElement]:
     """
     field = c.field
     cols = [field.sqr_int(1 << j) ^ (1 << j) for j in range(field.m)]
-    return [FieldElement(s, field) for s in _solve_gf2(field, cols, c.bits)]
+    return [FieldElement(s, field) for s in reduce_gf2(cols).coset(c.bits)]
 
 
 def linearized_solve(coeffs: Sequence[FieldElement], b: FieldElement) -> list[FieldElement]:
@@ -484,4 +509,4 @@ def linearized_solve(coeffs: Sequence[FieldElement], b: FieldElement) -> list[Fi
         return acc
 
     cols = [image(1 << j) for j in range(field.m)]
-    return [FieldElement(s, field) for s in _solve_gf2(field, cols, b.bits)]
+    return [FieldElement(s, field) for s in reduce_gf2(cols).coset(b.bits)]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .census import _split_parts
+from .census import _additive_parts
 from .curves import PlaneCurve, Poly2
 from .fields import BinaryField, FieldElement
 
@@ -305,10 +305,7 @@ def expand_y_at(curve: PlaneCurve, point, n: int) -> TruncatedSeries:
     if curve.evaluate(x0, y0):
         raise ValueError("point does not lie on the curve")
     # a mixed or non-2-power y term is also what makes dF/dy nonconstant
-    parts = _split_parts(curve, level)
-    if parts is None or any(j & (j - 1) for j in parts[1]):
-        raise ValueError("mixed or non-2-power y term; expansion needs A(y) = P(x) + c, A additive")
-    xpart, ypart, _ = parts
+    xpart, ypart, _ = _additive_parts(curve, level)
     if not ypart.get(1):
         raise ValueError("singular point: dF/dy vanishes")
 

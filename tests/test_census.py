@@ -1,10 +1,11 @@
 """Point enumeration, maximality, and genus-bound arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from maxcurves import census
+from maxcurves import census, cli
 from maxcurves.census import (
     AffinePoint,
     CensusLimitError,
@@ -20,7 +21,43 @@ from maxcurves.census import (
     is_maximal,
     is_rational,
 )
-from maxcurves.curves import hermitian, trace_curve
+from maxcurves.curves import (
+    CoordinateChange,
+    PlaneCurve,
+    Poly2,
+    apply_record,
+    hermitian,
+    trace_curve,
+    trace_form,
+)
+from maxcurves.fields import make_field
+
+
+def random_trace_form(t, rng):
+    fld = make_field(t)
+    a = [fld.element(rng.randrange(1, fld.order))]
+    a += [fld.element(rng.randrange(fld.order)) for _ in range(t - 1)]
+    return trace_form(a, fld.element(rng.randrange(fld.order)))
+
+
+def random_moved_trace_curve(t, rng):
+    """The standard curve under a random shear, y-scaling and y-translation:
+    a trace-form-extended model with the standard curve's point count."""
+    fld = make_field(t)
+    record = [
+        CoordinateChange("shear", fld.element(rng.randrange(1, fld.order))),
+        CoordinateChange("scale-y", fld.element(rng.randrange(1, fld.order))),
+        CoordinateChange("translate-y", fld.element(rng.randrange(fld.order))),
+    ]
+    curve = apply_record(trace_curve(t), record)
+    assert curve.family == "trace-form-extended"
+    return curve
+
+
+def l_polynomial_count(q, genus, k):
+    """N_k of a GF(q^2)-maximal curve, whose L-polynomial is (1 + qT)^(2g)."""
+    return q ** (2 * k) + 1 - 2 * genus * (-q) ** k
+
 
 def brute_force_affine(curve, level):
     """Independent oracle: try every (x, y) pair against the equation."""
@@ -41,6 +78,7 @@ def brute_force_affine(curve, level):
         (hermitian(2), 1, 65),
         (trace_curve(1), 1, 5),
         (hermitian(1), 1, 9),
+        (random_moved_trace_curve(2, random.Random(11)), 1, 33),
     ],
 )
 def test_small_counts_against_brute_force(curve, level, expected):
@@ -105,16 +143,84 @@ def test_hermitian_maximality():
 
 def test_census_limits():
     with pytest.raises(CensusLimitError):
-        enumerate_points(trace_curve(4), 2)  # GF(2^16) refused
+        enumerate_points(trace_curve(5), 2)  # GF(2^20) refused
     with pytest.raises(CensusLimitError):
         count_rational(hermitian(5), 2)  # GF(2^20) refused
     assert count_rational(hermitian(5), 1) == 32 ** 3 + 1  # GF(2^10) allowed
 
 
-def test_partitioned_count_is_deterministic():
-    for slices in (1, 3, 8, 64):
-        assert count_rational(trace_curve(3), 1, slices=slices) == 257
-        assert count_rational(hermitian(2), 2, slices=slices) == 65
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_counts_match_the_l_polynomial(t):
+    q = 1 << t
+    for curve, genus in ((trace_curve(t), g2(q)), (hermitian(t), g1(q))):
+        for level in (1, 2):
+            assert count_rational(curve, level) == l_polynomial_count(q, genus, level)
+    # the GF(2^16) census: N_2 = q^4 + 1 - 2gq^2
+    if t == 4:
+        assert count_rational(trace_curve(4), 2) == 36865
+        assert count_rational(hermitian(4), 2) == 4097
+
+
+def additive_map(curve, level):
+    """A(y) = F(0, y) + F(0, 0), straight from the equation."""
+    fld = curve.level_field(level)
+    zero = fld.zero
+    return lambda yb: (curve.evaluate(zero, fld.element(yb)) + curve.evaluate(zero, zero)).bits
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_elimination_matches_a_scan_of_every_y(t):
+    rng = random.Random(20 + t)
+    for curve in (
+        hermitian(t),
+        trace_curve(t),
+        random_trace_form(t, rng),
+        random_moved_trace_curve(t, rng),
+    ):
+        for level in (1, 2):
+            fld, _, _, a_map = census._census_setup(curve, level)
+            apply_a = additive_map(curve, level)
+            fibres = {}
+            for yb in range(fld.order):
+                fibres.setdefault(apply_a(yb), []).append(yb)
+            assert a_map.kernel == fibres[0]
+            for v in range(fld.order):
+                assert a_map.coset(v) == fibres.get(v, [])
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(5, 0): 1, (2, 2): 1, (0, 1): 1},  # mixed monomial
+        {(5, 0): 1, (0, 6): 1, (0, 1): 1},  # y^6 is not a 2-power term
+    ],
+)
+def test_census_refuses_a_y_part_that_is_not_additive(terms):
+    tc = trace_curve(2)
+    curve = PlaneCurve(tc.field, Poly2(tc.field, terms), "trace-standard", tc.infinity)
+    with pytest.raises(ValueError, match="additive"):
+        count_rational(curve, 1)
+    with pytest.raises(ValueError, match="additive"):
+        enumerate_points(curve, 1)
+
+
+def test_planted_column_defect_is_caught(monkeypatch, capsys):
+    columns = census._column_images
+
+    def planted(fld, ypart):
+        images = columns(fld, ypart)
+        # only the Hermitian y^q + y: full-suite samples trace-curve points,
+        # and off-curve samples would stop it before it reports
+        if fld.q in ypart:
+            images[0] ^= 2  # A(1) = z instead of 0
+        return images
+
+    monkeypatch.setattr(census, "_column_images", planted)
+    for t in (1, 2, 3, 4):
+        q = 1 << t
+        assert count_rational(hermitian(t), 1) != l_polynomial_count(q, g1(q), 1)
+    assert cli.main(["full-suite", "--t", "2", "--samples", "10"]) == cli.EXIT_CHECK_FAILED
+    assert '"hermitian_maximal": false' in capsys.readouterr().out
 
 
 def test_frobenius_point_fixes_exactly_level1_points():

@@ -126,8 +126,18 @@ def test_full_suite_exits_zero(capsys, t):
     assert payload["all_pass"]
 
 
+def test_full_suite_names_a_skipped_check(capsys):
+    code, payload = run_json(capsys, "full-suite", "--t", "4", "--samples", "5")
+    assert code == EXIT_OK
+    assert payload["checks"]["orders_non_rational"] and "skipped" not in payload
+    code, payload = run_json(capsys, "full-suite", "--t", "5", "--samples", "5")
+    assert code == EXIT_OK
+    assert "orders_non_rational" not in payload["checks"]
+    assert "GF(2^20)" in payload["skipped"]["orders_non_rational"]
+
+
 def test_config_errors_exit_2(capsys):
-    code, payload = run_json(capsys, "count", "--curve", "trace", "--t", "4", "--level", "2")
+    code, payload = run_json(capsys, "count", "--curve", "trace", "--t", "5", "--level", "2")
     assert code == EXIT_CONFIG  # census ceiling
     code, payload = run_json(capsys, "orders", "--curve", "trace", "--t", "9", "--point", "0,0")
     assert code == EXIT_CONFIG  # t out of range

@@ -1,5 +1,7 @@
 """Field tower: arithmetic, Frobenius, subfields, additive solvers."""
 
+import functools
+import operator
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from maxcurves.fields import (
     linearized_solve,
     make_field,
     poly_mod,
+    reduce_gf2,
     solve_artin_schreier,
 )
 
@@ -229,6 +232,35 @@ def test_linearized_solve_substitution_property():
 def test_linearized_solve_rejects_zero_map():
     with pytest.raises(ValueError):
         linearized_solve([GF16.zero, GF16.zero], GF16.one)
+
+
+@pytest.mark.parametrize("rank_cap", [0, 1, 3, 6, 8])
+def test_reduce_gf2_against_brute_force(rank_cap):
+    # random 8 x 8 maps of every rank up to rank_cap: columns drawn from a
+    # random subspace, so kernels of dimension 0 to 8 all occur
+    rng = random.Random(rank_cap)
+    for _ in range(10):
+        span = [rng.randrange(256) for _ in range(rank_cap)]
+        columns = []
+        for _ in range(8):
+            v = 0
+            for s in span:
+                if rng.randrange(2):
+                    v ^= s
+            columns.append(v)
+
+        def apply(y):
+            images = (c for j, c in enumerate(columns) if y >> j & 1)
+            return functools.reduce(operator.xor, images, 0)
+
+        fibres = {}
+        for y in range(256):
+            fibres.setdefault(apply(y), []).append(y)
+        reduced = reduce_gf2(columns)
+        assert reduced.kernel == fibres[0]
+        for v in range(256):
+            assert reduced.in_image(v) == (v in fibres)
+            assert reduced.coset(v) == fibres.get(v, [])
 
 
 def test_hex_serialization():
