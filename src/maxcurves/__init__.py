@@ -50,8 +50,8 @@ from .orders import (
     frobenius_orders,
     sv_ramification_degree,
 )
-from .semigroups import NumericalSemigroup, dim_from_semigroup, genus_of, semigroup
-from .series import TruncatedSeries, expand_y_at, hasse_derivative
+from .semigroups import NumericalSemigroup, dim_from_semigroup
+from .series import TruncatedSeries, expand_y_at
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

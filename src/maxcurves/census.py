@@ -7,8 +7,8 @@ gives ker A, parity checks that cut out im A and a linear section of
 it.  Counting adds 2^(dim ker A) for each x whose P(x) + c passes the
 checks; enumeration lists the coset over each such x, in ascending
 (x, y) order.  A y-part that is not additive raises ``ValueError``.
-Points over x = infinity come from the curve's declared descriptor,
-never from a blow-up.
+Every built-in family has exactly one point over x = infinity, and it is
+rational: each census adds it, never finding it by a blow-up.
 
 Censuses cover fields of at most 2^16 elements: every level-1 field,
 and level 2 for q <= 16.  Larger fields are refused with
@@ -44,7 +44,7 @@ class AffinePoint:
 
 @dataclass(frozen=True)
 class InfinitePoint:
-    index: int = 0
+    """The single point over x = infinity."""
 
     def __repr__(self) -> str:
         return "P_inf"
@@ -109,7 +109,7 @@ def _census_setup(
 
 def enumerate_points(curve: PlaneCurve, level: int) -> list[CurvePoint]:
     """All points at the given tower level, affine ones in lexicographic
-    order of serialized (x, y), then the declared infinite points."""
+    order of serialized (x, y), then the point at infinity."""
     fld, xpart, const, a_map = _census_setup(curve, level)
     points: list[CurvePoint] = []
     for xb in range(fld.order):
@@ -117,18 +117,18 @@ def enumerate_points(curve: PlaneCurve, level: int) -> list[CurvePoint]:
         if y0 is not None:
             x = FieldElement(xb, fld)
             points.extend(AffinePoint(x, FieldElement(y0 ^ k, fld), level) for k in a_map.kernel)
-    points.extend(InfinitePoint(k) for k in range(curve.infinity.count))
+    points.append(InfinitePoint())
     return points
 
 
 def count_rational(curve: PlaneCurve, level: int = 1) -> int:
     """Number of points at the given level: |ker A| for each x whose
-    P(x) + c lies in im A, plus the declared infinite points."""
+    P(x) + c lies in im A, plus the point at infinity."""
     fld, xpart, const, a_map = _census_setup(curve, level)
     fibres = sum(
         1 for xb in range(fld.order) if a_map.in_image(_eval_sparse(fld, xpart, xb) ^ const)
     )
-    return fibres * len(a_map.kernel) + curve.infinity.count
+    return fibres * len(a_map.kernel) + 1
 
 
 def frobenius_point(curve: PlaneCurve, point: CurvePoint) -> CurvePoint:
@@ -142,13 +142,13 @@ def frobenius_point(curve: PlaneCurve, point: CurvePoint) -> CurvePoint:
 def is_rational(curve: PlaneCurve, point: CurvePoint) -> bool:
     """True iff the point is GF(q^2)-rational."""
     if isinstance(point, InfinitePoint):
-        return curve.infinity.rational
+        return True
     return point.x.in_subfield(2 * curve.t) and point.y.in_subfield(2 * curve.t)
 
 
 def on_curve(curve: PlaneCurve, point: CurvePoint) -> bool:
     if isinstance(point, InfinitePoint):
-        return point.index < curve.infinity.count
+        return True
     return not curve.evaluate(point.x, point.y)
 
 
@@ -171,10 +171,7 @@ def g1(q: int) -> int:
 
 def g2(q: int) -> int:
     """Second-largest genus floor((q-1)^2/4); equals q(q-2)/4 for even q."""
-    value = (q - 1) ** 2 // 4
-    if q % 2 == 0 and value != q * (q - 2) // 4:
-        raise AssertionError("genus formulas diverge for even q")
-    return value
+    return (q - 1) ** 2 // 4
 
 
 def genus_bounds(q: int, n: int) -> Fraction:
@@ -209,10 +206,16 @@ class CensusReport:
 
 
 def census_report(curve: PlaneCurve, genus: int, level: int = 1) -> CensusReport:
+    """The point count at a level against the L-polynomial prediction
+    q^(2k) + 1 - 2g(-q)^k, k = level, of a maximal curve of genus g; at
+    level 1 that is the Hasse-Weil bound, which alone decides maximality."""
+    if genus < 0:
+        raise ValueError("genus must be non-negative")
     count = count_rational(curve, level)
-    expected = hasse_weil_max(curve.q, genus)
+    q = curve.q
+    expected = q ** (2 * level) + 1 - 2 * genus * (-q) ** level
     return CensusReport(
-        q=curve.q,
+        q=q,
         family=curve.family,
         level=level,
         count=count,

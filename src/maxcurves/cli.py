@@ -12,7 +12,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import census, covering, curves, orders, semigroups, series
 from .fields import make_field
@@ -38,7 +38,6 @@ class RunConfig:
     dims: str | None = None
     file: str | None = None
     exhaustive: bool = False
-    extra: dict = field(default_factory=dict)
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
@@ -114,19 +113,18 @@ def _cmd_orders(config: RunConfig):
 
 
 def _cmd_frobenius_check(config: RunConfig):
-    curve = config.curve_obj()
-    q = curve.q
-    n = config.precision if config.precision is not None else min(2 * q + 8, q * q)
-    triple, evidence = orders.frobenius_orders(curve, config.samples, config.rng(), n)
-    ok = all(e["middle_derivatives_vanish"] and e["frobenius_residual_zero"] for e in evidence)
-    return {"orders": list(triple), "checked": len(evidence), "evidence": evidence}, ok
+    # frobenius_orders picks the default precision, and raises if any evidence fails
+    triple, evidence = orders.frobenius_orders(
+        config.curve_obj(), config.samples, config.rng(), config.precision
+    )
+    return {"orders": list(triple), "checked": len(evidence), "evidence": evidence}, True
 
 
 def _cmd_semigroup(config: RunConfig):
     if not config.generators:
         raise ValueError("--generators a,b,... is required")
     gens = [int(x) for x in config.generators.split(",")]
-    s = semigroups.semigroup(gens, config.bound)
+    s = semigroups.NumericalSemigroup(gens, config.bound)
     payload = {
         "generators": list(s.generators),
         "gaps": list(s.gaps),
@@ -198,12 +196,10 @@ def _cmd_full_suite(config: RunConfig):
         checks["dim_q_plus_1"] = semigroups.dim_from_semigroup(sg, q + 1) == 3
         checks["dim_2q_plus_2"] = semigroups.dim_from_semigroup(sg, 2 * q + 2) == 8
 
-    n_orders = 2 * q + 8
-    n_frob = min(2 * q + 8, q * q)
     sample = min(config.samples, 25)
     rational = census.sample_points(trace, 1, sample, rng, rational=True)
     checks["orders_rational"] = all(
-        orders.dp_orders(trace, p, n_orders).orders == (0, 1, 2, q + 1) for p in rational
+        orders.dp_orders(trace, p).orders == (0, 1, 2, q + 1) for p in rational
     )
     checks["orders_at_infinity"] = orders.dp_orders_at_infinity(trace).orders == (
         0,
@@ -218,11 +214,11 @@ def _cmd_full_suite(config: RunConfig):
             skipped["orders_non_rational"] = str(exc)
         else:
             checks["orders_non_rational"] = all(
-                orders.dp_orders(trace, p, n_orders).orders == (0, 1, 2, q) for p in nonrational
+                orders.dp_orders(trace, p).orders == (0, 1, 2, q) for p in nonrational
             )
 
     if t >= 2:
-        triple, evidence = orders.frobenius_orders(trace, sample, rng, n_frob)
+        triple, evidence = orders.frobenius_orders(trace, sample, rng)
         checks["frobenius_orders"] = triple == (0, 1, q)
         h_report = series.check_h_identities(make_field(t), 200, rng)
         checks["hasse_identities"] = h_report["all_pass"]
@@ -251,11 +247,10 @@ def _cmd_full_suite(config: RunConfig):
     return payload, all_pass
 
 
-def _random_record(fld, rng, length: int | None = None):
-    """A random valid isomorphism record over GF(q^2)."""
-    length = length if length is not None else rng.randrange(1, 5)
+def _random_record(fld, rng):
+    """A random valid isomorphism record over GF(q^2), of 1 to 4 changes."""
     record = []
-    for _ in range(length):
+    for _ in range(rng.randrange(1, 5)):
         kind = rng.choice(curves.CHANGE_KINDS)
         if kind in ("scale-y", "scale-x"):
             bits = rng.randrange(1, fld.order)
@@ -360,23 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    config = RunConfig(
-        command=ns.command,
-        t=ns.t,
-        curve=getattr(ns, "curve", "trace"),
-        level=getattr(ns, "level", 1),
-        precision=getattr(ns, "precision", None),
-        samples=getattr(ns, "samples", 50),
-        seed=ns.seed,
-        fmt=ns.fmt,
-        point=getattr(ns, "point", None),
-        generators=getattr(ns, "generators", None),
-        bound=getattr(ns, "bound", None),
-        dims=getattr(ns, "dims", None),
-        file=getattr(ns, "file", None),
-        exhaustive=getattr(ns, "exhaustive", False),
-    )
+    # every argparse destination is a RunConfig field with the same default
+    config = RunConfig(**vars(parser.parse_args(argv)))
     if not 1 <= config.t <= 5:
         print(_render({"error": f"t={config.t} outside [1, 5]", "schema": 1}, config.fmt))
         return EXIT_CONFIG

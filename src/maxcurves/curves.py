@@ -75,9 +75,6 @@ class Poly2:
     def coefficient(self, i: int, j: int) -> FieldElement:
         return FieldElement(self.terms.get((i, j), 0), self.field)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def evaluate(self, x: FieldElement, y: FieldElement) -> FieldElement:
         if x.field is not self.field or y.field is not self.field:
             raise ValueError("evaluation point lives in a different field")
@@ -132,10 +129,10 @@ class Poly2:
 
 @dataclass(frozen=True)
 class InfinityDescriptor:
-    """Declared data for the points over x = infinity on the nonsingular model."""
+    """Pole orders of x and y at the single point over x = infinity of the
+    nonsingular model; every built-in family has exactly one, and it is
+    GF(q^2)-rational."""
 
-    count: int
-    rational: bool
     x_pole_order: int
     y_pole_order: int
 
@@ -230,12 +227,6 @@ class PlaneCurve:
             return self.poly_at_level(2).evaluate(x, y)
         raise ValueError("point field matches neither tower level of the curve")
 
-    def partial_x(self) -> Poly2:
-        return self.poly.partial_x()
-
-    def partial_y(self) -> Poly2:
-        return self.poly.partial_y()
-
     # -- coefficient views for the trace-shaped families ----------------------
 
     def y_coeffs(self) -> list[FieldElement]:
@@ -288,7 +279,7 @@ def _classify(field: BinaryField, poly: Poly2) -> str:
 
 def _infinity_for(family: str, q: int) -> InfinityDescriptor:
     x_pole = q if family == "hermitian" else q // 2
-    return InfinityDescriptor(count=1, rational=True, x_pole_order=x_pole, y_pole_order=q + 1)
+    return InfinityDescriptor(x_pole_order=x_pole, y_pole_order=q + 1)
 
 
 def _curve_from_poly(field: BinaryField, poly: Poly2) -> PlaneCurve:
@@ -407,13 +398,24 @@ def record_from_json(data: Sequence[dict], field: BinaryField) -> list[Coordinat
     return [CoordinateChange(d["kind"], field.from_hex(d["constant"])) for d in data]
 
 
-def curve_from_json(data: dict) -> PlaneCurve:
-    q = data["q"]
+def curve_from_json(data: object) -> PlaneCurve:
+    """The curve of a :meth:`PlaneCurve.to_json` document.  Raises
+    ValueError unless the input is an object with an integer ``q`` and
+    ``terms``, a list of [int, int, hex string] triples."""
+    if not isinstance(data, dict):
+        raise ValueError("curve JSON must be an object")
+    q, raw_terms = data.get("q"), data.get("terms")
+    if type(q) is not int:  # bool, a subclass of int, is refused too
+        raise ValueError("curve JSON needs an integer 'q'")
+    if not isinstance(raw_terms, list) or not all(
+        isinstance(term, list) and [type(v) for v in term] == [int, int, str] for term in raw_terms
+    ):
+        raise ValueError("curve JSON needs 'terms', a list of [int, int, hex string] triples")
     t = q.bit_length() - 1
-    if q != 1 << t:
+    if q < 1 or q != 1 << t:
         raise ValueError(f"q={q} is not a power of two")
     field = make_field(t)
-    terms = {(int(i), int(j)): field.from_hex(h).bits for i, j, h in data["terms"]}
+    terms = {(i, j): field.from_hex(h).bits for i, j, h in raw_terms}
     curve = _curve_from_poly(field, Poly2(field, terms))
     if data.get("family") and data["family"] != curve.family:
         raise ValueError(f"declared family {data['family']!r}, classified {curve.family!r}")

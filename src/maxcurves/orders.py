@@ -24,7 +24,6 @@ from typing import Sequence
 from . import semigroups
 from .census import AffinePoint, is_rational, sample_points
 from .curves import PlaneCurve
-from .fields import FieldElement
 from .series import (
     CheckFailed,
     PrecisionError,
@@ -35,23 +34,13 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class LinearSystemBasis:
-    """The function basis (1, x, x^2, y) of the degree-(q+1) system."""
-
-    functions: tuple[str, ...] = ("1", "x", "x^2", "y")
-    projective_dim: int = 3
-
-    def degree(self, q: int) -> int:
-        return q + 1
-
-    def series_at(self, curve: PlaneCurve, point: AffinePoint, n: int) -> list[TruncatedSeries]:
-        fld = point.x.field
-        one = TruncatedSeries.constant(FieldElement(1, fld), n)
-        xs = TruncatedSeries.local_parameter_shifted(point.x, n)
-        x2 = (xs * xs).truncate(n)
-        ys = expand_y_at(curve, point, n)
-        return [one, xs, x2, ys]
+def basis_series(curve: PlaneCurve, point: AffinePoint, n: int) -> list[TruncatedSeries]:
+    """The basis (1, x, x^2, y) of the degree-(q+1) system, as series
+    mod tau^n at an affine point."""
+    one = TruncatedSeries.constant(point.x.field.one, n)
+    xs = TruncatedSeries.local_parameter_shifted(point.x, n)
+    x2 = (xs * xs).truncate(n)
+    return [one, xs, x2, expand_y_at(curve, point, n)]
 
 
 @dataclass(frozen=True)
@@ -101,14 +90,7 @@ def dp_orders(curve: PlaneCurve, point: AffinePoint, n: int | None = None) -> Or
         n = 2 * q + 8
     if n < q + 3:
         raise ValueError(f"precision {n} too small; need at least q+3 = {q + 3}")
-    basis = LinearSystemBasis()
-    rows = []
-    for s in basis.series_at(curve, point, n):
-        dense = [0] * n
-        for k, c in enumerate(s.coeffs):
-            if s.v + k < n:
-                dense[s.v + k] = c
-        rows.append(dense)
+    rows = [list(s.coeffs) for s in basis_series(curve, point, n)]
     pivots = _pivot_columns(point.x.field, rows)
     if len(pivots) < 4:
         raise PrecisionError(
@@ -173,13 +155,12 @@ def _frobenius_residual(curve: PlaneCurve, point: AffinePoint, ys: TruncatedSeri
     x_frob = TruncatedSeries.constant(point.x.frobenius(k), n)
     x2_frob = TruncatedSeries.constant(point.x.frobenius(k).square(), n)
 
+    # known mod tau^(n-2), the precision of D^2 y
     lhs = ys + y_frob + (xs + x_frob) * dy + ((xs * xs).truncate(n) + x2_frob) * d2y
-    residual_prec = min(lhs.prec, n - 2)
-    ok = lhs.is_zero_mod(residual_prec)
     return {
         "point": (point.x.hex(), point.y.hex()),
-        "residual_zero": ok,
-        "precision": residual_prec,
+        "residual_zero": lhs.is_zero_mod(),
+        "precision": lhs.prec,
     }
 
 
@@ -238,7 +219,6 @@ def degree_count_impossibility() -> dict:
     equally unsolvable, so the contradiction stands either way.)
     """
     sum_eps = sum(range(9))  # orders 0..8 of the doubled system
-    assert sum_eps == 36
     reduced_coeff = sum_eps - 2 * 4  # 36u + 40 = 8u + 50
     reduced_value = 2 * 25 - 40
     solutions = [u for u in range(0, 4 * reduced_value + 1, 2) if reduced_coeff * u == reduced_value]

@@ -74,9 +74,6 @@ class NumericalSemigroup:
             raise ValueError(f"{d} beyond the sieve bound {self.bound}")
         return [i for i in range(d + 1) if self._member[i]]
 
-    def count_upto(self, d: int) -> int:
-        return len(self.elements_upto(d))
-
     def nth_nongap(self, i: int) -> int:
         """m_i: the i-th element of the semigroup in increasing order (m_0 = 0)."""
         seen = -1
@@ -88,23 +85,11 @@ class NumericalSemigroup:
         raise ValueError(f"m_{i} beyond the sieve bound")
 
 
-def semigroup(generators: Sequence[int], bound: int | None = None) -> NumericalSemigroup:
-    return NumericalSemigroup(generators, bound)
-
-
-def gaps(s: NumericalSemigroup) -> list[int]:
-    return list(s.gaps)
-
-
-def genus_of(s: NumericalSemigroup) -> int:
-    return s.genus
-
-
 def dim_from_semigroup(s: NumericalSemigroup, d: int) -> int:
     """Projective dimension of |dP| from non-gap counting: #{s <= d} - 1."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    return s.count_upto(d) - 1
+    return len(s.elements_upto(d)) - 1
 
 
 def infinity_semigroup(q: int) -> NumericalSemigroup:

@@ -1,12 +1,11 @@
 """Truncated power series at affine curve points, with Hasse derivatives.
 
-A series is a finite window of coefficients over a tower field: it
-represents sum_k coeffs[k] * tau^(v+k) + O(tau^(v+N)) where tau is the
-local parameter x - x(P).  Precision bookkeeping is conservative (min
-rules under addition and multiplication), and asking questions beyond
-the stored precision raises :class:`PrecisionError` rather than
-guessing: "insufficient precision" is always distinct from "identity
-fails".
+A series is sum_{k<N} coeffs[k] tau^k + O(tau^N) over a tower field,
+tau = x - x(P).  Every series starts at tau^0 (no point at infinity gets
+one), so its precision is N, the number of stored coefficients; the
+smaller precision survives addition and multiplication.  Asking beyond
+it raises :class:`PrecisionError` rather than guessing: "insufficient
+precision" is always distinct from "identity fails".
 
 Expansions of y along the curve are computed coefficient by coefficient.
 Every built-in model reads A(y) = P(x) + c with A additive (a linearized
@@ -46,13 +45,12 @@ def binom_mod2(n: int, k: int) -> int:
 
 
 class TruncatedSeries:
-    """sum_k coeffs[k] tau^(v+k), known modulo tau^(v + len(coeffs))."""
+    """sum_k coeffs[k] tau^k, known modulo tau^len(coeffs)."""
 
-    __slots__ = ("field", "v", "coeffs")
+    __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: BinaryField, v: int, coeffs: tuple[int, ...]) -> None:
+    def __init__(self, field: BinaryField, coeffs: tuple[int, ...]) -> None:
         self.field = field
-        self.v = v
         self.coeffs = tuple(coeffs)
 
     # -- construction ----------------------------------------------------------
@@ -61,24 +59,20 @@ class TruncatedSeries:
     def constant(cls, value: FieldElement, prec: int) -> TruncatedSeries:
         if prec < 1:
             raise PrecisionError("a constant needs precision at least 1")
-        return cls(value.field, 0, (value.bits,) + (0,) * (prec - 1))
+        return cls(value.field, (value.bits,) + (0,) * (prec - 1))
 
     @classmethod
     def local_parameter_shifted(cls, x0: FieldElement, prec: int) -> TruncatedSeries:
         """The series x0 + tau (the x-coordinate function near x = x0)."""
         if prec < 2:
             raise PrecisionError("x0 + tau needs precision at least 2")
-        return cls(x0.field, 0, (x0.bits, 1) + (0,) * (prec - 2))
+        return cls(x0.field, (x0.bits, 1) + (0,) * (prec - 2))
 
     # -- bookkeeping -----------------------------------------------------------
 
     @property
     def prec(self) -> int:
         """Absolute precision: the series is known modulo tau^prec."""
-        return self.v + len(self.coeffs)
-
-    @property
-    def rel_prec(self) -> int:
         return len(self.coeffs)
 
     def valuation(self) -> int | None:
@@ -86,20 +80,20 @@ class TruncatedSeries:
         stored coefficient vanishes (unknown beyond precision)."""
         for k, c in enumerate(self.coeffs):
             if c:
-                return self.v + k
+                return k
         return None
 
     def coefficient(self, exponent: int) -> FieldElement:
         if exponent >= self.prec:
             raise PrecisionError(f"coefficient of tau^{exponent} beyond precision {self.prec}")
-        if exponent < self.v:
+        if exponent < 0:  # a bare index would wrap to the top coefficient
             return FieldElement(0, self.field)
-        return FieldElement(self.coeffs[exponent - self.v], self.field)
+        return FieldElement(self.coeffs[exponent], self.field)
 
     def truncate(self, prec: int) -> TruncatedSeries:
         if prec > self.prec:
             raise PrecisionError(f"cannot extend precision {self.prec} to {prec}")
-        return TruncatedSeries(self.field, self.v, self.coeffs[: max(prec - self.v, 0)])
+        return TruncatedSeries(self.field, self.coeffs[: max(prec, 0)])
 
     def is_zero_mod(self, prec: int | None = None) -> bool:
         """True iff every known coefficient below the given precision vanishes."""
@@ -107,19 +101,13 @@ class TruncatedSeries:
             prec = self.prec
         elif prec > self.prec:
             raise PrecisionError(f"zero test modulo tau^{prec} beyond precision {self.prec}")
-        return not any(self.coeffs[: prec - self.v])
+        return not any(self.coeffs[:prec])
 
     def __repr__(self) -> str:
         hexes = " ".join(self.field.to_hex(c) for c in self.coeffs)
-        return f"{self.v} + [{hexes}] mod t^{self.prec}"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries) or other.field is not self.field:
-            return NotImplemented
-        return (self + other).is_zero_mod()  # agree to the shared precision
-
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict keys
-        return hash((id(self.field), self.v, self.coeffs))
+        # the leading "0 + " (the starting exponent) stays for payload
+        # stability: the expand subcommand prints this string
+        return f"0 + [{hexes}] mod t^{self.prec}"
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -129,23 +117,14 @@ class TruncatedSeries:
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
         self._check(other)
-        v = min(self.v, other.v)
-        prec = min(self.prec, other.prec)
-        out = [0] * max(prec - v, 0)
-        for src in (self, other):
-            for k, c in enumerate(src.coeffs):
-                e = src.v + k
-                if e < prec:
-                    out[e - v] ^= c
-        return TruncatedSeries(self.field, v, tuple(out))
+        out = [a ^ b for a, b in zip(self.coeffs, other.coeffs)]
+        return TruncatedSeries(self.field, tuple(out))
 
     __sub__ = __add__
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         self._check(other)
-        v = self.v + other.v
-        prec = min(self.prec + other.v, other.prec + self.v)
-        n = max(prec - v, 0)
+        n = min(self.prec, other.prec)
         out = [0] * n
         fld = self.field
         for i, a in enumerate(self.coeffs):
@@ -156,38 +135,30 @@ class TruncatedSeries:
                     break
                 if b:
                     out[i + j] ^= fld.mul_int(a, b)
-        return TruncatedSeries(fld, v, tuple(out))
+        return TruncatedSeries(fld, tuple(out))
 
     def scale(self, c: FieldElement) -> TruncatedSeries:
         if c.field is not self.field:
             raise ValueError("scalar lives over a different field")
         fld = self.field
-        return TruncatedSeries(
-            fld, self.v, tuple(fld.mul_int(c.bits, a) for a in self.coeffs)
-        )
-
-    def shift(self, k: int) -> TruncatedSeries:
-        """Multiply by tau^k."""
-        return TruncatedSeries(self.field, self.v + k, self.coeffs)
+        return TruncatedSeries(fld, tuple(fld.mul_int(c.bits, a) for a in self.coeffs))
 
     def pow2k(self, k: int) -> TruncatedSeries:
         """The 2^k-th power; exact in characteristic 2, spreading exponents."""
         step = 1 << k
         fld = self.field
-        n = (len(self.coeffs) - 1) * step + 1 if self.coeffs else 0
         # (S + O(tau^p))^(2^k) = S^(2^k) + O(tau^(p * 2^k))
-        n = max(n, self.prec * step - self.v * step)
-        out = [0] * n
+        out = [0] * (self.prec * step)
         for i, a in enumerate(self.coeffs):
             if a:
                 out[i * step] = fld.frob_int(a, k)
-        return TruncatedSeries(fld, self.v * step, tuple(out))
+        return TruncatedSeries(fld, tuple(out))
 
     def __pow__(self, e: int) -> TruncatedSeries:
         if e < 0:
             raise ValueError("negative powers of series are not supported")
         if e == 0:
-            return TruncatedSeries.constant(FieldElement(1, self.field), max(self.rel_prec, 1))
+            return TruncatedSeries.constant(self.field.one, max(self.prec, 1))
         result = None
         base = self
         while e:
@@ -204,27 +175,18 @@ class TruncatedSeries:
             raise ValueError("derivative order must be non-negative")
         if i == 0:
             return self
-        v = max(self.v - i, 0)
-        prec = self.prec - i
-        if prec <= v:
+        if self.prec <= i:
             raise PrecisionError(f"order-{i} derivative exhausts precision {self.prec}")
-        out = [0] * (prec - v)
-        for k, c in enumerate(self.coeffs):
-            n = self.v + k
-            if c and n - i >= v and n - i < prec and binom_mod2(n, i):
-                out[n - i - v] ^= c
-        return TruncatedSeries(self.field, v, tuple(out))
+        out = [0] * (self.prec - i)
+        for n, c in enumerate(self.coeffs):
+            if c and n >= i and binom_mod2(n, i):
+                out[n - i] = c
+        return TruncatedSeries(self.field, tuple(out))
 
 
-def hasse_derivative(s: TruncatedSeries, i: int) -> TruncatedSeries:
-    return s.hasse_derivative(i)
-
-
-def series_equal_mod(a: TruncatedSeries, b: TruncatedSeries, prec: int | None = None) -> bool:
-    diff = a + b
-    if prec is None:
-        return diff.is_zero_mod()
-    return diff.is_zero_mod(min(prec, diff.prec))
+def series_equal_mod(a: TruncatedSeries, b: TruncatedSeries) -> bool:
+    """True iff a and b agree to their shared precision."""
+    return (a + b).is_zero_mod()
 
 
 def _power(cache: dict[int, TruncatedSeries], e: int, prec: int) -> TruncatedSeries:
@@ -244,7 +206,7 @@ def _poly_on_series(poly: Poly2, xs: TruncatedSeries, ys: TruncatedSeries, prec:
     one = TruncatedSeries.constant(fld.one, prec)
     xpow = {0: one, 1: xs.truncate(prec)}
     ypow = {0: one, 1: ys.truncate(prec)}
-    acc = TruncatedSeries(fld, 0, (0,) * prec)
+    acc = TruncatedSeries(fld, (0,) * prec)
     for (i, j), c in poly.terms.items():
         if not j:
             term = _power(xpow, i, prec)
@@ -311,7 +273,7 @@ def expand_y_at(curve: PlaneCurve, point, n: int) -> TruncatedSeries:
 
     coeffs = _additive_lift(fld, x0.bits, xpart, ypart, n)
     coeffs[0] = y0.bits
-    ys = TruncatedSeries(fld, 0, tuple(coeffs))
+    ys = TruncatedSeries(fld, tuple(coeffs))
     xs = TruncatedSeries.local_parameter_shifted(x0, n)
     if not _poly_on_series(poly, xs, ys, n).is_zero_mod(n):
         raise CheckFailed(
@@ -320,7 +282,10 @@ def expand_y_at(curve: PlaneCurve, point, n: int) -> TruncatedSeries:
     return ys
 
 
-def check_h_identities(field: BinaryField, count: int, rng, prec: int = 14) -> dict:
+H_IDENTITY_PRECISION = 14
+
+
+def check_h_identities(field: BinaryField, count: int, rng) -> dict:
     """Property-test the Hasse-derivative identities on random series.
 
     H1: additivity; H2: Leibniz convolution; H3: derivatives of even
@@ -329,11 +294,10 @@ def check_h_identities(field: BinaryField, count: int, rng, prec: int = 14) -> d
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    prec = H_IDENTITY_PRECISION
 
-    def random_series(v: int = 0) -> TruncatedSeries:
-        return TruncatedSeries(
-            field, v, tuple(rng.randrange(field.order) for _ in range(prec))
-        )
+    def random_series() -> TruncatedSeries:
+        return TruncatedSeries(field, tuple(rng.randrange(field.order) for _ in range(prec)))
 
     report = {name: {"pass": 0, "fail": 0} for name in ("h1", "h2", "h3", "h3prime")}
 
@@ -350,7 +314,7 @@ def check_h_identities(field: BinaryField, count: int, rng, prec: int = 14) -> d
 
         i = rng.randrange(0, 7)
         lhs = (z * w).hasse_derivative(i)
-        rhs = TruncatedSeries(field, 0, (0,) * (prec - i))
+        rhs = TruncatedSeries(field, (0,) * (prec - i))
         for j in range(i + 1):
             rhs = rhs + z.hasse_derivative(i - j) * w.hasse_derivative(j)
         tally("h2", series_equal_mod(lhs, rhs))
@@ -388,7 +352,6 @@ class DerivativeFactsReport:
     middle_range: tuple[int, int]
     middle_vanish: bool
     dy_valuation_at_infinity: int
-    dx_dt_valuation_identity: bool
 
     def ok(self) -> bool:
         return self.dy_is_xq and self.d2y_is_x2q and self.middle_vanish
@@ -437,7 +400,6 @@ def _derivative_facts(curve: PlaneCurve, point, ys: TruncatedSeries) -> Derivati
     # At the infinite point, Dy = a_t^{-1} x^q and the declared pole order
     # of x give v(Dy) = -q * q/2 without any series there.
     dy_val_inf = -q * curve.infinity.x_pole_order
-    two_g_minus_2 = 2 * (q * (q - 2) // 4) - 2
     return DerivativeFactsReport(
         q=q,
         point=(point.x.hex(), point.y.hex()),
@@ -446,5 +408,4 @@ def _derivative_facts(curve: PlaneCurve, point, ys: TruncatedSeries) -> Derivati
         middle_range=(3, hi),
         middle_vanish=middle_ok,
         dy_valuation_at_infinity=dy_val_inf,
-        dx_dt_valuation_identity=(two_g_minus_2 == q * q // 2 - q - 2),
     )

@@ -33,7 +33,7 @@ def test_verify_maximal_trace_q8(capsys):
 def test_count_level_2(capsys):
     code, payload = run_json(capsys, "count", "--curve", "hermitian", "--t", "2", "--level", "2")
     assert code == EXIT_OK
-    assert payload["count"] == 65
+    assert payload["count"] == 65 and payload["expected"] == 65
 
 
 def test_orders_subcommand(capsys):
@@ -117,6 +117,24 @@ def test_normalize_failure_exits_1(tmp_path, capsys):
     code, payload = run_json(capsys, "normalize", "--file", str(path))
     assert code == EXIT_CHECK_FAILED
     assert "identities failed" in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"q": 4},
+        [1, 2],
+        {"q": "4", "terms": []},
+        {"q": 4, "terms": 5},
+        {"q": 4, "terms": [[5, 0, 1]]},
+    ],
+)
+def test_normalize_malformed_json_exits_2(tmp_path, capsys, document):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(document))
+    code, payload = run_json(capsys, "normalize", "--file", str(path))
+    assert code == EXIT_CONFIG
+    assert "curve JSON" in payload["error"]
 
 
 @pytest.mark.parametrize("t", [2, 3])
