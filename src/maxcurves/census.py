@@ -12,8 +12,8 @@ rational: each census adds it, never finding it by a blow-up.
 
 Censuses cover fields of at most 2^16 elements: every level-1 field,
 and level 2 for q <= 16.  Larger fields are refused with
-:class:`CensusLimitError`; they have no log tables, so each of the 2^m
-values of x would cost tens of microseconds.
+:class:`CensusLimitError`: over GF(2^20) the 2^20 evaluations of the
+x-part alone would take seconds.
 """
 
 from __future__ import annotations
@@ -244,14 +244,22 @@ def sample_points(
 
     With rational=None all points qualify; True keeps GF(q^2)-rational
     ones; False keeps the rest.  Sampling is without replacement; if
-    fewer points qualify than requested the full list is returned.
+    fewer points qualify than requested the full list is returned.  Each
+    point returned is checked against the curve's equation, raising
+    :class:`series.CheckFailed` for one the census should not have listed.
     """
+    from .series import CheckFailed  # series imports census
+
     pool: Iterable[CurvePoint] = enumerate_points(curve, level)
     if exclude_infinity:
         pool = [p for p in pool if isinstance(p, AffinePoint)]
     if rational is not None:
         pool = [p for p in pool if is_rational(curve, p) == rational]
     pool = list(pool)
-    if count >= len(pool):
-        return pool
-    return rng.sample(pool, count)
+    drawn = pool if count >= len(pool) else rng.sample(pool, count)
+    for p in drawn:
+        if not on_curve(curve, p):
+            raise CheckFailed(
+                f"the level-{level} census of the {curve.family} curve lists {p!r}, not on it"
+            )
+    return drawn

@@ -11,10 +11,16 @@ Two tower levels are supported per t: ``base-square`` is GF(2^{2t}) and
 houses the curve coefficients, ``quartic`` is GF(2^{4t}) and houses the
 degree-4 extension points.  GF(q) itself is not a separate structure: it
 is the fixed field of the q-power map inside GF(q^2), and subfield
-membership is a single exponentiation test.
+membership is a single Frobenius test.
 
-Multiplication is shift-and-reduce, accelerated by log/antilog tables
-for m <= 16; inverses are computed as a^(2^m - 2).
+Fields of at most 2^16 elements multiply by log/antilog tables.  Larger
+ones (only GF(2^20), the quartic field at q = 32) multiply through the
+degree-2 tower K[w]/(w^2 + w + nu) over their tabled subfield K =
+GF(2^(m/2)), instead of 2^m-entry tables: two lookups per operand change
+basis, three K products in Karatsuba form and three lookups change back,
+all from tables of about 2^(m/2) entries.  The shift-and-reduce product
+builds the tables and the tower and is not used after.  Inverses are
+a^(2^m - 2).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Iterator, NamedTuple, Sequence
 MAX_T = 5
 LEVELS = ("base-square", "quartic")
 
-_TABLE_LIMIT = 16  # build log/antilog tables only up to GF(2^16)
+_TABLE_LIMIT = 16  # log/antilog tables up to GF(2^16); above, the degree-2 tower
 
 
 def _load_moduli() -> dict[int, int]:
@@ -88,6 +94,7 @@ class BinaryField:
         self.hex_width = (m + 3) // 4
         self._log: list[int] | None = None
         self._exp: list[int] | None = None
+        self._tower: tuple | None = None  # built by _build_tower for m > _TABLE_LIMIT
         self._embedding: list[int] | None = None  # basis images in the quartic field
 
     def __repr__(self) -> str:
@@ -132,12 +139,73 @@ class BinaryField:
                 return
         raise AssertionError("no multiplicative generator found")  # unreachable
 
+    def _build_tower(self) -> tuple:
+        """Tables for GF(2^m) = K[w]/(w^2 + w + nu), K = GF(2^h), h = m/2.
+
+        K is the base-square field, embedded by :meth:`_embedding_images`
+        as the span of beta^i; nu is the first element of K of absolute
+        trace 1, so w^2 + w + nu is irreducible over K, and w is the least
+        root of u^2 + u = nu here.  The columns beta^i and w beta^i then
+        form a GF(2)-basis, and a mask a + b w of the tower is the pair
+        (a, b) of K masks packed as a | b << h.  Squaring, being
+        GF(2)-linear, gets two 2^h-entry tables of its own.
+        """
+        base = make_field(self.t)
+        h = base.m
+        if base._log is None:
+            base._build_tables()
+        images = self._embedding_images()
+        from_a = _span_table(images)
+        nu = _tower_constant(base)
+        squares = [self._mul_raw(1 << j, 1 << j) for j in range(self.m)]
+        w = reduce_gf2([s ^ (1 << j) for j, s in enumerate(squares)]).preimage(from_a[nu])
+        if w is None or self._mul_raw(w, w) ^ w != from_a[nu]:
+            raise ArithmeticError(f"no root of w^2 + w = nu in {self!r}")
+        w_images = [self._mul_raw(w, b) for b in images]
+        basis = reduce_gf2(images + w_images)
+        if basis.kernel != [0]:
+            raise ArithmeticError(f"1 and w do not span {self!r} over GF(2^{h})")
+        coords = [basis.preimage(1 << j) for j in range(self.m)]
+        # zero-aware logs of K: log 0 = 2(2^h - 1) - 1 sends every product
+        # with a zero factor past the cyclic part of exp, onto zeros
+        period = base.order - 1
+        log = list(base._log)
+        log[0] = 2 * period - 1
+        exp = base._exp[: 2 * period - 1] + [0] * (2 * period)
+        # (a + b w)(c + d w) = (ac + nu bd) + ((a + b)(c + d) + ac) w
+        from_b = _span_table(w_images)
+        back_ac = [from_a[k] ^ from_b[k] for k in range(base.order)]
+        back_bd = [from_a[base.mul_int(nu, k)] for k in range(base.order)]
+        self._tower = (
+            h, period, _span_table(coords[:h]), _span_table(coords[h:]),
+            log, exp, back_ac, back_bd, from_b,
+            _span_table(squares[:h]), _span_table(squares[h:]),
+        )
+        return self._tower
+
     def mul_int(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         if self._log is None:
             if self.m > _TABLE_LIMIT:
-                return self._mul_raw(a, b)
+                # built before the shortcut for 1, so mul_int(1, 1) builds it too
+                tower = self._tower or self._build_tower()
+                if a == 1:
+                    return b
+                if b == 1:
+                    return a
+                h, low, to_lo, to_hi, log, exp, back_ac, back_bd, back_s, sq_lo, sq_hi = tower
+                if a == b:  # squaring is GF(2)-linear
+                    return sq_lo[a & low] ^ sq_hi[a >> h]
+                u = to_lo[a & low] ^ to_hi[a >> h]
+                v = to_lo[b & low] ^ to_hi[b >> h]
+                ua, ub, va, vb = u & low, u >> h, v & low, v >> h
+                ac = exp[log[ua] + log[va]]
+                return (
+                    back_ac[ac]
+                    ^ back_bd[exp[log[ub] + log[vb]]]
+                    ^ back_s[exp[log[ua ^ ub] + log[va ^ vb]]]
+                )
             self._build_tables()
         return self._exp[self._log[a] + self._log[b]]
 
@@ -203,39 +271,40 @@ class BinaryField:
 
         The embedding sends the base generator z to the numerically
         smallest root of the base reduction polynomial here, which pins
-        one canonical embedding out of the 2t conjugate choices.
+        one canonical embedding out of the 2t conjugate choices.  It
+        multiplies shift-and-reduce, because the tower of GF(2^20) is
+        built on it.
         """
         if self.level != "quartic":
             raise ValueError("embedding target must be a quartic field")
         if self._embedding is None:
             base = make_field(self.t, "base-square")
             sub = self.subfield_masks(base.m)
-            roots = [s for s in sub if _eval_poly_mask(self, base.modulus, s) == 0]
-            if not roots:
-                raise AssertionError("base modulus has no root in the quartic field")
-            beta = min(roots)
+            beta = next((s for s in sub if _eval_poly_mask(self, base.modulus, s) == 0), None)
+            if beta is None:
+                raise ArithmeticError("base modulus has no root in the quartic field")
             images = [1]
             for _ in range(1, base.m):
-                images.append(self.mul_int(images[-1], beta))
+                images.append(self._mul_raw(images[-1], beta))
             self._embedding = images
         return self._embedding
 
     def subfield_masks(self, sub_degree: int) -> list[int]:
         """All masks of the subfield GF(2^sub_degree), ascending.
 
-        Collected as norms c^((2^m-1)/(2^d-1)) rather than by scanning
-        the whole field, so it stays usable at m = 20.
+        The subfield is the kernel of the GF(2)-linear map
+        u -> u^(2^sub_degree) + u, read off one elimination on its m
+        columns, so no element is scanned.
         """
         if self.m % sub_degree != 0:
             raise ValueError(f"{sub_degree} does not divide m={self.m}")
-        target = 1 << sub_degree
-        e = (self.order - 1) // (target - 1)
-        found = {0}
-        for c in range(1, self.order):
-            found.add(self.pow_int(c, e))
-            if len(found) == target:
-                break
-        return sorted(found)
+        columns = []
+        for j in range(self.m):
+            u = 1 << j
+            for _ in range(sub_degree):
+                u = self._mul_raw(u, u)
+            columns.append(u ^ (1 << j))
+        return reduce_gf2(columns).kernel
 
     def embed(self, a: FieldElement) -> FieldElement:
         """Map an element of the base-square field of the same t into this field."""
@@ -364,13 +433,29 @@ class FieldElement:
 
 
 def _eval_poly_mask(field: BinaryField, poly_mask: int, x: int) -> int:
-    """Evaluate a GF(2)[z] polynomial (bit mask) at a field element (Horner)."""
+    """Evaluate a GF(2)[z] polynomial (bit mask) at a field element (Horner,
+    shift-and-reduce)."""
     r = 0
     for i in range(poly_degree(poly_mask), -1, -1):
-        r = field.mul_int(r, x)
+        r = field._mul_raw(r, x)
         if (poly_mask >> i) & 1:
             r ^= 1
     return r
+
+
+def _tower_constant(base: BinaryField) -> int:
+    """The least mask of the base field with absolute trace 1: the nu of
+    the tower w^2 + w + nu over it."""
+    return next(nu for nu in range(1, base.order) if FieldElement(nu, base).absolute_trace())
+
+
+def _span_table(columns: Sequence[int]) -> list[int]:
+    """The image of every mask below 2^len(columns) under the GF(2)-linear
+    map with A(1 << j) = columns[j]."""
+    table = [0]
+    for c in columns:
+        table += [v ^ c for v in table]
+    return table
 
 
 _FIELD_CACHE: dict[tuple[int, str], BinaryField] = {}

@@ -258,8 +258,8 @@ def expand_y_at(curve: PlaneCurve, point, n: int) -> TruncatedSeries:
     series is checked against F before it is returned (raising
     :class:`CheckFailed` if the residual is nonzero).
     """
-    if n < 1:
-        raise ValueError("precision must be at least 1")
+    if n < 2:
+        raise ValueError("precision must be at least 2: the expansion uses x0 + tau")
     x0, y0 = point.x, point.y
     fld = x0.field
     level = 1 if fld is curve.field else 2

@@ -1,5 +1,6 @@
 """Point enumeration, maximality, and genus-bound arithmetic."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -221,6 +222,20 @@ def test_planted_column_defect_is_caught(monkeypatch, capsys):
         assert count_rational(hermitian(t), 1) != l_polynomial_count(q, g1(q), 1)
     assert cli.main(["full-suite", "--t", "2", "--samples", "10"]) == cli.EXIT_CHECK_FAILED
     assert '"hermitian_maximal": false' in capsys.readouterr().out
+
+
+def test_planted_column_defect_on_the_trace_curve_fails_full_suite(monkeypatch, capsys):
+    columns = census._column_images
+
+    def planted(fld, ypart):
+        images = columns(fld, ypart)
+        images[0] ^= 2  # A(1) = z for every curve, the trace curve included
+        return images
+
+    monkeypatch.setattr(census, "_column_images", planted)
+    assert cli.main(["full-suite", "--t", "3"]) == cli.EXIT_CHECK_FAILED
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert "census of the trace-standard curve" in error and "not on it" in error
 
 
 def test_frobenius_point_fixes_exactly_level1_points():

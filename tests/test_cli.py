@@ -163,6 +163,10 @@ def test_config_errors_exit_2(capsys):
         capsys, "orders", "--curve", "trace", "--t", "2", "--point", "zz"
     )
     assert code == EXIT_CONFIG  # malformed point
+    code, payload = run_json(
+        capsys, "expand", "--t", "2", "--point", "0,0", "--precision", "1"
+    )
+    assert code == EXIT_CONFIG and "precision" in payload["error"]  # x0 + tau needs tau^1
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == EXIT_CONFIG  # argparse rejects unknown subcommands

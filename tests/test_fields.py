@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+from maxcurves import fields
 from maxcurves.fields import (
+    BinaryField,
     is_irreducible,
     linearized_solve,
     make_field,
@@ -317,3 +319,132 @@ def test_element_immutability_and_range():
         GF16.element(16)
     with pytest.raises(ValueError):
         GF16.element(-1)
+
+
+# -- GF(2^20): the degree-2 tower over GF(2^10) against shift-and-reduce ------
+
+GF2_20 = make_field(5, "quartic")
+
+
+def ref_mul(a: int, b: int, modulus: int) -> int:
+    """Carry-less product of a and b reduced modulo the field polynomial."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    deg = modulus.bit_length() - 1
+    while r.bit_length() - 1 >= deg:
+        r ^= modulus << (r.bit_length() - 1 - deg)
+    return r
+
+
+def ref_pow(a: int, e: int, modulus: int) -> int:
+    r = 1
+    for bit in bin(e)[2:]:
+        r = ref_mul(r, r, modulus)
+        if bit == "1":
+            r = ref_mul(r, a, modulus)
+    return r
+
+
+def gf2_20_samples() -> list[int]:
+    """0, 1, the embedded GF(2^10) basis, a few subfield elements and
+    seeded random masks."""
+    rng = random.Random(20)
+    subfield = [GF2_20.embed(make_field(5).element(b)).bits for b in (2, 3, 0x155, 0x3FF)]
+    return [0, 1, 2, GF2_20.order - 1, *GF2_20._embedding_images(), *subfield] + [
+        rng.randrange(GF2_20.order) for _ in range(60)
+    ]
+
+
+def test_gf2_20_products_match_shift_and_reduce():
+    mod = GF2_20.modulus
+    samples = gf2_20_samples()
+    for a in samples:
+        for b in samples:
+            assert GF2_20.mul_int(a, b) == ref_mul(a, b, mod), (hex(a), hex(b))
+    rng = random.Random(21)
+    for _ in range(3000):
+        a, b = rng.randrange(GF2_20.order), rng.randrange(GF2_20.order)
+        assert GF2_20.mul_int(a, b) == ref_mul(a, b, mod)
+
+
+def test_gf2_20_powers_inverses_and_frobenius_match_shift_and_reduce():
+    mod = GF2_20.modulus
+    rng = random.Random(22)
+    for a in gf2_20_samples():
+        for e in (0, 1, 2, 3, 33, 1025, rng.randrange(GF2_20.order)):
+            assert GF2_20.pow_int(a, e) == ref_pow(a, e, mod)
+        for k in (0, 1, 5, 10, 19, 20, 23):
+            assert GF2_20.frob_int(a, k) == ref_pow(a, 1 << (k % 20), mod)
+        if a:
+            inv = GF2_20.inv_int(a)
+            assert ref_mul(a, inv, mod) == 1 and inv == ref_pow(a, GF2_20.order - 2, mod)
+
+
+def test_tower_is_built_on_the_first_product_of_nonzero_operands():
+    for a, b in ((1, 1), (1, 7), (7, 1), (3, 5)):
+        fld = BinaryField(5, "quartic", 20, GF2_20.modulus)
+        assert fld._tower is None
+        assert fld.mul_int(0, a) == fld.mul_int(b, 0) == 0
+        assert fld.mul_int(a, b) == ref_mul(a, b, fld.modulus)
+        assert fld._tower is not None
+        # no table of 2^20 entries: the largest is the zero-aware exp of GF(2^10)
+        assert fld._log is None
+        assert max(len(table) for table in fld._tower if isinstance(table, list)) < 1 << 12
+
+
+def test_tower_with_a_trace_zero_constant_is_refused(monkeypatch):
+    # w^2 + w + 1 splits over GF(2^10) (Tr(1) = 0), so w and w beta^i add
+    # no new dimension and the 20 columns cannot span GF(2^20)
+    assert make_field(5).one.absolute_trace() == 0
+    monkeypatch.setattr(fields, "_tower_constant", lambda base: 1)
+    fld = BinaryField(5, "quartic", 20, GF2_20.modulus)
+    with pytest.raises(ArithmeticError):
+        fld.mul_int(3, 5)
+
+
+@pytest.mark.parametrize(
+    "t,level", [(t, lvl) for t in (1, 2, 3) for lvl in fields.LEVELS] + [(5, "base-square")]
+)
+def test_subfield_masks_against_the_definition(t, level):
+    fld = make_field(t, level)
+    for d in range(1, fld.m + 1):
+        if fld.m % d == 0:
+            expected = [a for a in range(fld.order) if fld.frob_int(a, d) == a]
+            assert fld.subfield_masks(d) == expected
+
+
+@pytest.mark.parametrize("t", [4, 5])
+def test_subfield_masks_size_and_closure_at_m_16_and_20(t):
+    fld = make_field(t, "quartic")
+    rng = random.Random(t)
+    for d in range(1, fld.m):  # proper subfields: d = m lists the whole field
+        if fld.m % d:
+            continue
+        sub = fld.subfield_masks(d)
+        assert len(sub) == 1 << d and sub == sorted(sub)
+        members = set(sub)
+        picks = sub if len(sub) <= 64 else rng.sample(sub, 64)
+        for a in picks:
+            assert ref_pow(a, 1 << d, fld.modulus) == a
+        for _ in range(200):
+            a, b = rng.choice(sub), rng.choice(sub)
+            assert a ^ b in members and fld.mul_int(a, b) in members
+
+
+EMBEDDING_IMAGES = {
+    1: [0x1, 0x6],
+    2: [0x1, 0x5C, 0xE0, 0x50],
+    3: [0x1, 0xA3, 0x421, 0x9A2, 0xD01, 0x448],
+    4: [0x1, 0x41CD, 0xE02C, 0xC837, 0xD908, 0x8E55, 0x7E8D, 0x7875],
+    5: [0x1, 0x1735, 0x50588, 0x1E342, 0x8D049, 0x9A3F5, 0x5AF44, 0x4B790, 0x43DC3, 0xDFDBC],
+}
+
+
+@pytest.mark.parametrize("t", sorted(EMBEDDING_IMAGES))
+def test_embedding_images_are_pinned(t):
+    # recorded when beta was the least root among all norms of the field
+    assert make_field(t, "quartic")._embedding_images() == EMBEDDING_IMAGES[t]
