@@ -3,10 +3,13 @@
 Every built-in model reads A(y) = P(x) + c with A additive, so A is
 GF(2)-linear and each fibre of A is empty or a coset of ker A.  One
 Gaussian elimination on the images A(1 << j) (:func:`fields.reduce_gf2`)
-gives ker A, parity checks that cut out im A and a linear section of
-it.  Counting adds 2^(dim ker A) for each x whose P(x) + c passes the
-checks; enumeration lists the coset over each such x, in ascending
-(x, y) order.  A y-part that is not additive raises ``ValueError``.
+gives ker A, a reduced basis of im A and a linear section of it.  The
+values P(x) + c at every x come from one row kernel
+(:meth:`fields.BinaryField.values`), and a byte table over the masks,
+set on the 2^rank images spanned from the basis, says which of them lie
+in im A.  Counting adds 2^(dim ker A) for each x that passes; enumeration
+lists the coset over each such x, in ascending (x, y) order.  A y-part
+that is not additive raises ``ValueError``.
 Every built-in family has exactly one point over x = infinity, and it is
 rational: each census adds it, never finding it by a blow-up.
 
@@ -23,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .curves import PlaneCurve
-from .fields import BinaryField, FieldElement, GF2Reduction, reduce_gf2
+from .fields import BinaryField, CheckFailed, FieldElement, GF2Reduction, reduce_gf2
 
 CENSUS_FIELD_LIMIT = 1 << 16
 
@@ -100,22 +103,23 @@ def _column_images(fld: BinaryField, ypart: dict[int, int]) -> list[int]:
 
 def _census_setup(
     curve: PlaneCurve, level: int
-) -> tuple[BinaryField, dict[int, int], int, GF2Reduction]:
-    """The field, P, c and the reduced A of the model A(y) = P(x) + c."""
+) -> tuple[BinaryField, list[int], bytearray, GF2Reduction]:
+    """The field, P(x) + c at every x in mask order, the membership table
+    of im A and the reduced A, for the model A(y) = P(x) + c."""
     fld = _census_field(curve, level)
     xpart, ypart, const = _additive_parts(curve, level)
-    return fld, xpart, const, reduce_gf2(_column_images(fld, ypart))
+    a_map = reduce_gf2(_column_images(fld, ypart))
+    return fld, fld.values({**xpart, 0: const}), a_map.image_table(fld.order), a_map
 
 
 def enumerate_points(curve: PlaneCurve, level: int) -> list[CurvePoint]:
     """All points at the given tower level, affine ones in lexicographic
     order of serialized (x, y), then the point at infinity."""
-    fld, xpart, const, a_map = _census_setup(curve, level)
+    fld, rhs, in_image, a_map = _census_setup(curve, level)
     points: list[CurvePoint] = []
-    for xb in range(fld.order):
-        y0 = a_map.preimage(_eval_sparse(fld, xpart, xb) ^ const)
-        if y0 is not None:
-            x = FieldElement(xb, fld)
+    for xb, v in enumerate(rhs):
+        if in_image[v]:
+            x, y0 = FieldElement(xb, fld), a_map.preimage(v)
             points.extend(AffinePoint(x, FieldElement(y0 ^ k, fld), level) for k in a_map.kernel)
     points.append(InfinitePoint())
     return points
@@ -124,11 +128,8 @@ def enumerate_points(curve: PlaneCurve, level: int) -> list[CurvePoint]:
 def count_rational(curve: PlaneCurve, level: int = 1) -> int:
     """Number of points at the given level: |ker A| for each x whose
     P(x) + c lies in im A, plus the point at infinity."""
-    fld, xpart, const, a_map = _census_setup(curve, level)
-    fibres = sum(
-        1 for xb in range(fld.order) if a_map.in_image(_eval_sparse(fld, xpart, xb) ^ const)
-    )
-    return fibres * len(a_map.kernel) + 1
+    _, rhs, in_image, a_map = _census_setup(curve, level)
+    return sum(map(in_image.__getitem__, rhs)) * len(a_map.kernel) + 1
 
 
 def frobenius_point(curve: PlaneCurve, point: CurvePoint) -> CurvePoint:
@@ -246,10 +247,8 @@ def sample_points(
     ones; False keeps the rest.  Sampling is without replacement; if
     fewer points qualify than requested the full list is returned.  Each
     point returned is checked against the curve's equation, raising
-    :class:`series.CheckFailed` for one the census should not have listed.
+    :class:`fields.CheckFailed` for one the census should not have listed.
     """
-    from .series import CheckFailed  # series imports census
-
     pool: Iterable[CurvePoint] = enumerate_points(curve, level)
     if exclude_infinity:
         pool = [p for p in pool if isinstance(p, AffinePoint)]

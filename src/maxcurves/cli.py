@@ -278,7 +278,7 @@ def run(config: RunConfig) -> tuple[dict, int]:
     """Execute one subcommand; returns (payload, exit status)."""
     try:
         payload, ok = _COMMANDS[config.command](config)
-    except (curves.NormalizationError, ArithmeticError, AssertionError) as exc:
+    except (curves.NormalizationError, ArithmeticError) as exc:
         return {"error": str(exc)}, EXIT_CHECK_FAILED
     except (ValueError, census.CensusLimitError, FileNotFoundError, json.JSONDecodeError) as exc:
         return {"error": str(exc)}, EXIT_CONFIG

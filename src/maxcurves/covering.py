@@ -23,7 +23,7 @@ from .census import (
     sample_points,
 )
 from .curves import PlaneCurve, hermitian, trace_curve
-from .fields import MAX_T, FieldElement, solve_artin_schreier
+from .fields import MAX_T, CheckFailed, FieldElement, solve_artin_schreier
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,15 @@ def symbolic_additive_identity(t: int) -> bool:
 
 
 def apply_cover(cm: CoveringMap, point: CurvePoint) -> CurvePoint:
-    """Image of a Hermitian point; asserts the image satisfies the
-    target equation exactly."""
+    """Image of a Hermitian point; raises :class:`fields.CheckFailed`
+    unless the image satisfies the target equation exactly."""
     if isinstance(point, InfinitePoint):
         return InfinitePoint()
     if cm.source.evaluate(point.x, point.y):
         raise ValueError("point does not lie on the Hermitian model")
     image = AffinePoint(point.x, point.y.square() + point.y, point.level)
     if cm.target.evaluate(image.x, image.y):
-        raise AssertionError("cover image left the target curve")
+        raise CheckFailed(f"the cover image {image!r} of {point!r} left the target curve")
     return image
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .fields import BinaryField, FieldElement, linearized_solve, make_field
+from .fields import BinaryField, CheckFailed, FieldElement, linearized_solve, make_field
 
 FAMILIES = ("hermitian", "trace-standard", "trace-form", "trace-form-extended")
 CHANGE_KINDS = ("scale-y", "translate-y", "shear", "scale-x")
@@ -520,5 +520,5 @@ def normalize(curve: PlaneCurve) -> tuple[PlaneCurve, list[CoordinateChange]]:
 
     target = trace_curve(t)
     if work != target:
-        raise AssertionError("normalization did not land on the standard curve")
+        raise CheckFailed("normalization did not land on the standard curve")
     return work, record

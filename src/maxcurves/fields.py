@@ -13,25 +13,39 @@ degree-4 extension points.  GF(q) itself is not a separate structure: it
 is the fixed field of the q-power map inside GF(q^2), and subfield
 membership is a single Frobenius test.
 
-Fields of at most 2^16 elements multiply by log/antilog tables.  Larger
-ones (only GF(2^20), the quartic field at q = 32) multiply through the
+Fields of at most 2^16 elements multiply by log/antilog tables, and
+powers, inverses and Frobenius maps are one lookup in them.  Larger ones
+(only GF(2^20), the quartic field at q = 32) multiply through the
 degree-2 tower K[w]/(w^2 + w + nu) over their tabled subfield K =
 GF(2^(m/2)), instead of 2^m-entry tables: two lookups per operand change
 basis, three K products in Karatsuba form and three lookups change back,
-all from tables of about 2^(m/2) entries.  The shift-and-reduce product
-builds the tables and the tower and is not used after.  Inverses are
-a^(2^m - 2).
+all from tables of about 2^(m/2) entries.  A tower inverse is
+(a + b + b w) / N with the norm N = a^2 + ab + nu b^2 in K, so it takes
+one tabled K inverse.  The shift-and-reduce product builds the tables
+and the tower and is not used after.
+
+Row kernels work on whole coefficient lists: the truncated product of
+two lists (:meth:`BinaryField.convolve`), a scalar times a list, the
+Frobenius of a list, and a sparse polynomial at every mask of the field
+(:meth:`BinaryField.values`).  On tabled fields each looks the tables up
+once and runs one loop with no call per coefficient, skipping zero
+entries, whose log is a placeholder; the tower goes through ``mul_int``.
 """
 
 from __future__ import annotations
 
 from importlib import resources
+from operator import xor
 from typing import Iterator, NamedTuple, Sequence
 
 MAX_T = 5
 LEVELS = ("base-square", "quartic")
 
 _TABLE_LIMIT = 16  # log/antilog tables up to GF(2^16); above, the degree-2 tower
+
+
+class CheckFailed(ArithmeticError):
+    """An identity that holds exactly in theory failed on computed values."""
 
 
 def _load_moduli() -> dict[int, int]:
@@ -137,7 +151,7 @@ class BinaryField:
                 self._exp = exp
                 self._log = log
                 return
-        raise AssertionError("no multiplicative generator found")  # unreachable
+        raise CheckFailed(f"no multiplicative generator of {self!r}")  # unreachable
 
     def _build_tower(self) -> tuple:
         """Tables for GF(2^m) = K[w]/(w^2 + w + nu), K = GF(2^h), h = m/2.
@@ -179,9 +193,15 @@ class BinaryField:
         self._tower = (
             h, period, _span_table(coords[:h]), _span_table(coords[h:]),
             log, exp, back_ac, back_bd, from_b,
-            _span_table(squares[:h]), _span_table(squares[h:]),
+            _span_table(squares[:h]), _span_table(squares[h:]), nu,
         )
         return self._tower
+
+    def _tables(self) -> tuple[list[int], list[int]]:
+        """The log and antilog tables of a field of at most 2^16 elements."""
+        if self._log is None:
+            self._build_tables()
+        return self._log, self._exp
 
     def mul_int(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -194,7 +214,7 @@ class BinaryField:
                     return b
                 if b == 1:
                     return a
-                h, low, to_lo, to_hi, log, exp, back_ac, back_bd, back_s, sq_lo, sq_hi = tower
+                h, low, to_lo, to_hi, log, exp, back_ac, back_bd, back_s, sq_lo, sq_hi, _ = tower
                 if a == b:  # squaring is GF(2)-linear
                     return sq_lo[a & low] ^ sq_hi[a >> h]
                 u = to_lo[a & low] ^ to_hi[a >> h]
@@ -231,13 +251,93 @@ class BinaryField:
     def inv_int(self, a: int) -> int:
         if a == 0:
             raise ValueError("zero has no inverse")
-        return self.pow_int(a, self.order - 2)
+        if self.m <= _TABLE_LIMIT:
+            return self.pow_int(a, self.order - 2)
+        # (a + b w)(a + b + b w) = a^2 + ab + nu b^2 = N, an element of K
+        tower = self._tower or self._build_tower()
+        h, low, to_lo, to_hi, _, _, back_ac, _, back_s, _, _, nu = tower
+        base = make_field(self.t)
+        u = to_lo[a & low] ^ to_hi[a >> h]
+        a, b = u & low, u >> h
+        c = a ^ b
+        n_inv = base.inv_int(base.mul_int(a, c) ^ base.mul_int(nu, base.mul_int(b, b)))
+        # back_ac[k] ^ back_s[k] is k, and back_s[k] is k w, in this field's masks
+        c, b = base.mul_int(c, n_inv), base.mul_int(b, n_inv)
+        return back_ac[c] ^ back_s[c] ^ back_s[b]
 
     def frob_int(self, a: int, k: int) -> int:
         """a^(2^k), the k-fold binary Frobenius."""
-        for _ in range(k % self.m if a else 0):
+        if not a:
+            return 0
+        if self.m <= _TABLE_LIMIT:
+            log, exp = self._tables()
+            return exp[(log[a] << k % self.m) % (self.order - 1)]
+        for _ in range(k % self.m):
             a = self.mul_int(a, a)
         return a
+
+    # -- row kernels -----------------------------------------------------------
+    # Each kernel skips zero entries: on tabled fields log[0] is a placeholder,
+    # and on the tower a call per zero would cost more than the product.
+
+    def convolve(self, u: Sequence[int], v: Sequence[int], n: int) -> list[int]:
+        """The coefficients below n of the product of the coefficient lists u and v."""
+        out = [0] * n
+        if self.m > _TABLE_LIMIT:
+            mul = self.mul_int
+            for i, a in enumerate(u[:n]):
+                if a:
+                    for j, b in enumerate(v[: n - i], i):
+                        if b:
+                            out[j] ^= mul(a, b)
+            return out
+        log, exp = self._tables()
+        logs_v = [(j, log[b]) for j, b in enumerate(v[:n]) if b]
+        for i, a in enumerate(u[:n]):
+            if a:
+                la, room = log[a], n - i
+                for j, lb in logs_v:
+                    if j >= room:
+                        break
+                    out[i + j] ^= exp[la + lb]
+        return out
+
+    def scale_row(self, a: int, row: Sequence[int]) -> list[int]:
+        """a times every entry of row."""
+        if self.m > _TABLE_LIMIT:
+            return [self.mul_int(a, b) if b else 0 for b in row]
+        if not a:
+            return [0] * len(row)
+        log, exp = self._tables()
+        la = log[a]
+        return [exp[la + log[b]] if b else 0 for b in row]
+
+    def frob_row(self, row: Sequence[int], k: int) -> list[int]:
+        """Every entry of row raised to the power 2^k."""
+        if self.m > _TABLE_LIMIT:
+            return [self.frob_int(a, k) if a else 0 for a in row]
+        log, exp = self._tables()
+        period = self.order - 1
+        e = (1 << k % self.m) % period
+        return [exp[log[a] * e % period] if a else 0 for a in row]
+
+    def values(self, part: dict[int, int]) -> list[int]:
+        """sum of c x^e over part = {e: c}, at every mask x in ascending order
+        (x^0 = 1, also at x = 0)."""
+        out = [part.get(0, 0)] * self.order
+        terms = [(e, c) for e, c in part.items() if e and c]
+        if self.m > _TABLE_LIMIT:
+            for e, c in terms:
+                for x in range(1, self.order):
+                    out[x] ^= self.mul_int(c, self.pow_int(x, e))
+            return out
+        log, exp = self._tables()
+        period = self.order - 1
+        logs = log[1:]
+        for e, c in terms:
+            lc = log[c]
+            out[1:] = map(xor, out[1:], [exp[(lc + e * lx) % period] for lx in logs])
+        return out
 
     # -- elements ------------------------------------------------------------
 
@@ -406,7 +506,7 @@ class FieldElement:
             acc ^= a
             a = self.field.sqr_int(a)
         if acc not in (0, 1):
-            raise AssertionError("absolute trace escaped GF(2)")
+            raise CheckFailed(f"absolute trace of {self!r} escaped GF(2)")
         return acc
 
     def trace_to(self, sub_degree: int) -> FieldElement:
@@ -484,15 +584,24 @@ class GF2Reduction(NamedTuple):
 
     ``kernel`` lists every y with A(y) = 0, ascending.  ``checks`` are
     parity masks that cut out the image: v = A(y) for some y iff v & h
-    has even weight for every h.  ``section`` pairs each pivot bit of
-    the reduced image basis with a preimage of that basis row, so the
-    preimages of the pivot bits set in an image v sum to a y with
-    A(y) = v.
+    has even weight for every h.  ``image`` is the reduced basis of
+    im A, and ``section`` pairs each pivot bit of that basis with a
+    preimage of its row, so the preimages of the pivot bits set in an
+    image v sum to a y with A(y) = v.
     """
 
     kernel: list[int]
     checks: list[int]
+    image: list[int]
     section: list[tuple[int, int]]
+
+    def image_table(self, order: int) -> bytearray:
+        """One byte per mask below order, 1 exactly on im A; only the
+        2^rank images are visited, spanned from the basis."""
+        table = bytearray(order)
+        for v in _span_table(self.image):
+            table[v] = 1
+        return table
 
     def in_image(self, v: int) -> bool:
         """True iff v = A(y) for some y."""
@@ -555,8 +664,9 @@ def reduce_gf2(columns: Sequence[int]) -> GF2Reduction:
                 if r_img >> f & 1:
                     h |= 1 << bit
             checks.append(h)
+    image = [img for img, _ in rows.values()]
     section = [(bit, pre) for bit, (_, pre) in rows.items()]
-    return GF2Reduction(kernel, checks, section)
+    return GF2Reduction(kernel, checks, image, section)
 
 
 def solve_artin_schreier(c: FieldElement) -> list[FieldElement]:

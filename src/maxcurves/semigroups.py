@@ -1,7 +1,8 @@
 """Numerical semigroups: membership sieve, gaps, genus, system dimensions.
 
 A semigroup is generated by positive integers with gcd 1 and stored as a
-membership table up to a bound safely past the conductor.  The genus is
+membership table up to a bound safely past the conductor.  A bound above
+``SIEVE_LIMIT`` is refused before the table is allocated.  The genus is
 the gap count; the projective dimension of the one-point system |dP| is
 the number of non-gaps up to d, minus one.
 
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 from math import gcd
 from typing import Iterable, Sequence
+
+SIEVE_LIMIT = 1 << 20  # largest bound a sieve may use; beyond it the input is refused
 
 
 class NumericalSemigroup:
@@ -33,6 +36,8 @@ class NumericalSemigroup:
             bound = min_bound
         if bound < min_bound:
             raise ValueError(f"bound {bound} below the safe minimum 2*max(gens)^2 = {min_bound}")
+        if bound > SIEVE_LIMIT:
+            raise ValueError(f"a sieve up to {bound} exceeds the limit {SIEVE_LIMIT}")
         self.generators = tuple(gens)
         self.bound = bound
         member = [False] * (bound + 1)

@@ -5,7 +5,10 @@ tau = x - x(P).  Every series starts at tau^0 (no point at infinity gets
 one), so its precision is N, the number of stored coefficients; the
 smaller precision survives addition and multiplication.  Asking beyond
 it raises :class:`PrecisionError` rather than guessing: "insufficient
-precision" is always distinct from "identity fails".
+precision" is always distinct from "identity fails".  Products, scalar
+multiples and 2^k-th powers hand the whole coefficient tuple to one row
+kernel of the field (:meth:`fields.BinaryField.convolve`, ``scale_row``,
+``frob_row``), not one field call per coefficient.
 
 Expansions of y along the curve are computed coefficient by coefficient.
 Every built-in model reads A(y) = P(x) + c with A additive (a linearized
@@ -16,8 +19,8 @@ every affine point is a simple root in y).  Each expansion is then checked
 by evaluating F on the series.
 
 Hasse derivatives act coefficientwise through binomials mod 2, evaluated
-by Lucas' rule: binom(n, i) is odd iff the bits of i are a subset of the
-bits of n.
+by Lucas' rule inline: binom(n, i) is odd iff (n & i) == i, that is, iff
+the bits of i are a subset of the bits of n.
 """
 
 from __future__ import annotations
@@ -26,15 +29,11 @@ from dataclasses import dataclass
 
 from .census import _additive_parts
 from .curves import PlaneCurve, Poly2
-from .fields import BinaryField, FieldElement
+from .fields import BinaryField, CheckFailed, FieldElement
 
 
 class PrecisionError(ArithmeticError):
     """A computation asked for more precision than the operands carry."""
-
-
-class CheckFailed(ArithmeticError):
-    """An identity that holds exactly in theory failed on computed values."""
 
 
 def binom_mod2(n: int, k: int) -> int:
@@ -125,34 +124,20 @@ class TruncatedSeries:
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         self._check(other)
         n = min(self.prec, other.prec)
-        out = [0] * n
-        fld = self.field
-        for i, a in enumerate(self.coeffs):
-            if not a or i >= n:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= n:
-                    break
-                if b:
-                    out[i + j] ^= fld.mul_int(a, b)
-        return TruncatedSeries(fld, tuple(out))
+        return TruncatedSeries(self.field, self.field.convolve(self.coeffs, other.coeffs, n))
 
     def scale(self, c: FieldElement) -> TruncatedSeries:
         if c.field is not self.field:
             raise ValueError("scalar lives over a different field")
-        fld = self.field
-        return TruncatedSeries(fld, tuple(fld.mul_int(c.bits, a) for a in self.coeffs))
+        return TruncatedSeries(self.field, self.field.scale_row(c.bits, self.coeffs))
 
     def pow2k(self, k: int) -> TruncatedSeries:
         """The 2^k-th power; exact in characteristic 2, spreading exponents."""
         step = 1 << k
-        fld = self.field
         # (S + O(tau^p))^(2^k) = S^(2^k) + O(tau^(p * 2^k))
         out = [0] * (self.prec * step)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                out[i * step] = fld.frob_int(a, k)
-        return TruncatedSeries(fld, tuple(out))
+        out[::step] = self.field.frob_row(self.coeffs, k)
+        return TruncatedSeries(self.field, out)
 
     def __pow__(self, e: int) -> TruncatedSeries:
         if e < 0:
@@ -177,11 +162,8 @@ class TruncatedSeries:
             return self
         if self.prec <= i:
             raise PrecisionError(f"order-{i} derivative exhausts precision {self.prec}")
-        out = [0] * (self.prec - i)
-        for n, c in enumerate(self.coeffs):
-            if c and n >= i and binom_mod2(n, i):
-                out[n - i] = c
-        return TruncatedSeries(self.field, tuple(out))
+        out = [c if (n & i) == i else 0 for n, c in enumerate(self.coeffs[i:], i)]
+        return TruncatedSeries(self.field, out)
 
 
 def series_equal_mod(a: TruncatedSeries, b: TruncatedSeries) -> bool:

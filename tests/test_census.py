@@ -179,7 +179,7 @@ def test_elimination_matches_a_scan_of_every_y(t):
         random_moved_trace_curve(t, rng),
     ):
         for level in (1, 2):
-            fld, _, _, a_map = census._census_setup(curve, level)
+            fld, _, in_image, a_map = census._census_setup(curve, level)
             apply_a = additive_map(curve, level)
             fibres = {}
             for yb in range(fld.order):
@@ -187,6 +187,7 @@ def test_elimination_matches_a_scan_of_every_y(t):
             assert a_map.kernel == fibres[0]
             for v in range(fld.order):
                 assert a_map.coset(v) == fibres.get(v, [])
+                assert in_image[v] == (v in fibres)
 
 
 @pytest.mark.parametrize(

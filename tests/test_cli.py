@@ -1,9 +1,11 @@
 """The command-line surface: subcommands, exit codes, reproducibility."""
 
+import io
 import json
 
 import pytest
 
+from maxcurves import covering, curves
 from maxcurves.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
 
 
@@ -92,14 +94,16 @@ def test_cover_check(capsys):
     assert payload["fiber_histogram"] == {"2": 32}  # all affine rational targets
 
 
+TRACE_FORM_Q4 = {
+    "q": 4,
+    "family": "trace-form",
+    "terms": [[5, 0, "1"], [0, 2, "1"], [0, 1, "1"], [0, 0, "6"]],
+}
+
+
 def test_normalize_from_file(tmp_path, capsys):
-    curve = {
-        "q": 4,
-        "family": "trace-form",
-        "terms": [[5, 0, "1"], [0, 2, "1"], [0, 1, "1"], [0, 0, "6"]],
-    }
     path = tmp_path / "curve.json"
-    path.write_text(json.dumps(curve))
+    path.write_text(json.dumps(TRACE_FORM_Q4))
     code, payload = run_json(capsys, "normalize", "--file", str(path))
     assert code == EXIT_OK
     assert payload["standard"]
@@ -170,6 +174,41 @@ def test_config_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == EXIT_CONFIG  # argparse rejects unknown subcommands
+
+
+def test_oversized_semigroup_sieve_exits_2(capsys):
+    code, payload = run_json(capsys, "semigroup", "--generators", "100000,100001")
+    assert code == EXIT_CONFIG and "exceeds the limit" in payload["error"]
+    code, payload = run_json(capsys, "semigroup", "--generators", "4,9", "--bound", str(10**12))
+    assert code == EXIT_CONFIG and "exceeds the limit" in payload["error"]
+
+
+def test_normalization_landing_elsewhere_exits_1(tmp_path, capsys, monkeypatch):
+    # the standard curve normalize compares with is planted as the Hermitian one
+    monkeypatch.setattr(curves, "trace_curve", curves.hermitian)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(TRACE_FORM_Q4))
+    code, payload = run_json(capsys, "normalize", "--file", str(path))
+    assert code == EXIT_CHECK_FAILED
+    assert payload["error"] == "normalization did not land on the standard curve"
+
+
+def test_cover_image_off_the_target_exits_1(capsys, monkeypatch):
+    # the cover's target is planted as the Hermitian curve, which images miss
+    monkeypatch.setattr(covering, "trace_curve", curves.hermitian)
+    code, payload = run_json(capsys, "cover-check", "--t", "2", "--samples", "5")
+    assert code == EXIT_CHECK_FAILED
+    assert "left the target curve" in payload["error"]
+
+
+def test_a_bug_is_not_reported_as_a_failed_check(monkeypatch):
+    def broken(curve):
+        raise AssertionError("a bug")
+
+    monkeypatch.setattr(curves, "normalize", broken)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(TRACE_FORM_Q4)))
+    with pytest.raises(AssertionError):
+        main(["normalize"])
 
 
 def test_same_seed_byte_identical(capsys):

@@ -448,3 +448,69 @@ EMBEDDING_IMAGES = {
 def test_embedding_images_are_pinned(t):
     # recorded when beta was the least root among all norms of the field
     assert make_field(t, "quartic")._embedding_images() == EMBEDDING_IMAGES[t]
+
+
+def inverse_failures(fld: BinaryField, samples) -> list[int]:
+    return [a for a in samples if a and ref_mul(a, fld.inv_int(a), fld.modulus) != 1]
+
+
+def test_gf2_20_inverse_goes_through_the_tower_norm():
+    samples = gf2_20_samples()
+    subfield = set(samples[4:-60])  # 1, the embedded basis and the GF(2^10) picks
+    fld = BinaryField(5, "quartic", 20, GF2_20.modulus)
+    assert fld.inv_int(1) == 1  # the first inverse builds the tower
+    assert not inverse_failures(fld, samples)
+    # plant a wrong nu in the norm a^2 + ab + nu b^2: products stay right,
+    # inverses of elements outside GF(2^10) (b != 0) go wrong
+    *tables, nu = fld._tower
+    fld._tower = (*tables, nu ^ 1)
+    assert all(fld.mul_int(a, b) == ref_mul(a, b, fld.modulus) for a in samples for b in samples[:8])
+    failures = inverse_failures(fld, samples)
+    assert failures and subfield.isdisjoint(failures)
+
+
+# -- row kernels against shift-and-reduce, at every shipped degree ------------
+
+SHIPPED_FIELDS = [make_field(t, level) for t in range(1, 6) for level in fields.LEVELS]
+
+
+def kernel_row(fld: BinaryField, rng: random.Random, length: int) -> list[int]:
+    """Random nonzero entries with zeros first, last and in the middle:
+    log[0] is a placeholder that a kernel must never use."""
+    row = [rng.randrange(1, fld.order) for _ in range(length)]
+    row[0] = row[length // 2] = row[-1] = 0
+    return row
+
+
+@pytest.mark.parametrize("fld", SHIPPED_FIELDS, ids=lambda f: f"m={f.m}-{f.level}")
+def test_row_kernels_match_shift_and_reduce(fld):
+    mod = fld.modulus
+    rng = random.Random(fld.m)
+    u, v = kernel_row(fld, rng, 9), kernel_row(fld, rng, 7)
+    full = [0] * (len(u) + len(v) + 2)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            full[i + j] ^= ref_mul(a, b, mod)
+    for n in range(len(full) + 1):
+        assert fld.convolve(u, v, n) == fld.convolve(v, u, n) == full[:n], n
+    for a in (0, 1, rng.randrange(2, fld.order)):
+        assert fld.scale_row(a, u) == [ref_mul(a, b, mod) for b in u]
+    for k in (0, 1, fld.m - 1, fld.m, fld.m + 3):
+        expected = [ref_pow(a, 1 << (k % fld.m), mod) for a in u]
+        assert fld.frob_row(u, k) == [fld.frob_int(a, k) for a in u] == expected
+
+
+@pytest.mark.parametrize("fld", SHIPPED_FIELDS, ids=lambda f: f"m={f.m}-{f.level}")
+def test_values_match_shift_and_reduce(fld):
+    mod = fld.modulus
+    rng = random.Random(fld.m)
+    part = {0: rng.randrange(1, fld.order), 1: rng.randrange(1, fld.order)}
+    if fld.m <= 16:  # the tower evaluates 2^20 points by mul_int, so it gets two terms
+        part.update({2: 0, 3: rng.randrange(1, fld.order), fld.order + 1: rng.randrange(1, fld.order)})
+    values = fld.values(part)
+    assert len(values) == fld.order
+    xs = range(fld.order) if fld.order <= 256 else [0, 1, 2, fld.order - 1, *rng.sample(range(fld.order), 200)]
+    for x in xs:
+        expected = functools.reduce(operator.xor, (ref_mul(c, ref_pow(x, e, mod), mod) for e, c in part.items()))
+        assert values[x] == expected, hex(x)
+    assert fld.values({}) == [0] * fld.order

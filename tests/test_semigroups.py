@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,6 +11,7 @@ from maxcurves.curves import trace_curve
 from maxcurves.orders import dp_orders, dp_orders_at_infinity
 from maxcurves.census import enumerate_points, AffinePoint
 from maxcurves.semigroups import (
+    SIEVE_LIMIT,
     NumericalSemigroup,
     dim_from_semigroup,
     infinity_semigroup,
@@ -93,6 +95,20 @@ def test_constructor_guards():
         NumericalSemigroup([3], bound=18)  # gcd 3... caught as gcd error
     s = NumericalSemigroup([2, 5], bound=2 * 25)
     assert s.genus == 2
+
+
+def test_sieve_over_the_limit_is_refused_before_it_is_allocated():
+    tracemalloc.start()
+    try:
+        for gens, bound in (((100000, 100001), None), ((4, 9), 10**12), ((4, 9), SIEVE_LIMIT + 1)):
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                NumericalSemigroup(gens, bound)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # a sieve at the limit alone would take 8 MiB
+    # the largest semigroup in use, <q/2, q+1> at q = 32, stays far below it
+    assert infinity_semigroup(32).bound <= SIEVE_LIMIT
 
 
 def test_classification_check_on_sampled_orders():
