@@ -10,6 +10,13 @@ set on the 2^rank images spanned from the basis, says which of them lie
 in im A.  Counting adds 2^(dim ker A) for each x that passes; enumeration
 lists the coset over each such x, in ascending (x, y) order.  A y-part
 that is not additive raises ``ValueError``.
+Enumeration costs little more than its coordinates: each call keeps a
+dict from y mask to :class:`FieldElement`, so a y shared by many points
+is one object (no table over the whole field is built: at level 2 most
+masks are never a y), and :class:`AffinePoint` is a slotted frozen
+dataclass whose enumerated instances get their slots filled directly,
+without the generated ``__init__`` and its ``object.__setattr__`` per
+field.  Every level-1 point is GF(q^2)-rational without a Frobenius test.
 Every built-in family has exactly one point over x = infinity, and it is
 rational: each census adds it, never finding it by a blow-up.
 
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from .curves import PlaneCurve
 from .fields import BinaryField, CheckFailed, FieldElement, GF2Reduction, reduce_gf2
@@ -35,14 +42,38 @@ class CensusLimitError(ValueError):
     """Full enumeration refused: the field at this level is too large."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffinePoint:
+    """An affine point at tower level 1 (coordinates in GF(q^2)) or 2
+    (GF(q^4)).
+
+    A frozen, slotted dataclass.  :func:`enumerate_points` builds its
+    points through :func:`_affine_point`, which fills the three slots
+    directly instead of calling the generated ``__init__``; equality,
+    hashing, the repr and ``dataclasses.replace`` are the same either way.
+    """
+
     x: FieldElement
     y: FieldElement
     level: int
 
     def __repr__(self) -> str:
         return f"({self.x.hex()},{self.y.hex()})@{self.level}"
+
+
+_new_object = object.__new__  # bound once, not looked up per point
+_set_x, _set_y, _set_level = (AffinePoint.__dict__[f].__set__ for f in ("x", "y", "level"))
+
+
+def _affine_point(x: FieldElement, y: FieldElement, level: int) -> AffinePoint:
+    """AffinePoint(x, y, level), with the slots set by their member
+    descriptors: the frozen ``__init__`` costs one ``object.__setattr__``
+    call per field."""
+    point = _new_object(AffinePoint)
+    _set_x(point, x)
+    _set_y(point, y)
+    _set_level(point, level)
+    return point
 
 
 @dataclass(frozen=True)
@@ -116,11 +147,17 @@ def enumerate_points(curve: PlaneCurve, level: int) -> list[CurvePoint]:
     """All points at the given tower level, affine ones in lexicographic
     order of serialized (x, y), then the point at infinity."""
     fld, rhs, in_image, a_map = _census_setup(curve, level)
+    ys: dict[int, FieldElement] = {}  # one element per y mask, for this call only
     points: list[CurvePoint] = []
     for xb, v in enumerate(rhs):
         if in_image[v]:
             x, y0 = FieldElement(xb, fld), a_map.preimage(v)
-            points.extend(AffinePoint(x, FieldElement(y0 ^ k, fld), level) for k in a_map.kernel)
+            for k in a_map.kernel:
+                yb = y0 ^ k
+                y = ys.get(yb)
+                if y is None:
+                    y = ys[yb] = FieldElement(yb, fld)
+                points.append(_affine_point(x, y, level))
     points.append(InfinitePoint())
     return points
 
@@ -141,8 +178,9 @@ def frobenius_point(curve: PlaneCurve, point: CurvePoint) -> CurvePoint:
 
 
 def is_rational(curve: PlaneCurve, point: CurvePoint) -> bool:
-    """True iff the point is GF(q^2)-rational."""
-    if isinstance(point, InfinitePoint):
+    """True iff the point is GF(q^2)-rational: at once for the point at
+    infinity and at level 1, whose coordinates lie in GF(q^2)."""
+    if isinstance(point, InfinitePoint) or point.level == 1:
         return True
     return point.x.in_subfield(2 * curve.t) and point.y.in_subfield(2 * curve.t)
 
@@ -249,12 +287,11 @@ def sample_points(
     point returned is checked against the curve's equation, raising
     :class:`fields.CheckFailed` for one the census should not have listed.
     """
-    pool: Iterable[CurvePoint] = enumerate_points(curve, level)
+    pool = enumerate_points(curve, level)
     if exclude_infinity:
-        pool = [p for p in pool if isinstance(p, AffinePoint)]
+        pool.pop()  # the point at infinity, always listed last
     if rational is not None:
         pool = [p for p in pool if is_rational(curve, p) == rational]
-    pool = list(pool)
     drawn = pool if count >= len(pool) else rng.sample(pool, count)
     for p in drawn:
         if not on_curve(curve, p):

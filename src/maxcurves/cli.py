@@ -277,6 +277,8 @@ _COMMANDS = {
 def run(config: RunConfig) -> tuple[dict, int]:
     """Execute one subcommand; returns (payload, exit status)."""
     try:
+        if config.samples < 1:  # no command has anything to check on zero points
+            raise ValueError(f"--samples must be at least 1, got {config.samples}")
         payload, ok = _COMMANDS[config.command](config)
     except (curves.NormalizationError, ArithmeticError) as exc:
         return {"error": str(exc)}, EXIT_CHECK_FAILED

@@ -1,5 +1,6 @@
 """Point enumeration, maximality, and genus-bound arithmetic."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -237,6 +238,65 @@ def test_planted_column_defect_on_the_trace_curve_fails_full_suite(monkeypatch, 
     assert cli.main(["full-suite", "--t", "3"]) == cli.EXIT_CHECK_FAILED
     error = json.loads(capsys.readouterr().out)["error"]
     assert "census of the trace-standard curve" in error and "not on it" in error
+
+
+CONSTRUCTED = [
+    (ctor, t, level)
+    for ctor in (hermitian, trace_curve, lambda t: random_trace_form(t, random.Random(40 + t)))
+    for level, ts in ((1, (1, 2, 3, 4)), (2, (1, 2, 3)))
+    for t in ts
+]
+
+
+@pytest.mark.parametrize("ctor,t,level", CONSTRUCTED)
+def test_enumerated_points_equal_publicly_built_ones(ctor, t, level):
+    curve = ctor(t)
+    fld = curve.level_field(level)
+    points = enumerate_points(curve, level)
+    assert points[-1] == InfinitePoint()
+    masks = [(p.x.bits, p.y.bits) for p in points[:-1]]
+    assert masks == sorted(set(masks))
+    reference = [AffinePoint(fld.element(x), fld.element(y), level) for x, y in masks]
+    reference.append(InfinitePoint())
+    assert points == reference
+    assert list(map(hash, points)) == list(map(hash, reference))
+    assert list(map(repr, points)) == list(map(repr, reference))
+    assert all(type(p) is AffinePoint and p.x.field is p.y.field is fld for p in points[:-1])
+
+
+def test_enumerated_points_stay_frozen_dataclasses():
+    point = enumerate_points(trace_curve(2), 1)[5]
+    assert not hasattr(point, "__dict__")  # slotted
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        point.x = point.y
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        point.level = 2
+    moved = dataclasses.replace(point, x=point.x + point.x.field.one)
+    assert moved == AffinePoint(point.x + point.x.field.one, point.y, 1) and moved != point
+    assert dataclasses.replace(point) == point
+    assert [f.name for f in dataclasses.fields(point)] == ["x", "y", "level"]
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_is_rational_agrees_with_frobenius(t):
+    def by_frobenius(curve, p):
+        return p.x.in_subfield(2 * curve.t) and p.y.in_subfield(2 * curve.t)
+
+    rng = random.Random(t)
+    for curve in (hermitian(t), trace_curve(t)):
+        for p in enumerate_points(curve, 1)[:-1]:
+            assert is_rational(curve, p) and by_frobenius(curve, p)
+        level2 = enumerate_points(curve, 2)[:-1]
+        kinds = {True: 0, False: 0}
+        for p in rng.sample(level2, min(200, len(level2))):
+            kinds[by_frobenius(curve, p)] += 1
+            assert is_rational(curve, p) == by_frobenius(curve, p)
+        for rational in (True, False):
+            drawn = census.sample_points(curve, 2, 10, rng, rational=rational)
+            assert all(by_frobenius(curve, p) == rational for p in drawn)
+            kinds[rational] += len(drawn)
+        # the Hermitian curve gains no points at level 2
+        assert kinds[True] and bool(kinds[False]) == (curve.family != "hermitian")
 
 
 def test_frobenius_point_fixes_exactly_level1_points():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from maxcurves import covering, curves
+from maxcurves import covering, curves, series
 from maxcurves.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
 
 
@@ -156,6 +156,54 @@ def test_full_suite_names_a_skipped_check(capsys):
     assert code == EXIT_OK
     assert "orders_non_rational" not in payload["checks"]
     assert "GF(2^20)" in payload["skipped"]["orders_non_rational"]
+
+
+def test_off_by_one_hasse_binomial_fails_full_suite(capsys, monkeypatch):
+    derivative = series.TruncatedSeries.hasse_derivative
+
+    def planted(self, i):
+        # binom(n + 1, i) mod 2 where Lucas' rule asks for binom(n, i), at
+        # orders i >= q = 4: the t = 2 order checks take D^1..D^3 only, so
+        # the identities alone see it (at lower orders frobenius_orders
+        # raises first, ending the suite before hasse_identities runs)
+        if i < 4:
+            return derivative(self, i)
+        out = [c if ((n + 1) & i) == i else 0 for n, c in enumerate(self.coeffs[i:], i)]
+        return series.TruncatedSeries(self.field, out)
+
+    monkeypatch.setattr(series.TruncatedSeries, "hasse_derivative", planted)
+    code, payload = run_json(capsys, "full-suite", "--t", "2")
+    assert code == EXIT_CHECK_FAILED
+    assert [name for name, ok in payload["checks"].items() if not ok] == ["hasse_identities"]
+    assert not payload["all_pass"]
+
+
+def test_wrong_recurrence_coefficient_fails_full_suite(capsys, monkeypatch):
+    lift = series._additive_lift
+
+    def planted(fld, x0, xpart, ypart, n):
+        # the recurrence reads the coefficient of the highest y power wrong
+        top = max(ypart)
+        return lift(fld, x0, xpart, {**ypart, top: ypart[top] ^ 1}, n)
+
+    monkeypatch.setattr(series, "_additive_lift", planted)
+    code, payload = run_json(capsys, "full-suite", "--t", "2")
+    assert code == EXIT_CHECK_FAILED
+    assert "expansion at" in payload["error"] and "nonzero residual" in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("full-suite", "--t", "1", "--samples", "0"),  # would pass with no point checked
+        ("cover-check", "--t", "3", "--samples", "0"),  # would commute over 0 points
+        ("full-suite", "--t", "2", "--samples", "-3"),  # would fail inside random.sample
+    ],
+)
+def test_samples_below_one_exit_2(capsys, argv):
+    code, payload = run_json(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert "--samples" in payload["error"]
 
 
 def test_config_errors_exit_2(capsys):
