@@ -151,7 +151,7 @@ def enumerate_points(curve: PlaneCurve, level: int) -> list[CurvePoint]:
     points: list[CurvePoint] = []
     for xb, v in enumerate(rhs):
         if in_image[v]:
-            x, y0 = FieldElement(xb, fld), a_map.preimage(v)
+            x, y0 = FieldElement(xb, fld), a_map.lift(v)  # v passed the table
             for k in a_map.kernel:
                 yb = y0 ^ k
                 y = ys.get(yb)

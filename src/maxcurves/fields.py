@@ -29,7 +29,10 @@ two lists (:meth:`BinaryField.convolve`), a scalar times a list, the
 Frobenius of a list, and a sparse polynomial at every mask of the field
 (:meth:`BinaryField.values`).  On tabled fields each looks the tables up
 once and runs one loop with no call per coefficient, skipping zero
-entries, whose log is a placeholder; the tower goes through ``mul_int``.
+entries, whose log is a placeholder.  The tower multiplies through
+``mul_int`` per nonzero entry, but squares through its own two square
+tables inline, in ``frob_int`` and ``frob_row``: squaring is
+GF(2)-linear, so 0 needs no test.  A scalar 1 copies the list.
 """
 
 from __future__ import annotations
@@ -97,8 +100,8 @@ class BinaryField:
     """
 
     def __init__(self, t: int, level: str, m: int, modulus: int) -> None:
-        if not is_irreducible(modulus):
-            raise ValueError(f"table modulus {modulus:#x} for m={m} is not irreducible")
+        if not is_irreducible(modulus):  # shipped data, not user input: a failed check
+            raise CheckFailed(f"table modulus {modulus:#x} for m={m} is not irreducible")
         self.t = t
         self.level = level
         self.m = m
@@ -113,6 +116,10 @@ class BinaryField:
 
     def __repr__(self) -> str:
         return f"BinaryField(t={self.t}, level={self.level!r}, m={self.m})"
+
+    def __reduce__(self):
+        # pickles and copies come back as the interned field, not a twin
+        return make_field, (self.t, self.level)
 
     # -- raw int arithmetic ------------------------------------------------
 
@@ -272,8 +279,9 @@ class BinaryField:
         if self.m <= _TABLE_LIMIT:
             log, exp = self._tables()
             return exp[(log[a] << k % self.m) % (self.order - 1)]
+        h, low, _, _, _, _, _, _, _, sq_lo, sq_hi, _ = self._tower or self._build_tower()
         for _ in range(k % self.m):
-            a = self.mul_int(a, a)
+            a = sq_lo[a & low] ^ sq_hi[a >> h]  # squaring is GF(2)-linear
         return a
 
     # -- row kernels -----------------------------------------------------------
@@ -304,6 +312,8 @@ class BinaryField:
 
     def scale_row(self, a: int, row: Sequence[int]) -> list[int]:
         """a times every entry of row."""
+        if a == 1:
+            return list(row)
         if self.m > _TABLE_LIMIT:
             return [self.mul_int(a, b) if b else 0 for b in row]
         if not a:
@@ -315,7 +325,12 @@ class BinaryField:
     def frob_row(self, row: Sequence[int], k: int) -> list[int]:
         """Every entry of row raised to the power 2^k."""
         if self.m > _TABLE_LIMIT:
-            return [self.frob_int(a, k) if a else 0 for a in row]
+            # squaring is GF(2)-linear: two lookups per square, and 0 stays 0
+            h, low, _, _, _, _, _, _, _, sq_lo, sq_hi, _ = self._tower or self._build_tower()
+            out = list(row)
+            for _ in range(k % self.m):
+                out = [sq_lo[a & low] ^ sq_hi[a >> h] for a in out]
+            return out
         log, exp = self._tables()
         period = self.order - 1
         e = (1 << k % self.m) % period
@@ -436,6 +451,10 @@ class FieldElement:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FieldElement is immutable")
+
+    def __reduce__(self):
+        # for copy and pickle: the default restores slots through __setattr__
+        return FieldElement, (self.bits, self.field)
 
     def _check(self, other: FieldElement) -> None:
         if not isinstance(other, FieldElement) or other.field is not self.field:
@@ -612,8 +631,11 @@ class GF2Reduction(NamedTuple):
 
     def preimage(self, v: int) -> int | None:
         """The least y with A(y) = v, or None if v is not an image."""
-        if not self.in_image(v):
-            return None
+        return self.lift(v) if self.in_image(v) else None
+
+    def lift(self, v: int) -> int:
+        """The section's y for v, without testing v: for an image v the
+        least y with A(y) = v, for any other v a y with A(y) != v."""
         y = 0
         for bit, pre in self.section:
             if v >> bit & 1:

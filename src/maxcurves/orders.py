@@ -69,8 +69,7 @@ def _pivot_columns(fld, rows: list[list[int]]) -> list[int]:
         for k in range(nrows):
             if k != r and rows[k][col]:
                 factor = fld.mul_int(rows[k][col], inv)
-                rk, rr = rows[k], rows[r]
-                rows[k] = [a ^ fld.mul_int(factor, b) for a, b in zip(rk, rr)]
+                rows[k] = [a ^ b for a, b in zip(rows[k], fld.scale_row(factor, rows[r]))]
         pivots.append(col)
         r += 1
         if r == nrows:
@@ -151,9 +150,10 @@ def _frobenius_residual(curve: PlaneCurve, point: AffinePoint, ys: TruncatedSeri
     dy = ys.hasse_derivative(1)
     d2y = ys.hasse_derivative(2)
 
+    x_twist = point.x.frobenius(k)
     y_frob = TruncatedSeries.constant(point.y.frobenius(k), n)
-    x_frob = TruncatedSeries.constant(point.x.frobenius(k), n)
-    x2_frob = TruncatedSeries.constant(point.x.frobenius(k).square(), n)
+    x_frob = TruncatedSeries.constant(x_twist, n)
+    x2_frob = TruncatedSeries.constant(x_twist.square(), n)
 
     # known mod tau^(n-2), the precision of D^2 y
     lhs = ys + y_frob + (xs + x_frob) * dy + ((xs * xs).truncate(n) + x2_frob) * d2y

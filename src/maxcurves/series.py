@@ -8,7 +8,10 @@ it raises :class:`PrecisionError` rather than guessing: "insufficient
 precision" is always distinct from "identity fails".  Products, scalar
 multiples and 2^k-th powers hand the whole coefficient tuple to one row
 kernel of the field (:meth:`fields.BinaryField.convolve`, ``scale_row``,
-``frob_row``), not one field call per coefficient.
+``frob_row``), not one field call per coefficient.  Work is sized by the
+precision kept: ``pow2k(k, prec)`` raises only the ceil(prec / 2^k)
+coefficients that land below tau^prec, where ``pow2k(k)`` would build
+prec * 2^k entries to be cut.
 
 Expansions of y along the curve are computed coefficient by coefficient.
 Every built-in model reads A(y) = P(x) + c with A additive (a linearized
@@ -20,7 +23,11 @@ by evaluating F on the series.
 
 Hasse derivatives act coefficientwise through binomials mod 2, evaluated
 by Lucas' rule inline: binom(n, i) is odd iff (n & i) == i, that is, iff
-the bits of i are a subset of the bits of n.
+the bits of i are a subset of the bits of n.  So D^i y = 0 for every i
+in a range iff no nonzero coefficient c_e has a submask i in it, and
+the middle-derivative test of :func:`verify_derivative_facts` is one
+scan of the coefficients (:meth:`TruncatedSeries.derivatives_vanish`),
+not one derivative series per order.
 """
 
 from __future__ import annotations
@@ -131,12 +138,22 @@ class TruncatedSeries:
             raise ValueError("scalar lives over a different field")
         return TruncatedSeries(self.field, self.field.scale_row(c.bits, self.coeffs))
 
-    def pow2k(self, k: int) -> TruncatedSeries:
-        """The 2^k-th power; exact in characteristic 2, spreading exponents."""
+    def pow2k(self, k: int, prec: int | None = None) -> TruncatedSeries:
+        """The 2^k-th power; exact in characteristic 2, spreading exponents.
+
+        With prec, the power mod tau^prec, equal to ``pow2k(k).truncate(prec)``:
+        only the coefficients below ceil(prec / 2^k) are raised.
+        """
         step = 1 << k
         # (S + O(tau^p))^(2^k) = S^(2^k) + O(tau^(p * 2^k))
-        out = [0] * (self.prec * step)
-        out[::step] = self.field.frob_row(self.coeffs, k)
+        full = self.prec * step
+        if prec is None:
+            prec = full
+        elif prec > full:
+            raise PrecisionError(f"cannot extend precision {full} to {prec}")
+        prec = max(prec, 0)
+        out = [0] * prec
+        out[::step] = self.field.frob_row(self.coeffs[: -(-prec // step)], k)
         return TruncatedSeries(self.field, out)
 
     def __pow__(self, e: int) -> TruncatedSeries:
@@ -165,6 +182,17 @@ class TruncatedSeries:
         out = [c if (n & i) == i else 0 for n, c in enumerate(self.coeffs[i:], i)]
         return TruncatedSeries(self.field, out)
 
+    def derivatives_vanish(self, lo: int, hi: int) -> bool:
+        """True iff ``hasse_derivative(i).is_zero_mod()`` for every lo <= i <= hi,
+        in one pass: D^i carries c_e exactly when i is a submask of e, so
+        they all vanish iff no nonzero c_e has a submask in [lo, hi]."""
+        if lo < 0:
+            raise ValueError("derivative order must be non-negative")
+        if lo <= hi and self.prec <= hi:
+            raise PrecisionError(f"order-{hi} derivative exhausts precision {self.prec}")
+        orders = range(lo, hi + 1)
+        return not any(c and any((e & i) == i for i in orders) for e, c in enumerate(self.coeffs))
+
 
 def series_equal_mod(a: TruncatedSeries, b: TruncatedSeries) -> bool:
     """True iff a and b agree to their shared precision."""
@@ -176,9 +204,9 @@ def _power(cache: dict[int, TruncatedSeries], e: int, prec: int) -> TruncatedSer
     even exponents come from the half power by pow2k(1)."""
     if e not in cache:
         if e & 1:
-            cache[e] = (_power(cache, e - 1, prec) * cache[1]).truncate(prec)
+            cache[e] = _power(cache, e - 1, prec) * cache[1]
         else:
-            cache[e] = _power(cache, e >> 1, prec).pow2k(1).truncate(prec)
+            cache[e] = _power(cache, e >> 1, prec).pow2k(1, prec)
     return cache[e]
 
 
@@ -195,7 +223,7 @@ def _poly_on_series(poly: Poly2, xs: TruncatedSeries, ys: TruncatedSeries, prec:
         elif not i:
             term = _power(ypow, j, prec)
         else:
-            term = (_power(xpow, i, prec) * _power(ypow, j, prec)).truncate(prec)
+            term = _power(xpow, i, prec) * _power(ypow, j, prec)
         acc = acc + term.scale(FieldElement(c, fld))
     return acc
 
@@ -312,7 +340,7 @@ def check_h_identities(field: BinaryField, count: int, rng) -> dict:
 
         qprime = 1 << rng.randrange(1, 4)
         i = rng.randrange(0, 2 * qprime + 1)
-        lhs = z.pow2k(qprime.bit_length() - 1).truncate(qprime * prec).hasse_derivative(i)
+        lhs = z.pow2k(qprime.bit_length() - 1, qprime * prec).hasse_derivative(i)
         if i % qprime == 0:
             rhs = z.hasse_derivative(i // qprime).pow2k(qprime.bit_length() - 1)
             tally("h3prime", series_equal_mod(lhs, rhs))
@@ -369,15 +397,15 @@ def _derivative_facts(curve: PlaneCurve, point, ys: TruncatedSeries) -> Derivati
     xs = TruncatedSeries.local_parameter_shifted(point.x, n)
 
     dy = ys.hasse_derivative(1)
-    rhs1 = xs.pow2k(t).truncate(n - 1).scale(a_t.inv())
+    rhs1 = xs.pow2k(t, n - 1).scale(a_t.inv())
     dy_ok = series_equal_mod(dy, rhs1)
 
     d2y = ys.hasse_derivative(2)
-    rhs2 = xs.pow2k(t + 1).truncate(n - 2).scale(a_t1 * (a_t.inv() ** 3))
+    rhs2 = xs.pow2k(t + 1, n - 2).scale(a_t1 * (a_t.inv() ** 3))
     d2y_ok = series_equal_mod(d2y, rhs2)
 
     hi = min(q - 1, n - 1)
-    middle_ok = all(ys.hasse_derivative(i).is_zero_mod() for i in range(3, hi + 1))
+    middle_ok = ys.derivatives_vanish(3, hi)
 
     # At the infinite point, Dy = a_t^{-1} x^q and the declared pole order
     # of x give v(Dy) = -q * q/2 without any series there.

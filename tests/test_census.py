@@ -1,7 +1,9 @@
 """Point enumeration, maximality, and genus-bound arithmetic."""
 
+import copy
 import dataclasses
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -379,3 +381,20 @@ def test_sample_points_filters():
     assert len(nonrational) == 10 and not any(is_rational(tc, p) for p in nonrational)
     everything = census.sample_points(tc, 1, 10 ** 6, rng)
     assert len(everything) == 32  # exhaustive when the pool is smaller
+
+
+@pytest.mark.parametrize("t,level", [(2, 1), (2, 2), (3, 2)])
+def test_points_survive_deepcopy_astuple_asdict_and_pickle(t, level):
+    for p in census.sample_points(trace_curve(t), level, 5, random.Random(t)):
+        assert copy.deepcopy(p) == p and copy.copy(p) == p
+        assert dataclasses.astuple(p) == (p.x, p.y, level)
+        assert dataclasses.asdict(p) == {"x": p.x, "y": p.y, "level": level}
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and hash(back) == hash(p) and repr(back) == repr(p)
+        assert back.x.field is p.x.field
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            back.level = 1
+    # a point over GF(2^20), whose field multiplies through the tower
+    fld = make_field(5, "quartic")
+    far = AffinePoint(fld.element(0x12345), fld.element(0xABCDE), 2)
+    assert copy.deepcopy(far) == far == pickle.loads(pickle.dumps(far))

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from maxcurves import covering, curves, series
+from maxcurves import covering, curves, fields, series
 from maxcurves.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
 
 
@@ -190,6 +190,19 @@ def test_wrong_recurrence_coefficient_fails_full_suite(capsys, monkeypatch):
     code, payload = run_json(capsys, "full-suite", "--t", "2")
     assert code == EXIT_CHECK_FAILED
     assert "expansion at" in payload["error"] and "nonzero residual" in payload["error"]
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_reducible_reduction_polynomial_fails_full_suite(capsys, monkeypatch, m):
+    # z^m + 1 = (z + 1)^m in characteristic 2: planted into the moduli table
+    # for the base-square (m = 4) or the quartic (m = 8) field of t = 2,
+    # whose interned fields are dropped so that make_field reads the table
+    wrong = (1 << m) | 1
+    monkeypatch.setitem(fields._MODULI, m, wrong)
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    code, payload = run_json(capsys, "full-suite", "--t", "2")
+    assert code == EXIT_CHECK_FAILED
+    assert payload["error"] == f"table modulus {wrong:#x} for m={m} is not irreducible"
 
 
 @pytest.mark.parametrize(

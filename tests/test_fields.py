@@ -1,7 +1,9 @@
 """Field tower: arithmetic, Frobenius, subfields, additive solvers."""
 
+import copy
 import functools
 import operator
+import pickle
 import random
 
 import pytest
@@ -263,6 +265,8 @@ def test_reduce_gf2_against_brute_force(rank_cap):
         for v in range(256):
             assert reduced.in_image(v) == (v in fibres)
             assert reduced.coset(v) == fibres.get(v, [])
+            if v in fibres:  # the untested lift is the least preimage of an image
+                assert reduced.lift(v) == reduced.preimage(v) == fibres[v][0]
 
 
 def test_hex_serialization():
@@ -514,3 +518,31 @@ def test_values_match_shift_and_reduce(fld):
         expected = functools.reduce(operator.xor, (ref_mul(c, ref_pow(x, e, mod), mod) for e, c in part.items()))
         assert values[x] == expected, hex(x)
     assert fld.values({}) == [0] * fld.order
+
+
+def test_tower_frob_row_matches_shift_and_reduce_for_every_k():
+    rng = random.Random(19)
+    row = kernel_row(GF2_20, rng, 11)
+    for k in range(GF2_20.m):
+        expected = [ref_pow(a, 1 << k, GF2_20.modulus) for a in row]
+        assert GF2_20.frob_row(row, k) == expected, k
+        assert [GF2_20.frob_int(a, k) for a in row] == expected, k
+    assert GF2_20.frob_row([], 7) == []
+
+
+@pytest.mark.parametrize("fld", SHIPPED_FIELDS, ids=lambda f: f"m={f.m}-{f.level}")
+def test_scaling_by_one_returns_a_copy(fld):
+    row = kernel_row(fld, random.Random(fld.m), 6)
+    out = fld.scale_row(1, row)
+    assert out == row and out is not row
+
+
+@pytest.mark.parametrize("fld", SHIPPED_FIELDS, ids=lambda f: f"m={f.m}-{f.level}")
+def test_elements_and_fields_survive_copy_and_pickle(fld):
+    a = fld.element(fld.order - 2)
+    for copied in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert copied == a and copied.field is fld and hash(copied) == hash(a)
+        with pytest.raises(AttributeError):
+            copied.bits = 0
+    # a field comes back as the interned one, so identity checks still hold
+    assert copy.deepcopy(fld) is fld and pickle.loads(pickle.dumps(fld)) is fld

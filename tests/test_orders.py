@@ -125,6 +125,39 @@ def test_dp_orders_row_order_independence():
         assert _pivot_columns(fld, rows) == reference
 
 
+@pytest.mark.parametrize("t", [1, 2])
+def test_pivot_columns_against_column_spans(t):
+    # general matrices: in the basis (1, x, x^2, y) the rows above y are
+    # unit vectors past their pivots, so no elimination factor shows there
+    from maxcurves.fields import make_field
+    from maxcurves.orders import _pivot_columns
+
+    fld = make_field(t)
+    rng = random.Random(70 + t)
+    nrows = 3
+    for _ in range(300):
+        columns = []
+        for _ in range(rng.randrange(1, 8)):
+            if columns and rng.random() < 0.4:  # a combination of earlier columns
+                a, b = rng.randrange(fld.order), rng.randrange(fld.order)
+                u, v = rng.choice(columns), rng.choice(columns)
+                columns.append([fld.mul_int(a, x) ^ fld.mul_int(b, y) for x, y in zip(u, v)])
+            else:
+                columns.append([rng.randrange(fld.order) if rng.random() < 0.7 else 0 for _ in range(nrows)])
+        # a column is a pivot iff it leaves the span of the columns before it
+        expected, span = [], {(0,) * nrows}
+        for j, col in enumerate(columns):
+            if tuple(col) not in span:
+                expected.append(j)
+                span = {
+                    tuple(s ^ fld.mul_int(a, c) for s, c in zip(vec, col))
+                    for vec in span
+                    for a in range(fld.order)
+                }
+        rows = [list(row) for row in zip(*columns)]
+        assert _pivot_columns(fld, rows) == expected, columns
+
+
 def test_dp_orders_precision_preconditions():
     tc = trace_curve(2)
     origin = AffinePoint(tc.field.zero, tc.field.zero, 1)

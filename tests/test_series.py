@@ -118,6 +118,106 @@ def test_pow2k_spreads_exponents_exactly():
     assert gs.coefficient(0) == g.square()
 
 
+SHIPPED_FIELDS = [make_field(t, level) for t in range(1, 6) for level in ("base-square", "quartic")]
+
+
+@pytest.mark.parametrize("fld", SHIPPED_FIELDS, ids=lambda f: f"m={f.m}-{f.level}")
+def test_pow2k_to_a_precision_equals_the_truncated_power(fld):
+    rng = random.Random(fld.m)
+    for length in (1, 4, 9):
+        coeffs = [rng.randrange(1, fld.order) for _ in range(length)]
+        coeffs[length // 2] = coeffs[-1] = 0
+        s = TruncatedSeries(fld, tuple(coeffs))
+        for k in range(6):
+            full = length << k
+            for p in range(-1, full + 3):  # below, at and above the full length
+                if p > full:
+                    with pytest.raises(PrecisionError):
+                        s.pow2k(k).truncate(p)
+                    with pytest.raises(PrecisionError):
+                        s.pow2k(k, p)
+                else:
+                    assert s.pow2k(k, p).coeffs == s.pow2k(k).truncate(p).coeffs, (k, p)
+            assert s.pow2k(k, None).coeffs == s.pow2k(k).coeffs
+
+
+def middle_oracle(ys, lo, hi):
+    """D^i ys = 0 for lo <= i <= hi, one derivative series per order."""
+    return all(ys.hasse_derivative(i).is_zero_mod() for i in range(lo, hi + 1))
+
+
+def submasks(e):
+    s = e
+    while s:
+        yield s
+        s = (s - 1) & e
+    yield 0
+
+
+def test_one_pass_middle_test_matches_the_derivative_loop_on_sparse_series():
+    rng = random.Random(11)
+    for _ in range(2000):
+        n = rng.randrange(1, 40)
+        coeffs = [rng.randrange(1, 16) if rng.random() < 0.15 else 0 for _ in range(n)]
+        s = TruncatedSeries(GF16, tuple(coeffs))
+        lo = rng.randrange(0, n)
+        hi = rng.randrange(lo - 1, n)  # lo - 1: an empty range of orders
+        assert s.derivatives_vanish(lo, hi) == middle_oracle(s, lo, hi), (coeffs, lo, hi)
+    with pytest.raises(PrecisionError):
+        TruncatedSeries(GF16, (0,) * 5).derivatives_vanish(3, 5)
+    with pytest.raises(ValueError):
+        TruncatedSeries(GF16, (0,) * 5).derivatives_vanish(-1, 2)
+
+
+def middle_test_points(curve, t):
+    """Every affine level-1 point for t <= 3; seeded level-2 points solved
+    from random x for t = 4, 5 (S(y) = x^(q+1) is GF(2)-linear in y)."""
+    if t <= 3:
+        return enumerate_points(curve, 1)[:-1]
+    fld = curve.level_field(2)
+    rng = random.Random(60 + t)
+    points = []
+    while len(points) < 6:
+        x = FieldElement(rng.randrange(fld.order), fld)
+        ys = linearized_solve([fld.one] * t, x ** (curve.q + 1))
+        if ys:
+            points.append(AffinePoint(x, rng.choice(ys), 2))
+    return points
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+def test_one_pass_middle_test_matches_the_derivative_loop_at_curve_points(t):
+    q, n = 1 << t, 2 * (1 << t) + 8
+    for curve in (trace_curve(t), hermitian(t)) if t <= 3 else (trace_curve(t),):
+        for p in middle_test_points(curve, t):
+            ys = expand_y_at(curve, p, n)
+            expected = middle_oracle(ys, 3, q - 1)
+            assert ys.derivatives_vanish(3, q - 1) == expected
+            if t >= 2 and curve.family == "trace-standard":
+                assert series._derivative_facts(curve, p, ys).middle_vanish == expected
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_planted_coefficient_with_a_middle_submask_flips_middle_vanish(t):
+    curve = trace_curve(t)
+    q, n = curve.q, 2 * curve.q + 8
+    p = sample_points(curve, 1, 1, random.Random(t))[0]
+    ys = expand_y_at(curve, p, n)
+    assert series._derivative_facts(curve, p, ys).middle_vanish
+    flips = set()
+    for e, c in enumerate(ys.coeffs):
+        # a nonzero coefficient at e, other than the expansion's own
+        planted = TruncatedSeries(ys.field, ys.coeffs[:e] + ((c ^ 1) or 2,) + ys.coeffs[e + 1 :])
+        facts = series._derivative_facts(curve, p, planted)
+        has_middle_submask = any(3 <= s <= q - 1 for s in submasks(e))
+        assert facts.middle_vanish is (not has_middle_submask) is middle_oracle(planted, 3, q - 1), e
+        if has_middle_submask:
+            assert not facts.ok()
+            flips.add(e)
+    # q + 1 shares a bit with 3, yet its submasks are 0, 1, q and q + 1
+    assert {3, q - 1, q + 3} <= flips and q + 1 not in flips and q not in flips
+
+
 def test_expand_trace_curve_at_origin():
     tc = trace_curve(2)
     origin = AffinePoint(tc.field.zero, tc.field.zero, 1)
