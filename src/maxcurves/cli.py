@@ -53,10 +53,10 @@ class RunConfig:
         return self.precision if self.precision is not None else 2 * (1 << self.t) + 8
 
 
-def _parse_point(config: RunConfig) -> census.AffinePoint:
+def _parse_point(config: RunConfig, curve: curves.PlaneCurve) -> census.AffinePoint:
     if not config.point:
         raise ValueError("--point HEX,HEX is required")
-    fld = config.curve_obj().level_field(config.level)
+    fld = curve.level_field(config.level)
     parts = config.point.split(",")
     if len(parts) != 2:
         raise ValueError("--point expects two comma-separated hex masks")
@@ -89,9 +89,10 @@ def _cmd_verify_maximal(config: RunConfig):
 
 
 def _cmd_expand(config: RunConfig):
-    point = _parse_point(config)
+    curve = config.curve_obj()
+    point = _parse_point(config, curve)
     n = config.default_precision()
-    s = series.expand_y_at(config.curve_obj(), point, n)
+    s = series.expand_y_at(curve, point, n)
     return {
         "point": [point.x.hex(), point.y.hex()],
         "level": config.level,
@@ -107,7 +108,7 @@ def _cmd_orders(config: RunConfig):
     if config.point == "inf":
         data = orders.dp_orders_at_infinity(curve)
         return {"point": "infinity", "orders": list(data.orders), "class": data.classification}, True
-    point = _parse_point(config)
+    point = _parse_point(config, curve)
     data = orders.dp_orders(curve, point, config.default_precision())
     return {"point": list(data.point), "orders": list(data.orders), "class": data.classification}, True
 

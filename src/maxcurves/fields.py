@@ -331,6 +331,8 @@ class BinaryField:
             for _ in range(k % self.m):
                 out = [sq_lo[a & low] ^ sq_hi[a >> h] for a in out]
             return out
+        if not k % self.m:  # the identity, as on the tower
+            return list(row)
         log, exp = self._tables()
         period = self.order - 1
         e = (1 << k % self.m) % period

@@ -13,18 +13,23 @@ Also here: the Frobenius-collinearity identity
 
 checked as a truncated-series residual, the evidence-based Frobenius
 order sequence (0, 1, q), and the ramification-degree arithmetic used by
-the q = 4 impossibility argument.
+the q = 4 impossibility argument.  Below tau^(q^2) the twists x^(q^2) and
+y^(q^2) are the constants x0^(q^2) and y0^(q^2), so the residual is Dy and
+D^2 y scaled by c1 = x0 + x0^(q^2) and c1^2 and shifted by tau and tau^2,
+summed into one list with ys: no series products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import xor
 from typing import Sequence
 
 from . import semigroups
 from .census import AffinePoint, is_rational, sample_points
 from .curves import PlaneCurve
 from .series import (
+    PRECISION_LIMIT,
     CheckFailed,
     PrecisionError,
     TruncatedSeries,
@@ -89,6 +94,8 @@ def dp_orders(curve: PlaneCurve, point: AffinePoint, n: int | None = None) -> Or
         n = 2 * q + 8
     if n < q + 3:
         raise ValueError(f"precision {n} too small; need at least q+3 = {q + 3}")
+    if n > PRECISION_LIMIT:  # refused here, before basis_series allocates
+        raise ValueError(f"precision {n} exceeds the limit {PRECISION_LIMIT}")
     rows = [list(s.coeffs) for s in basis_series(curve, point, n)]
     pivots = _pivot_columns(point.x.field, rows)
     if len(pivots) < 4:
@@ -143,24 +150,30 @@ def _frobenius_precision(curve: PlaneCurve, n: int | None) -> int:
 
 def _frobenius_residual(curve: PlaneCurve, point: AffinePoint, ys: TruncatedSeries) -> dict:
     """The report of :func:`frobenius_identity_check`, from the expansion
-    ys of y at the point; its precision is the n checked."""
-    n = ys.prec
-    k = 2 * curve.t  # the GF(q^2)-Frobenius is the 2^(2t)-power
-    xs = TruncatedSeries.local_parameter_shifted(point.x, n)
-    dy = ys.hasse_derivative(1)
-    d2y = ys.hasse_derivative(2)
+    ys of y at the point; its precision is the n checked.
 
-    x_twist = point.x.frobenius(k)
-    y_frob = TruncatedSeries.constant(point.y.frobenius(k), n)
-    x_frob = TruncatedSeries.constant(x_twist, n)
-    x2_frob = TruncatedSeries.constant(x_twist.square(), n)
+    With c1 = x0 + x0^(q^2), x + x^(q^2) is c1 + tau and x^2 + x^(2q^2) is
+    c1^2 + tau^2, so the residual is ys + y0^(q^2) + c1 Dy + tau Dy +
+    c1^2 D^2 y + tau^2 D^2 y: two scalings and two shifts into one list.
+    """
+    fld, n = ys.field, ys.prec
+    k = 2 * curve.t  # the GF(q^2)-Frobenius is the 2^(2t)-power
+    c1 = (point.x + point.x.frobenius(k)).bits
+    dy = ys.hasse_derivative(1).coeffs
+    d2y = ys.hasse_derivative(2).coeffs
 
     # known mod tau^(n-2), the precision of D^2 y
-    lhs = ys + y_frob + (xs + x_frob) * dy + ((xs * xs).truncate(n) + x2_frob) * d2y
+    m = n - 2
+    acc = list(ys.coeffs[:m])
+    acc[0] ^= point.y.frobenius(k).bits
+    acc[:] = map(xor, acc, fld.scale_row(c1, dy[:m]))
+    acc[1:] = map(xor, acc[1:], dy[: m - 1])
+    acc[:] = map(xor, acc, fld.scale_row(fld.sqr_int(c1), d2y))
+    acc[2:] = map(xor, acc[2:], d2y[: m - 2])
     return {
         "point": (point.x.hex(), point.y.hex()),
-        "residual_zero": lhs.is_zero_mod(),
-        "precision": lhs.prec,
+        "residual_zero": not any(acc),
+        "precision": m,
     }
 
 

@@ -18,8 +18,13 @@ Every built-in model reads A(y) = P(x) + c with A additive (a linearized
 polynomial in y), so y = y(P) + eta with A(eta) = P(x(P) + tau) + P(x(P)),
 and the coefficient of tau^r in eta depends only on those at r / 2^k: one
 pass over r gives the unique Hensel lift (dF/dy is a nonzero constant, so
-every affine point is a simple root in y).  Each expansion is then checked
-by evaluating F on the series.
+every affine point is a simple root in y); the right side walks only the
+submasks r of each x exponent i, the r with binom(i, r) odd.  Each
+expansion is then checked, independently of that right side, by the
+residual A(y) + P(x) + c as one list: a y^(2^k) term is the 2^k-th power
+of the coefficients below tau^(n / 2^k), laid in with stride 2^k; an x^i
+term is the product of (x0 + tau)^(2^k) over the set bits 2^k of i; c
+lands at tau^0.  Precisions above ``PRECISION_LIMIT`` are refused.
 
 Hasse derivatives act coefficientwise through binomials mod 2, evaluated
 by Lucas' rule inline: binom(n, i) is odd iff (n & i) == i, that is, iff
@@ -33,10 +38,14 @@ not one derivative series per order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import xor
 
 from .census import _additive_parts
-from .curves import PlaneCurve, Poly2
+from .curves import PlaneCurve
 from .fields import BinaryField, CheckFailed, FieldElement
+
+
+PRECISION_LIMIT = 4096  # largest precision an expansion may use; beyond it the input is refused
 
 
 class PrecisionError(ArithmeticError):
@@ -185,13 +194,22 @@ class TruncatedSeries:
     def derivatives_vanish(self, lo: int, hi: int) -> bool:
         """True iff ``hasse_derivative(i).is_zero_mod()`` for every lo <= i <= hi,
         in one pass: D^i carries c_e exactly when i is a submask of e, so
-        they all vanish iff no nonzero c_e has a submask in [lo, hi]."""
+        they all vanish iff no nonzero c_e has a submask in [lo, hi].  The
+        submasks of each nonzero c_e are walked down to the first below lo."""
         if lo < 0:
             raise ValueError("derivative order must be non-negative")
         if lo <= hi and self.prec <= hi:
             raise PrecisionError(f"order-{hi} derivative exhausts precision {self.prec}")
-        orders = range(lo, hi + 1)
-        return not any(c and any((e & i) == i for i in orders) for e, c in enumerate(self.coeffs))
+        if lo > hi:
+            return True
+        for e, c in enumerate(self.coeffs):
+            if c:
+                s = e
+                while s >= lo:  # the submasks of e, in descending order
+                    if s <= hi:
+                        return False
+                    s = (s - 1) & e  # reaching 0 ends the walk: 0 < lo, or 0 <= hi returned
+        return True
 
 
 def series_equal_mod(a: TruncatedSeries, b: TruncatedSeries) -> bool:
@@ -199,32 +217,34 @@ def series_equal_mod(a: TruncatedSeries, b: TruncatedSeries) -> bool:
     return (a + b).is_zero_mod()
 
 
-def _power(cache: dict[int, TruncatedSeries], e: int, prec: int) -> TruncatedSeries:
-    """cache[1]^e mod tau^prec, memoising every power built on the way;
-    even exponents come from the half power by pow2k(1)."""
-    if e not in cache:
-        if e & 1:
-            cache[e] = _power(cache, e - 1, prec) * cache[1]
-        else:
-            cache[e] = _power(cache, e >> 1, prec).pow2k(1, prec)
-    return cache[e]
+def _additive_residual(
+    xs: TruncatedSeries,
+    ys: TruncatedSeries,
+    xpart: dict[int, int],
+    ypart: dict[int, int],
+    const: int,
+) -> list[int]:
+    """Coefficients of A(y) + P(x) + c mod tau^n at x = xs, y = ys (both of
+    precision n), for ypart = {2^k: a}, xpart = {i: b} and the constant c.
 
-
-def _poly_on_series(poly: Poly2, xs: TruncatedSeries, ys: TruncatedSeries, prec: int) -> TruncatedSeries:
-    """Evaluate a bivariate polynomial on series arguments, mod tau^prec."""
-    fld = xs.field
-    one = TruncatedSeries.constant(fld.one, prec)
-    xpow = {0: one, 1: xs.truncate(prec)}
-    ypow = {0: one, 1: ys.truncate(prec)}
-    acc = TruncatedSeries(fld, (0,) * prec)
-    for (i, j), c in poly.terms.items():
-        if not j:
-            term = _power(xpow, i, prec)
-        elif not i:
-            term = _power(ypow, j, prec)
-        else:
-            term = _power(xpow, i, prec) * _power(ypow, j, prec)
-        acc = acc + term.scale(FieldElement(c, fld))
+    a y^(2^k) lands with stride 2^k: only its ceil(n / 2^k) coefficients
+    below tau^n are raised.  b x^i is the product of xs^(2^k) over the set
+    bits 2^k of i, built from the series, not from binomials.
+    """
+    fld, n = ys.field, ys.prec
+    acc = [0] * n
+    acc[0] = const
+    for j, a in ypart.items():
+        k = j.bit_length() - 1
+        term = fld.scale_row(a, fld.frob_row(ys.coeffs[: -(-n // j)], k))
+        acc[::j] = map(xor, acc[::j], term)
+    for i, b in xpart.items():
+        power = None
+        for k in range(i.bit_length()):
+            if i >> k & 1:
+                factor = xs.pow2k(k, n)
+                power = factor if power is None else power * factor
+        acc[:] = map(xor, acc, fld.scale_row(b, power.coeffs))
     return acc
 
 
@@ -242,9 +262,11 @@ def _additive_lift(
     """
     rhs = [0] * n
     for i, b in xpart.items():
-        for r in range(1, min(i, n - 1) + 1):
-            if binom_mod2(i, r):
+        r = i
+        while r:  # the nonzero submasks of i, in descending order
+            if r < n:
                 rhs[r] ^= fld.mul_int(b, fld.pow_int(x0, i - r))
+            r = (r - 1) & i
     cinv = fld.inv_int(ypart[1])
     higher = sorted((j.bit_length() - 1, a) for j, a in ypart.items() if j > 1)
     eta = [0] * n
@@ -255,7 +277,8 @@ def _additive_lift(
                 break  # 2^k does not divide r, nor does any higher power
             if eta[r >> k]:
                 acc ^= fld.mul_int(a, fld.frob_int(eta[r >> k], k))
-        eta[r] = fld.mul_int(cinv, acc)
+        if acc:
+            eta[r] = fld.mul_int(cinv, acc)
     return eta
 
 
@@ -265,19 +288,21 @@ def expand_y_at(curve: PlaneCurve, point, n: int) -> TruncatedSeries:
 
     The model must read A(y) = P(x) + c with A additive; the coefficients
     come from the one-pass recurrence of :func:`_additive_lift`, and the
-    series is checked against F before it is returned (raising
-    :class:`CheckFailed` if the residual is nonzero).
+    series is checked against F by :func:`_additive_residual` before it
+    is returned (raising :class:`CheckFailed` if the residual is nonzero).
+    Precisions above :data:`PRECISION_LIMIT` are refused before any work.
     """
     if n < 2:
         raise ValueError("precision must be at least 2: the expansion uses x0 + tau")
+    if n > PRECISION_LIMIT:
+        raise ValueError(f"precision {n} exceeds the limit {PRECISION_LIMIT}")
     x0, y0 = point.x, point.y
     fld = x0.field
     level = 1 if fld is curve.field else 2
-    poly = curve.poly_at_level(level)
     if curve.evaluate(x0, y0):
         raise ValueError("point does not lie on the curve")
     # a mixed or non-2-power y term is also what makes dF/dy nonconstant
-    xpart, ypart, _ = _additive_parts(curve, level)
+    xpart, ypart, const = _additive_parts(curve, level)
     if not ypart.get(1):
         raise ValueError("singular point: dF/dy vanishes")
 
@@ -285,7 +310,7 @@ def expand_y_at(curve: PlaneCurve, point, n: int) -> TruncatedSeries:
     coeffs[0] = y0.bits
     ys = TruncatedSeries(fld, tuple(coeffs))
     xs = TruncatedSeries.local_parameter_shifted(x0, n)
-    if not _poly_on_series(poly, xs, ys, n).is_zero_mod(n):
+    if any(_additive_residual(xs, ys, xpart, ypart, const)):
         raise CheckFailed(
             f"expansion at ({x0.hex()}, {y0.hex()}) leaves a nonzero residual mod tau^{n}"
         )

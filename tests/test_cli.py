@@ -244,6 +244,36 @@ def test_oversized_semigroup_sieve_exits_2(capsys):
     assert code == EXIT_CONFIG and "exceeds the limit" in payload["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "--t", "2", "--point", "0,0", "--precision", "100000000"),
+        ("expand", "--t", "2", "--point", "0,0", "--precision", str(series.PRECISION_LIMIT + 1)),
+        ("orders", "--t", "5", "--level", "2", "--point", "0,0", "--precision", "5000000"),
+        ("orders", "--t", "2", "--point", "0,0", "--precision", str(series.PRECISION_LIMIT + 1)),
+    ],
+)
+def test_oversized_precision_exits_2(capsys, argv):
+    code, payload = run_json(capsys, *argv)
+    assert code == EXIT_CONFIG and "exceeds the limit" in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "--t", "3", "--point", "0,0"),
+        ("orders", "--t", "3", "--point", "0,0", "--level", "2"),
+        ("orders", "--t", "3", "--point", "inf"),
+    ],
+)
+def test_point_commands_build_the_curve_once(capsys, monkeypatch, argv):
+    built = []
+    trace_curve = curves.trace_curve
+    monkeypatch.setattr(curves, "trace_curve", lambda t: built.append(t) or trace_curve(t))
+    code, _ = run_json(capsys, *argv)
+    assert code == EXIT_OK and built == [3]
+
+
 def test_normalization_landing_elsewhere_exits_1(tmp_path, capsys, monkeypatch):
     # the standard curve normalize compares with is planted as the Hermitian one
     monkeypatch.setattr(curves, "trace_curve", curves.hermitian)

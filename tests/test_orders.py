@@ -7,7 +7,9 @@ import pytest
 
 from maxcurves.census import AffinePoint, enumerate_points, sample_points
 from maxcurves.curves import hermitian, trace_curve
+from maxcurves.fields import FieldElement, linearized_solve
 from maxcurves.orders import (
+    _frobenius_residual,
     basis_series,
     degree_count_impossibility,
     dp_orders,
@@ -230,6 +232,64 @@ def test_frobenius_identity_negative_control():
     x2_frob = TruncatedSeries.constant(origin.x.frobenius(k).square(), n)
     lhs = ys + y_frob + (xs + x_frob) * dy + ((xs * xs).truncate(n) + x2_frob) * d2y
     assert not lhs.is_zero_mod(n - 2)
+
+
+def dense_frobenius_residual(curve, point, ys):
+    """Reference residual y + y^(q^2) + (x + x^(q^2)) Dy + (x^2 + x^(2q^2)) D^2 y
+    by generic series sums and products, mod tau^(n-2)."""
+    n, k = ys.prec, 2 * curve.t
+    xs = TruncatedSeries.local_parameter_shifted(point.x, n)
+    x_twist = point.x.frobenius(k)
+    y_frob = TruncatedSeries.constant(point.y.frobenius(k), n)
+    x_frob = TruncatedSeries.constant(x_twist, n)
+    x2_frob = TruncatedSeries.constant(x_twist.square(), n)
+    dy, d2y = ys.hasse_derivative(1), ys.hasse_derivative(2)
+    return ys + y_frob + (xs + x_frob) * dy + ((xs * xs).truncate(n) + x2_frob) * d2y
+
+
+def frobenius_test_points(curve, level, count, rng):
+    """Seeded points at level 1 from the census; at level 2 solved from
+    random x outside GF(q^2), since S(y) = x^(q+1) is GF(2)-linear in y."""
+    if level == 1:
+        return sample_points(curve, 1, count, rng)
+    fld = curve.level_field(2)
+    points = []
+    while len(points) < count:
+        x = FieldElement(rng.randrange(fld.order), fld)
+        ys = linearized_solve([fld.one] * curve.t, x ** (curve.q + 1))
+        if ys and x.frobenius(2 * curve.t) != x:
+            points.append(AffinePoint(x, rng.choice(ys), 2))
+    return points
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_planted_coefficient_makes_the_frobenius_residual_nonzero(t, level):
+    curve = trace_curve(t)
+    rng = random.Random(80 + 10 * t + level)
+    n = min(2 * curve.q + 8, curve.q * curve.q)
+    for p in frobenius_test_points(curve, level, 3, rng):
+        ys = expand_y_at(curve, p, n)
+        assert _frobenius_residual(curve, p, ys)["residual_zero"]
+        assert dense_frobenius_residual(curve, p, ys).is_zero_mod()
+        flips = set()
+        for e in range(n - 2):
+            coeffs = list(ys.coeffs)
+            coeffs[e] ^= rng.randrange(1, p.x.field.order)
+            planted = TruncatedSeries(ys.field, tuple(coeffs))
+            report = _frobenius_residual(curve, p, planted)
+            assert report["precision"] == n - 2
+            dense = dense_frobenius_residual(curve, p, planted)
+            assert report["residual_zero"] is dense.is_zero_mod()
+            if not report["residual_zero"]:
+                flips.add(e)
+        # tau^e, and tau^(e-1) times c1 for odd e, tau^(e-2) times c1^2 when
+        # e & 2: at level 1 c1 = x0 + x0^(q^2) = 0 and only e = 0, 3 mod 4
+        # leave a residual
+        if level == 1:
+            assert flips == {e for e in range(n - 2) if e % 4 in (0, 3)}
+        else:
+            assert flips == set(range(n - 2))
 
 
 def test_frobenius_identity_precision_guard():

@@ -2,11 +2,12 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from maxcurves import series
-from maxcurves.census import AffinePoint, enumerate_points, sample_points
+from maxcurves.census import AffinePoint, _additive_parts, enumerate_points, sample_points
 from maxcurves.curves import (
     CoordinateChange,
     PlaneCurve,
@@ -16,7 +17,9 @@ from maxcurves.curves import (
     trace_curve,
 )
 from maxcurves.fields import FieldElement, linearized_solve, make_field
+from maxcurves.orders import dp_orders
 from maxcurves.series import (
+    PRECISION_LIMIT,
     CheckFailed,
     PrecisionError,
     TruncatedSeries,
@@ -378,6 +381,108 @@ def test_planted_recurrence_defect_is_caught(monkeypatch):
     origin = AffinePoint(tc.field.zero, tc.field.zero, 1)
     with pytest.raises(CheckFailed):
         expand_y_at(tc, origin, 16)
+
+
+def _power(cache, e, prec):
+    """cache[1]^e mod tau^prec, memoising every power built on the way;
+    even exponents come from the half power by pow2k(1)."""
+    if e not in cache:
+        if e & 1:
+            cache[e] = _power(cache, e - 1, prec) * cache[1]
+        else:
+            cache[e] = _power(cache, e >> 1, prec).pow2k(1, prec)
+    return cache[e]
+
+
+def _poly_on_series(poly, xs, ys, prec):
+    """Reference residual: the bivariate polynomial evaluated term by term
+    on series arguments, mod tau^prec, by generic products and squarings."""
+    fld = xs.field
+    one = TruncatedSeries.constant(fld.one, prec)
+    xpow = {0: one, 1: xs.truncate(prec)}
+    ypow = {0: one, 1: ys.truncate(prec)}
+    acc = TruncatedSeries(fld, (0,) * prec)
+    for (i, j), c in poly.terms.items():
+        term = _power(xpow, i, prec) * _power(ypow, j, prec)
+        acc = acc + term.scale(FieldElement(c, fld))
+    return acc
+
+
+def random_trace_form_curve(t, rng):
+    """A trace-form curve with a nonzero constant and non-unit y-coefficients:
+    the standard curve moved by a random y-scaling and y-translation."""
+    fld = make_field(t)
+    while True:
+        record = [
+            CoordinateChange("scale-y", fld.element(rng.randrange(2, fld.order))),
+            CoordinateChange("translate-y", fld.element(rng.randrange(1, fld.order))),
+        ]
+        curve = apply_record(trace_curve(t), record)
+        _, ypart, const = _additive_parts(curve, 1)
+        if const and any(a != 1 for a in ypart.values()):
+            assert curve.family == "trace-form"
+            return curve
+
+
+def residual_cases():
+    """(curve, point) pairs: every affine level-1 point of both curves for
+    t <= 3, every one of a seeded trace-form curve at t = 3, and seeded
+    level-2 trace points for t = 4, 5."""
+    for t in (1, 2, 3):
+        for curve in (trace_curve(t), hermitian(t)):
+            for p in enumerate_points(curve, 1)[:-1]:
+                yield curve, p
+    curve = random_trace_form_curve(3, random.Random(71))
+    for p in enumerate_points(curve, 1)[:-1]:
+        yield curve, p
+    for t in (4, 5):
+        curve = trace_curve(t)
+        for p in middle_test_points(curve, t):
+            yield curve, p
+
+
+def test_additive_residual_equals_the_term_by_term_reference():
+    rng = random.Random(72)
+    cases = 0
+    for curve, p in residual_cases():
+        n = 2 * curve.q + 8
+        level = 1 if p.x.field is curve.field else 2
+        parts = _additive_parts(curve, level)
+        poly = curve.poly_at_level(level)
+        xs = TruncatedSeries.local_parameter_shifted(p.x, n)
+        ys = expand_y_at(curve, p, n)
+        assert series._additive_residual(xs, ys, *parts) == [0] * n
+        assert _poly_on_series(poly, xs, ys, n).is_zero_mod()
+        # one planted coefficient: both residuals see the same nonzero list
+        # (not at tau^0, where a kernel element of A moves to another point)
+        e = rng.randrange(1, n)
+        coeffs = list(ys.coeffs)
+        coeffs[e] ^= rng.randrange(1, p.x.field.order)
+        planted = TruncatedSeries(ys.field, tuple(coeffs))
+        residual = series._additive_residual(xs, planted, *parts)
+        assert residual == list(_poly_on_series(poly, xs, planted, n).coeffs), (p, e)
+        assert any(residual), (p, e)
+        cases += 1
+    assert cases > 900
+
+
+def test_precision_over_the_limit_is_refused_before_it_is_allocated():
+    tc = trace_curve(2)
+    origin = AffinePoint(tc.field.zero, tc.field.zero, 1)
+    tracemalloc.start()
+    try:
+        for n in (10**12, PRECISION_LIMIT + 1):
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                expand_y_at(tc, origin, n)
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                dp_orders(tc, origin, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # a series at the limit alone would take 32 KiB of pointers
+    # the largest precision frobenius-check accepts, q^2 at t = 5, fits
+    assert PRECISION_LIMIT >= 32 * 32
+    assert expand_y_at(tc, origin, PRECISION_LIMIT).prec == PRECISION_LIMIT
 
 
 @pytest.mark.parametrize("t", [2, 3])
