@@ -1,15 +1,15 @@
 """Exact point enumeration over GF(q^2) and GF(q^4), and maximality checks.
 
-Every built-in model reads A(y) = P(x) + c with A additive, so A is
-GF(2)-linear and each fibre of A is empty or a coset of ker A.  One
-Gaussian elimination on the images A(1 << j) (:func:`fields.reduce_gf2`)
-gives ker A, a reduced basis of im A and a linear section of it.  The
-values P(x) + c at every x come from one row kernel
-(:meth:`fields.BinaryField.values`), and a byte table over the masks,
-set on the 2^rank images spanned from the basis, says which of them lie
-in im A.  Counting adds 2^(dim ker A) for each x that passes; enumeration
-lists the coset over each such x, in ascending (x, y) order.  A y-part
-that is not additive raises ``ValueError``.
+Every built-in model reads A(y) = P(x) + c with A additive (its
+:class:`curves.AdditiveModel`), so A is GF(2)-linear and each fibre of A
+is empty or a coset of ker A.  One Gaussian elimination on the images
+A(1 << j) (:func:`fields.reduce_gf2`) gives ker A, a reduced basis of
+im A and a linear section of it.  The values P(x) + c at every x come
+from one row kernel (:meth:`fields.BinaryField.values`), and a byte
+table over the masks, set on the 2^rank images spanned from the basis,
+says which of them lie in im A.  Counting adds 2^(dim ker A) for each x
+that passes; enumeration lists the coset over each such x, in ascending
+(x, y) order.  A y-part that is not additive raises ``ValueError``.
 Enumeration costs little more than its coordinates: each call keeps a
 dict from y mask to :class:`FieldElement`, so a y shared by many points
 is one object (no table over the whole field is built: at level 2 most
@@ -17,8 +17,8 @@ masks are never a y), and :class:`AffinePoint` is a slotted frozen
 dataclass whose enumerated instances get their slots filled directly,
 without the generated ``__init__`` and its ``object.__setattr__`` per
 field.  Every level-1 point is GF(q^2)-rational without a Frobenius test.
-Every built-in family has exactly one point over x = infinity, and it is
-rational: each census adds it, never finding it by a blow-up.
+As deg A and deg P are coprime, one point lies over x = infinity, and it
+is rational: each census adds it, never finding it by a blow-up.
 
 Censuses cover fields of at most 2^16 elements: every level-1 field,
 and level 2 for q <= 16.  Larger fields are refused with
@@ -96,30 +96,6 @@ def _census_field(curve: PlaneCurve, level: int) -> BinaryField:
     return fld
 
 
-def _additive_parts(curve: PlaneCurve, level: int):
-    """(x-part, y-part, constant) of a model A(y) = P(x) + c, A additive.
-
-    Raises ValueError for a mixed monomial or a y exponent that is not a
-    power of 2.
-    """
-    poly = curve.poly_at_level(level)
-    xpart: dict[int, int] = {}
-    ypart: dict[int, int] = {}
-    const = 0
-    for (i, j), c in poly.terms.items():
-        if (i and j) or j & (j - 1):
-            raise ValueError(
-                "mixed or non-2-power y term; the model must read A(y) = P(x) + c, A additive"
-            )
-        if j:
-            ypart[j] = c
-        elif i:
-            xpart[i] = c
-        else:
-            const = c
-    return xpart, ypart, const
-
-
 def _eval_sparse(fld: BinaryField, part: dict[int, int], v: int) -> int:
     acc = 0
     for e, c in part.items():
@@ -138,9 +114,9 @@ def _census_setup(
     """The field, P(x) + c at every x in mask order, the membership table
     of im A and the reduced A, for the model A(y) = P(x) + c."""
     fld = _census_field(curve, level)
-    xpart, ypart, const = _additive_parts(curve, level)
-    a_map = reduce_gf2(_column_images(fld, ypart))
-    return fld, fld.values({**xpart, 0: const}), a_map.image_table(fld.order), a_map
+    model = curve.model(level)
+    a_map = reduce_gf2(_column_images(fld, model.ypart))
+    return fld, fld.values({**model.xpart, 0: model.const}), a_map.image_table(fld.order), a_map
 
 
 def enumerate_points(curve: PlaneCurve, level: int) -> list[CurvePoint]:
@@ -265,10 +241,8 @@ def census_report(curve: PlaneCurve, genus: int, level: int = 1) -> CensusReport
 
 
 def curve_genus(curve: PlaneCurve) -> int:
-    """The genus of the nonsingular model of a built-in family."""
-    if curve.family == "hermitian":
-        return g1(curve.q)
-    return g2(curve.q)
+    """The genus (deg A - 1)(deg P - 1)/2 of the curve's additive model."""
+    return curve.model(1).genus
 
 
 def sample_points(

@@ -18,8 +18,6 @@ from .census import (
     InfinitePoint,
     count_rational,
     enumerate_points,
-    g1,
-    g2,
     sample_points,
 )
 from .curves import PlaneCurve, hermitian, trace_curve
@@ -101,9 +99,9 @@ def covering_census_check(t: int) -> dict:
     if not 2 <= t <= MAX_T:
         raise ValueError(f"census check supported for 2 <= t <= {MAX_T}")
     q = 1 << t
-    n_h = count_rational(hermitian(t), 1)
-    n_x = count_rational(trace_curve(t), 1)
-    gh, gx = g1(q), g2(q)
+    herm, trace = hermitian(t), trace_curve(t)
+    n_h, n_x = count_rational(herm, 1), count_rational(trace, 1)
+    gh, gx = herm.model(1).genus, trace.model(1).genus
     different = (2 * gh - 2) - 2 * (2 * gx - 2)
     return {
         "q": q,

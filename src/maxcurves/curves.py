@@ -1,7 +1,6 @@
 """Plane models of the built-in curve families over GF(q^2), q = 2^t.
 
-Four families are supported, all with a unique declared rational point
-over x = infinity:
+Four families are supported:
 
     hermitian            y^q + y + x^(q+1)
     trace-standard       x^(q+1) + sum_{i=1..t} y^(q/2^i)
@@ -10,7 +9,12 @@ over x = infinity:
 
 Polynomials are sparse (exponent pair -> coefficient); the models have
 O(t) terms.  Defining polynomials are kept canonical: the coefficient of
-the graded-lex leading monomial x^(q+1) is 1.
+the graded-lex leading monomial x^(q+1) is 1.  Each reads A(y) = P(x) + c
+with A additive: the :class:`AdditiveModel` that census, series and
+orders read.  With a = deg A and b = deg P coprime, x and y have pole
+orders a and b at the one point over x = infinity, its semigroup is
+<a, b> and the genus is (a-1)(b-1)/2 (Stichtenoth, *Algebraic Function
+Fields and Codes*, ch. 6).
 
 ``normalize`` reduces a trace-form or extended curve to the standard
 curve through an explicit sequence of invertible coordinate changes
@@ -22,9 +26,11 @@ GF(q^2)-isomorphism class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 from .fields import BinaryField, CheckFailed, FieldElement, linearized_solve, make_field
+from .semigroups import NumericalSemigroup
 
 FAMILIES = ("hermitian", "trace-standard", "trace-form", "trace-form-extended")
 CHANGE_KINDS = ("scale-y", "translate-y", "shear", "scale-x")
@@ -90,23 +96,6 @@ class Poly2:
             acc ^= fld.mul_int(c, fld.mul_int(xpow[i], ypow[j]))
         return FieldElement(acc, fld)
 
-    def partial_x(self) -> Poly2:
-        out: dict[tuple[int, int], int] = {}
-        for (i, j), c in self.terms.items():
-            if i & 1:  # even exponents annihilate in characteristic 2
-                out[(i - 1, j)] = out.get((i - 1, j), 0) ^ c
-        return Poly2(self.field, out)
-
-    def partial_y(self) -> Poly2:
-        out: dict[tuple[int, int], int] = {}
-        for (i, j), c in self.terms.items():
-            if j & 1:
-                out[(i, j - 1)] = out.get((i, j - 1), 0) ^ c
-        return Poly2(self.field, out)
-
-    def is_constant(self) -> bool:
-        return all(e == (0, 0) for e in self.terms)
-
     def embed_into(self, target: BinaryField) -> Poly2:
         return Poly2(
             target,
@@ -128,13 +117,44 @@ class Poly2:
 
 
 @dataclass(frozen=True)
-class InfinityDescriptor:
-    """Pole orders of x and y at the single point over x = infinity of the
-    nonsingular model; every built-in family has exactly one, and it is
-    GF(q^2)-rational."""
+class AdditiveModel:
+    """A(y) = P(x) + c at one tower level: ypart = {2^k: a} is A,
+    xpart = {i: b} is P and const is c, all masks of ``field``."""
 
-    x_pole_order: int
-    y_pole_order: int
+    field: BinaryField
+    xpart: dict[int, int]
+    ypart: dict[int, int]
+    const: int
+
+    @classmethod
+    def parse(cls, poly: Poly2) -> AdditiveModel:
+        """Raises ValueError for a mixed term or a y exponent that is not a power of 2."""
+        terms = poly.terms
+        if any((i and j) or j & (j - 1) for i, j in terms):
+            raise ValueError(
+                "mixed or non-2-power y term; the model must read A(y) = P(x) + c, A additive"
+            )
+        xpart = {i: c for (i, j), c in terms.items() if i}
+        ypart = {j: c for (i, j), c in terms.items() if j}
+        return cls(poly.field, xpart, ypart, terms.get((0, 0), 0))
+
+    @property
+    def pole_orders(self) -> tuple[int, int]:
+        """(deg A, deg P): the pole orders of x and y at the point over
+        x = infinity, which is unique when they are coprime."""
+        a, b = max(self.ypart, default=0), max(self.xpart, default=0)
+        if gcd(a, b) != 1:
+            raise ValueError(f"deg A = {a} and deg P = {b} are not coprime")
+        return a, b
+
+    @property
+    def genus(self) -> int:
+        a, b = self.pole_orders
+        return (a - 1) * (b - 1) // 2
+
+    def semigroup(self) -> NumericalSemigroup:
+        """The Weierstrass semigroup <deg A, deg P> at the point at infinity."""
+        return NumericalSemigroup(self.pole_orders)
 
 
 @dataclass(frozen=True)
@@ -176,9 +196,9 @@ IsomorphismRecord = list[CoordinateChange]
 class PlaneCurve:
     """A plane model from one of the built-in families."""
 
-    __slots__ = ("field", "t", "q", "poly", "family", "infinity", "_quartic_poly")
+    __slots__ = ("field", "t", "q", "poly", "family", "_quartic_poly", "_models")
 
-    def __init__(self, field: BinaryField, poly: Poly2, family: str, infinity: InfinityDescriptor):
+    def __init__(self, field: BinaryField, poly: Poly2, family: str):
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         self.field = field
@@ -186,8 +206,8 @@ class PlaneCurve:
         self.q = field.q
         self.poly = poly.canonical()
         self.family = family
-        self.infinity = infinity
         self._quartic_poly: Poly2 | None = None
+        self._models: dict[int, AdditiveModel] = {}
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -216,6 +236,13 @@ class PlaneCurve:
         if self._quartic_poly is None:
             self._quartic_poly = self.poly.embed_into(self.level_field(2))
         return self._quartic_poly
+
+    def model(self, level: int) -> AdditiveModel:
+        """The additive model at a tower level, parsed once per curve."""
+        model = self._models.get(level)
+        if model is None:
+            model = self._models[level] = AdditiveModel.parse(self.poly_at_level(level))
+        return model
 
     def evaluate(self, x: FieldElement, y: FieldElement) -> FieldElement:
         """F(x, y) for a point at either tower level."""
@@ -277,15 +304,9 @@ def _classify(field: BinaryField, poly: Poly2) -> str:
     return "trace-form-extended" if has_x_linear else "trace-form"
 
 
-def _infinity_for(family: str, q: int) -> InfinityDescriptor:
-    x_pole = q if family == "hermitian" else q // 2
-    return InfinityDescriptor(x_pole_order=x_pole, y_pole_order=q + 1)
-
-
 def _curve_from_poly(field: BinaryField, poly: Poly2) -> PlaneCurve:
     poly = poly.canonical()
-    family = _classify(field, poly)
-    return PlaneCurve(field, poly, family, _infinity_for(family, field.q))
+    return PlaneCurve(field, poly, _classify(field, poly))
 
 
 def hermitian(t: int) -> PlaneCurve:
@@ -293,7 +314,7 @@ def hermitian(t: int) -> PlaneCurve:
     field = make_field(t)
     q = field.q
     poly = Poly2(field, {(q + 1, 0): 1, (0, q): 1, (0, 1): 1})
-    return PlaneCurve(field, poly, "hermitian", _infinity_for("hermitian", q))
+    return PlaneCurve(field, poly, "hermitian")
 
 
 def trace_curve(t: int) -> PlaneCurve:
@@ -303,7 +324,7 @@ def trace_curve(t: int) -> PlaneCurve:
     terms = {(q + 1, 0): 1}
     terms.update({(0, q >> i): 1 for i in range(1, t + 1)})
     poly = Poly2(field, terms)
-    return PlaneCurve(field, poly, "trace-standard", _infinity_for("trace-standard", q))
+    return PlaneCurve(field, poly, "trace-standard")
 
 
 def trace_form(a: Sequence[FieldElement], b: FieldElement) -> PlaneCurve:

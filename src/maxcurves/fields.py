@@ -293,11 +293,14 @@ class BinaryField:
         out = [0] * n
         if self.m > _TABLE_LIMIT:
             mul = self.mul_int
+            nonzero_v = [(j, b) for j, b in enumerate(v[:n]) if b]
             for i, a in enumerate(u[:n]):
                 if a:
-                    for j, b in enumerate(v[: n - i], i):
-                        if b:
-                            out[j] ^= mul(a, b)
+                    room = n - i
+                    for j, b in nonzero_v:
+                        if j >= room:
+                            break
+                        out[i + j] ^= mul(a, b)
             return out
         log, exp = self._tables()
         logs_v = [(j, log[b]) for j, b in enumerate(v[:n]) if b]

@@ -4,8 +4,8 @@ The linear system spanned by (1, x, x^2, y) is expanded into truncated
 series at an affine point; the pivot columns of the row-reduced
 coefficient matrix are exactly the intersection multiplicities attained
 by hyperplane sections, i.e. the order sequence at the point.  At the
-infinite point the orders come from the Weierstrass semigroup instead
-(no series at infinity anywhere in this package).
+infinite point the orders are b minus the pole orders b, 2a, a, 0 of
+y, x^2, x, 1, with (a, b) = (deg A, deg P): no series at infinity anywhere.
 
 Also here: the Frobenius-collinearity identity
 
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from operator import xor
 from typing import Sequence
 
-from . import semigroups
 from .census import AffinePoint, is_rational, sample_points
 from .curves import PlaneCurve
 from .series import (
@@ -33,8 +32,8 @@ from .series import (
     CheckFailed,
     PrecisionError,
     TruncatedSeries,
-    _check_derivative_facts,
-    _derivative_facts,
+    derivative_facts,
+    derivative_facts_gate,
     expand_y_at,
 )
 
@@ -113,17 +112,14 @@ def dp_orders(curve: PlaneCurve, point: AffinePoint, n: int | None = None) -> Or
 
 
 def dp_orders_at_infinity(curve: PlaneCurve) -> OrderData:
-    """Orders at the infinite point, derived from the Weierstrass
-    semigroup <q/2, q+1>: {0, 1, q+1-m_1, q+1}.  Refuses the Hermitian
-    curve, whose one-point system has projective dimension 2 and does
-    not fit this basis."""
-    if curve.family not in ("trace-standard", "trace-form", "trace-form-extended"):
-        raise ValueError("infinity orders via the semigroup apply to the trace family only")
-    q = curve.q
-    sg = semigroups.infinity_semigroup(q)
-    m1 = sg.nth_nongap(1)
-    orders = (0, 1, q + 1 - m1, q + 1)
-    return OrderData(point="infinity", orders=orders, classification="at-P0")
+    """Orders (0, b - 2a, b - a, b) at the infinite point, from the pole
+    orders (a, b) = (deg A, deg P).  Refuses 2a > b, as on the Hermitian
+    curve, where x^2 has a pole beyond y's and (1, x, x^2, y) does not
+    span the one-point system |bP_inf|."""
+    a, b = curve.model(1).pole_orders
+    if 2 * a > b:
+        raise ValueError(f"orders at infinity need 2 deg A <= deg P, got deg A = {a}, deg P = {b}")
+    return OrderData(point="infinity", orders=(0, b - 2 * a, b - a, b), classification="at-P0")
 
 
 def frobenius_identity_check(curve: PlaneCurve, point: AffinePoint, n: int | None = None) -> dict:
@@ -180,22 +176,23 @@ def _frobenius_residual(curve: PlaneCurve, point: AffinePoint, ys: TruncatedSeri
 def frobenius_orders(
     curve: PlaneCurve, sample_size: int, rng, n: int | None = None
 ) -> tuple[tuple[int, int, int], list[dict]]:
-    """The Frobenius order sequence (0, 1, q) of the trace curve, with a
-    sampled evidence log: at each point, D^i y = 0 for 3 <= i <= q-1
-    (no orders strictly between 2 and q) and the Frobenius-collinearity
-    residual vanishes (the order 2 drops).  Raises if any check fails."""
-    if curve.family not in ("trace-standard", "trace-form"):
-        raise ValueError("Frobenius orders are computed for the trace family")
+    """The Frobenius order sequence (0, 1, q) of a genus-g_2 model
+    (deg A = q/2), with a sampled evidence log: at each point,
+    D^i y = 0 for 3 <= i <= q-1 (no orders strictly between 2 and q) and
+    the Frobenius-collinearity residual vanishes (the order 2 drops).
+    Raises if any check fails."""
+    if max(curve.model(1).ypart, default=0) != curve.q // 2:
+        raise ValueError("Frobenius orders are computed for the models with deg A = q/2")
     if sample_size < 1:
         raise ValueError("sample_size must be at least 1")
     q = curve.q
     n = _frobenius_precision(curve, n)
-    _check_derivative_facts(curve, n)
+    derivative_facts_gate(curve, n)
     points = sample_points(curve, level=1, count=sample_size, rng=rng)
     evidence = []
     for p in points:
         ys = expand_y_at(curve, p, n)
-        facts = _derivative_facts(curve, p, ys)
+        facts = derivative_facts(curve, p, ys)
         frob = _frobenius_residual(curve, p, ys)
         entry = {
             "point": frob["point"],

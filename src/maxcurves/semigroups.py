@@ -6,9 +6,9 @@ membership table up to a bound safely past the conductor.  A bound above
 the gap count; the projective dimension of the one-point system |dP| is
 the number of non-gaps up to d, minus one.
 
-The Weierstrass semigroup at the infinite point of the trace curve is
-<q/2, q+1>; its genus q(q-2)/4 closes the loop with the point census:
-count = q^2 + 1 + 2q * genus.
+At infinity, a model A(y) = P(x) + c has the semigroup <deg A, deg P>:
+<q/2, q+1> on the trace curve, whose genus q(q-2)/4 closes the loop with
+the point census: count = q^2 + 1 + 2q * genus.
 """
 
 from __future__ import annotations
@@ -101,9 +101,7 @@ def infinity_semigroup(q: int) -> NumericalSemigroup:
     """The Weierstrass semigroup <q/2, q+1> at the trace curve's infinite point."""
     if q < 2 or q & (q - 1):
         raise ValueError(f"q={q} is not a power of two")
-    # 4q^2 clears every conductor in play; at q = 2 the constructor's own
-    # 2*max(gens)^2 floor is the binding one
-    return NumericalSemigroup((q // 2, q + 1), bound=max(4 * q * q, 2 * (q + 1) ** 2))
+    return NumericalSemigroup((q // 2, q + 1))
 
 
 def semigroup_classification_check(q: int, order_data: Iterable) -> dict:

@@ -15,8 +15,9 @@ prec * 2^k entries to be cut.
 
 Expansions of y along the curve are computed coefficient by coefficient.
 Every built-in model reads A(y) = P(x) + c with A additive (a linearized
-polynomial in y), so y = y(P) + eta with A(eta) = P(x(P) + tau) + P(x(P)),
-and the coefficient of tau^r in eta depends only on those at r / 2^k: one
+polynomial in y; the curve's :class:`curves.AdditiveModel`), so
+y = y(P) + eta with A(eta) = P(x(P) + tau) + P(x(P)), and the
+coefficient of tau^r in eta depends only on those at r / 2^k: one
 pass over r gives the unique Hensel lift (dF/dy is a nonzero constant, so
 every affine point is a simple root in y); the right side walks only the
 submasks r of each x exponent i, the r with binom(i, r) odd.  Each
@@ -40,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import xor
 
-from .census import _additive_parts
 from .curves import PlaneCurve
 from .fields import BinaryField, CheckFailed, FieldElement
 
@@ -302,15 +302,15 @@ def expand_y_at(curve: PlaneCurve, point, n: int) -> TruncatedSeries:
     if curve.evaluate(x0, y0):
         raise ValueError("point does not lie on the curve")
     # a mixed or non-2-power y term is also what makes dF/dy nonconstant
-    xpart, ypart, const = _additive_parts(curve, level)
-    if not ypart.get(1):
+    model = curve.model(level)
+    if not model.ypart.get(1):
         raise ValueError("singular point: dF/dy vanishes")
 
-    coeffs = _additive_lift(fld, x0.bits, xpart, ypart, n)
+    coeffs = _additive_lift(fld, x0.bits, model.xpart, model.ypart, n)
     coeffs[0] = y0.bits
     ys = TruncatedSeries(fld, tuple(coeffs))
     xs = TruncatedSeries.local_parameter_shifted(x0, n)
-    if any(_additive_residual(xs, ys, xpart, ypart, const)):
+    if any(_additive_residual(xs, ys, model.xpart, model.ypart, model.const)):
         raise CheckFailed(
             f"expansion at ({x0.hex()}, {y0.hex()}) leaves a nonzero residual mod tau^{n}"
         )
@@ -378,7 +378,7 @@ def check_h_identities(field: BinaryField, count: int, rng) -> dict:
 
 @dataclass(frozen=True)
 class DerivativeFactsReport:
-    """Series-level derivative facts of the trace models at one point."""
+    """Series-level derivative facts of a model A(y) = x^(q+1) + c at one point."""
 
     q: int
     point: tuple[str, str]
@@ -395,46 +395,48 @@ class DerivativeFactsReport:
 def verify_derivative_facts(curve: PlaneCurve, point, n: int) -> DerivativeFactsReport:
     """Check, as truncated-series identities at an affine point:
     a_t Dy = x^q, a_t^3 D^2 y = a_{t-1} x^(2q), and D^i y = 0 for
-    3 <= i <= min(q-1, n-1)."""
-    _check_derivative_facts(curve, n)
-    return _derivative_facts(curve, point, expand_y_at(curve, point, n))
+    3 <= i <= min(q-1, n-1), where a_t and a_{t-1} are the coefficients
+    of y and y^2 in A.  Needs P = x^(q+1), a_t != 0, t >= 2 and n > q+2."""
+    derivative_facts_gate(curve, n)
+    return derivative_facts(curve, point, expand_y_at(curve, point, n))
 
 
-def _check_derivative_facts(curve: PlaneCurve, n: int) -> None:
-    if curve.family not in ("trace-standard", "trace-form"):
-        raise ValueError("derivative facts apply to the trace-shaped families")
+def derivative_facts_gate(curve: PlaneCurve, n: int) -> None:
+    """Raise ValueError unless the derivative facts apply to the curve at precision n."""
+    model = curve.model(1)
+    if model.xpart != {curve.q + 1: 1} or not model.ypart.get(1):
+        raise ValueError("derivative facts need P = x^(q+1) and a_t != 0")
     if curve.t < 2:
         raise ValueError("derivative facts need t >= 2 (the a_{t-1} coefficient)")
     if n <= curve.q + 2:
         raise ValueError(f"precision {n} too small; need n > q+2 = {curve.q + 2}")
 
 
-def _derivative_facts(curve: PlaneCurve, point, ys: TruncatedSeries) -> DerivativeFactsReport:
+def derivative_facts(curve: PlaneCurve, point, ys: TruncatedSeries) -> DerivativeFactsReport:
     """The facts of :func:`verify_derivative_facts`, read off the
     expansion ys of y at the point; its precision is the n checked."""
     t, q, n = curve.t, curve.q, ys.prec
     fld = point.x.field
-    coeffs = curve.y_coeffs()
-    if fld is not curve.field:
-        coeffs = [fld.embed(a) for a in coeffs]
-    a_t, a_t1 = coeffs[-1], coeffs[-2]
+    model = curve.model(1 if fld is curve.field else 2)
+    inv = fld.inv_int(model.ypart[1])  # 1 / a_t; a_{t-1} is the coefficient of y^2
+    d2y_scale = fld.mul_int(model.ypart.get(2, 0), fld.pow_int(inv, 3))
 
     xs = TruncatedSeries.local_parameter_shifted(point.x, n)
 
     dy = ys.hasse_derivative(1)
-    rhs1 = xs.pow2k(t, n - 1).scale(a_t.inv())
+    rhs1 = xs.pow2k(t, n - 1).scale(FieldElement(inv, fld))
     dy_ok = series_equal_mod(dy, rhs1)
 
     d2y = ys.hasse_derivative(2)
-    rhs2 = xs.pow2k(t + 1, n - 2).scale(a_t1 * (a_t.inv() ** 3))
+    rhs2 = xs.pow2k(t + 1, n - 2).scale(FieldElement(d2y_scale, fld))
     d2y_ok = series_equal_mod(d2y, rhs2)
 
     hi = min(q - 1, n - 1)
     middle_ok = ys.derivatives_vanish(3, hi)
 
-    # At the infinite point, Dy = a_t^{-1} x^q and the declared pole order
-    # of x give v(Dy) = -q * q/2 without any series there.
-    dy_val_inf = -q * curve.infinity.x_pole_order
+    # At the infinite point, Dy = a_t^{-1} x^q and the pole order deg A
+    # of x give v(Dy) = -q * deg A without any series there.
+    dy_val_inf = -q * model.pole_orders[0]
     return DerivativeFactsReport(
         q=q,
         point=(point.x.hex(), point.y.hex()),

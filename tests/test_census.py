@@ -35,6 +35,7 @@ from maxcurves.curves import (
     trace_form,
 )
 from maxcurves.fields import make_field
+from maxcurves.orders import dp_orders_at_infinity
 
 
 def random_trace_form(t, rng):
@@ -202,7 +203,7 @@ def test_elimination_matches_a_scan_of_every_y(t):
 )
 def test_census_refuses_a_y_part_that_is_not_additive(terms):
     tc = trace_curve(2)
-    curve = PlaneCurve(tc.field, Poly2(tc.field, terms), "trace-standard", tc.infinity)
+    curve = PlaneCurve(tc.field, Poly2(tc.field, terms), "trace-standard")
     with pytest.raises(ValueError, match="additive"):
         count_rational(curve, 1)
     with pytest.raises(ValueError, match="additive"):
@@ -345,6 +346,24 @@ def test_genus_formulas():
     assert g1(4) == 6 and g2(4) == 2
     assert g2(8) == 12 and 8 * 6 // 4 == 12
     assert g1(32) == 496 and g2(32) == 240
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_model_genus_and_orders_at_infinity_agree_with_the_census(t):
+    # moved copies of the standard curve are maximal, so the census alone
+    # gives the genus: N_1 = q^2 + 1 + 2qg
+    rng = random.Random(90 + t)
+    fld, q = make_field(t), 1 << t
+    scaled = apply_record(trace_curve(t), [
+        CoordinateChange("scale-y", fld.element(rng.randrange(2, fld.order))),
+        CoordinateChange("translate-y", fld.element(rng.randrange(1, fld.order))),
+    ])
+    assert scaled.family == "trace-form"
+    for curve in (scaled, random_moved_trace_curve(t, rng)):
+        n1 = count_rational(curve, 1)
+        assert 2 * q * curve.model(1).genus == n1 - q * q - 1
+        assert census.curve_genus(curve) == g2(q)
+        assert dp_orders_at_infinity(curve).orders == (0, 1, q // 2 + 1, q + 1)
 
 
 def test_genus_bounds_branches():

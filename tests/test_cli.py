@@ -192,6 +192,22 @@ def test_wrong_recurrence_coefficient_fails_full_suite(capsys, monkeypatch):
     assert "expansion at" in payload["error"] and "nonzero residual" in payload["error"]
 
 
+def test_pole_order_off_by_one_fails_full_suite(capsys, monkeypatch):
+    pole_orders = curves.AdditiveModel.pole_orders
+
+    def planted(model):
+        a, b = pole_orders.fget(model)
+        return a + 1, b  # deg A + 1: at q = 8, <5, 9> and genus 16
+
+    monkeypatch.setattr(curves.AdditiveModel, "pole_orders", property(planted))
+    code, payload = run_json(capsys, "full-suite", "--t", "3")
+    assert code == EXIT_CHECK_FAILED
+    assert payload["checks"]["semigroup_genus"] is False
+    # 2 deg A > deg P now: the trace curve's orders at infinity are refused
+    assert payload["checks"]["orders_at_infinity"] is False
+    assert not payload["all_pass"]
+
+
 @pytest.mark.parametrize("m", [4, 8])
 def test_reducible_reduction_polynomial_fails_full_suite(capsys, monkeypatch, m):
     # z^m + 1 = (z + 1)^m in characteristic 2: planted into the moduli table
@@ -232,6 +248,8 @@ def test_config_errors_exit_2(capsys):
         capsys, "expand", "--t", "2", "--point", "0,0", "--precision", "1"
     )
     assert code == EXIT_CONFIG and "precision" in payload["error"]  # x0 + tau needs tau^1
+    code, payload = run_json(capsys, "orders", "--curve", "hermitian", "--t", "3", "--point", "inf")
+    assert code == EXIT_CONFIG and "deg A = 8" in payload["error"]  # 2 deg A > deg P
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == EXIT_CONFIG  # argparse rejects unknown subcommands

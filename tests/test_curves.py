@@ -7,7 +7,9 @@ import pytest
 
 from maxcurves import census
 from maxcurves.curves import (
+    AdditiveModel,
     CoordinateChange,
+    Poly2,
     NormalizationError,
     apply_change,
     apply_record,
@@ -46,9 +48,51 @@ def test_built_in_polynomials():
 
 
 def test_infinity_descriptors():
+    # pole orders of (x, y) at infinity, now derived as (deg A, deg P)
     tc3, h3 = trace_curve(3), hermitian(3)
-    assert (tc3.infinity.x_pole_order, tc3.infinity.y_pole_order) == (4, 9)
-    assert (h3.infinity.x_pole_order, h3.infinity.y_pole_order) == (8, 9)
+    assert tc3.model(1).pole_orders == (4, 9)
+    assert h3.model(1).pole_orders == (8, 9)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+def test_model_facts_at_infinity_match_the_paper(t):
+    # trace curve: pole orders (q/2, q+1), genus g_2 = q(q-2)/4 and
+    # semigroup <q/2, q+1>; Hermitian: (q, q+1), g_1 = q(q-1)/2, <q, q+1>
+    q = 1 << t
+    trace, herm = trace_curve(t).model(1), hermitian(t).model(1)
+    assert trace.pole_orders == (q // 2, q + 1)
+    assert trace.genus == q * (q - 2) // 4 == census.g2(q)
+    assert trace.semigroup().generators == (q // 2, q + 1)
+    assert herm.pole_orders == (q, q + 1)
+    assert herm.genus == q * (q - 1) // 2 == census.g1(q)
+    assert herm.semigroup().generators == (q, q + 1)
+    assert trace.semigroup().genus == trace.genus and herm.semigroup().genus == herm.genus
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+def test_level_2_model_is_the_level_1_model_embedded(t):
+    rng = random.Random(80 + t)
+    moved = apply_record(trace_curve(t), random_record(make_field(t), rng))
+    for curve in (trace_curve(t), hermitian(t), moved):
+        one, two = curve.model(1), curve.model(2)
+        fld = curve.level_field(2)
+
+        def embed(c):
+            return fld.embed(one.field.element(c)).bits
+
+        xpart = {e: embed(c) for e, c in one.xpart.items()}
+        ypart = {e: embed(c) for e, c in one.ypart.items()}
+        assert two.field is fld and one.field is curve.field
+        assert two == AdditiveModel(fld, xpart, ypart, embed(one.const))
+        assert two.pole_orders == one.pole_orders
+        assert curve.model(2) is two  # parsed once per curve
+
+
+def test_model_refuses_non_coprime_degrees():
+    fld = make_field(2)
+    model = AdditiveModel.parse(Poly2(fld, {(6, 0): 1, (0, 2): 1, (0, 1): 1}))
+    with pytest.raises(ValueError, match="not coprime"):
+        model.pole_orders
 
 
 def test_unsupported_t():
@@ -62,15 +106,10 @@ def test_evaluate_and_partials():
     tc2 = trace_curve(2)
     zero = tc2.field.zero
     assert not tc2.evaluate(zero, zero)  # the origin is on the curve
-    py = tc2.poly.partial_y()
-    assert py.is_constant() and py.coefficient(0, 0) == tc2.field.one
-    px = tc2.poly.partial_x()
-    assert px.terms == {(4, 0): 1}  # 5x^4 = x^4 in characteristic 2
+    # dF/dy of an additive model is the constant coefficient of y
     for t in range(1, 6):
-        py = trace_curve(t).poly.partial_y()
-        assert py.is_constant() and py.coefficient(0, 0).bits == 1
-        py = hermitian(t).poly.partial_y()
-        assert py.is_constant() and py.coefficient(0, 0).bits == 1
+        assert trace_curve(t).model(1).ypart[1] == 1
+        assert hermitian(t).model(1).ypart[1] == 1
 
 
 def test_evaluate_level_mismatch():

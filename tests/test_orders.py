@@ -309,6 +309,12 @@ def test_frobenius_orders(t, expected):
     assert all(e["frobenius_residual_zero"] for e in evidence)
 
 
+def test_frobenius_orders_refuses_the_hermitian_curve():
+    # deg A = q, not q/2: the Hermitian curve has genus g_1, not g_2
+    with pytest.raises(ValueError, match="deg A = q/2"):
+        frobenius_orders(hermitian(3), 5, random.Random(0))
+
+
 def test_sv_ramification_degree():
     assert sv_ramification_degree(list(range(9)), g=2, n=8, d=10) == 36 * 2 + 90
     assert sv_ramification_degree([0, 1], g=0, n=1, d=7) == -2 + 2 * 7

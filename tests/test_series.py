@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from maxcurves import series
-from maxcurves.census import AffinePoint, _additive_parts, enumerate_points, sample_points
+from maxcurves.census import AffinePoint, enumerate_points, sample_points
 from maxcurves.curves import (
     CoordinateChange,
     PlaneCurve,
@@ -197,7 +197,7 @@ def test_one_pass_middle_test_matches_the_derivative_loop_at_curve_points(t):
             expected = middle_oracle(ys, 3, q - 1)
             assert ys.derivatives_vanish(3, q - 1) == expected
             if t >= 2 and curve.family == "trace-standard":
-                assert series._derivative_facts(curve, p, ys).middle_vanish == expected
+                assert series.derivative_facts(curve, p, ys).middle_vanish == expected
 
 
 @pytest.mark.parametrize("t", [2, 3, 4])
@@ -206,12 +206,12 @@ def test_planted_coefficient_with_a_middle_submask_flips_middle_vanish(t):
     q, n = curve.q, 2 * curve.q + 8
     p = sample_points(curve, 1, 1, random.Random(t))[0]
     ys = expand_y_at(curve, p, n)
-    assert series._derivative_facts(curve, p, ys).middle_vanish
+    assert series.derivative_facts(curve, p, ys).middle_vanish
     flips = set()
     for e, c in enumerate(ys.coeffs):
         # a nonzero coefficient at e, other than the expansion's own
         planted = TruncatedSeries(ys.field, ys.coeffs[:e] + ((c ^ 1) or 2,) + ys.coeffs[e + 1 :])
-        facts = series._derivative_facts(curve, p, planted)
+        facts = series.derivative_facts(curve, p, planted)
         has_middle_submask = any(3 <= s <= q - 1 for s in submasks(e))
         assert facts.middle_vanish is (not has_middle_submask) is middle_oracle(planted, 3, q - 1), e
         if has_middle_submask:
@@ -277,7 +277,7 @@ def test_expand_rejects_bad_points():
 def test_expand_refuses_models_outside_the_additive_form(terms):
     # every model passes through the origin; only its shape is refused
     tc = trace_curve(2)
-    curve = PlaneCurve(tc.field, Poly2(tc.field, terms), "trace-standard", tc.infinity)
+    curve = PlaneCurve(tc.field, Poly2(tc.field, terms), "trace-standard")
     origin = AffinePoint(tc.field.zero, tc.field.zero, 1)
     with pytest.raises(ValueError):
         expand_y_at(curve, origin, 12)
@@ -288,7 +288,7 @@ def newton_reference(curve, point, n):
     on plain coefficient lists, ceil(log2 n) rounds from y = y0."""
     fld = point.x.field
     poly = curve.poly_at_level(1 if fld is curve.field else 2)
-    cinv = fld.inv_int(poly.partial_y().coefficient(0, 0).bits)
+    cinv = fld.inv_int(poly.coefficient(0, 1).bits)  # F_y, constant on an additive model
 
     def mul(a, b):
         out = [0] * n
@@ -418,8 +418,8 @@ def random_trace_form_curve(t, rng):
             CoordinateChange("translate-y", fld.element(rng.randrange(1, fld.order))),
         ]
         curve = apply_record(trace_curve(t), record)
-        _, ypart, const = _additive_parts(curve, 1)
-        if const and any(a != 1 for a in ypart.values()):
+        model = curve.model(1)
+        if model.const and any(a != 1 for a in model.ypart.values()):
             assert curve.family == "trace-form"
             return curve
 
@@ -447,7 +447,8 @@ def test_additive_residual_equals_the_term_by_term_reference():
     for curve, p in residual_cases():
         n = 2 * curve.q + 8
         level = 1 if p.x.field is curve.field else 2
-        parts = _additive_parts(curve, level)
+        model = curve.model(level)
+        parts = (model.xpart, model.ypart, model.const)
         poly = curve.poly_at_level(level)
         xs = TruncatedSeries.local_parameter_shifted(p.x, n)
         ys = expand_y_at(curve, p, n)
@@ -539,5 +540,21 @@ def test_derivative_facts_preconditions():
         verify_derivative_facts(tc1, origin1, 16)  # t = 1 has no a_{t-1}
     with pytest.raises(ValueError):
         verify_derivative_facts(tc2, origin2, 6)  # need n > q + 2
-    with pytest.raises(ValueError):
-        verify_derivative_facts(hermitian(2), origin2, 16)
+    extended = random_extended_curve(2, random.Random(11))
+    with pytest.raises(ValueError, match="P = x"):  # x-linear terms in P
+        verify_derivative_facts(extended, enumerate_points(extended, 1)[0], 16)
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_derivative_facts_hold_on_the_hermitian_curve(t):
+    # y^q + y = x^(q+1): a_t = 1 and a_{t-1} = 0, so Dy = x^q and D^2 y = 0
+    curve = hermitian(t)
+    q, n = curve.q, 2 * curve.q + 8
+    points = enumerate_points(curve, 1)[:-1]
+    # N_2 = q^3 + 1 = N_1: every level-2 point is rational, met in GF(q^4)
+    points += sample_points(curve, 2, 5, random.Random(60 + t))
+    for p in points:
+        report = verify_derivative_facts(curve, p, n)
+        assert report.ok(), p
+        assert report.dy_valuation_at_infinity == -q * q  # x has a pole of order q
+    assert len(points) == q ** 3 + 5
