@@ -21,8 +21,16 @@ GF(2^(m/2)), instead of 2^m-entry tables: two lookups per operand change
 basis, three K products in Karatsuba form and three lookups change back,
 all from tables of about 2^(m/2) entries.  A tower inverse is
 (a + b + b w) / N with the norm N = a^2 + ab + nu b^2 in K, so it takes
-one tabled K inverse.  The shift-and-reduce product builds the tables
-and the tower and is not used after.
+one tabled K inverse.
+
+The tables are one run 1, g, g^2, ... of the least primitive element g,
+found by its order: g^((2^m - 1)/r) != 1 for every prime r dividing
+2^m - 1.  Multiplication by g is GF(2)-linear, so each step of the run is
+two lookups in tables of 2^(m/2) entries spanned from m products, and
+the run certifies itself by returning to 1 first at g^(2^m - 1).  The
+shift-and-reduce product makes those m products, the generator test, the
+tower and the embedding, and is not used after.  The shipped moduli are
+certified irreducible by Rabin's test on every field creation.
 
 Row kernels work on whole coefficient lists: the truncated product of
 two lists (:meth:`BinaryField.convolve`), a scalar times a list, the
@@ -73,22 +81,48 @@ def poly_degree(mask: int) -> int:
 
 def poly_mod(a: int, b: int) -> int:
     """Remainder of carry-less division of a by b over GF(2)."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
     db = poly_degree(b)
     while a and poly_degree(a) >= db:
         a ^= b << (poly_degree(a) - db)
     return a
 
 
+def _poly_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, poly_mod(a, b)
+    return a
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def is_irreducible(mask: int) -> bool:
-    """Brute-force irreducibility over GF(2): trial division up to degree m/2."""
+    """Rabin's test over GF(2): f of degree m >= 1 is irreducible iff
+    x^(2^m) = x mod f and gcd(x^(2^(m/r)) - x, f) = 1 for every prime r | m."""
     m = poly_degree(mask)
     if m <= 0:
         return False
-    for d in range(1, m // 2 + 1):
-        for cand in range(1 << d, 1 << (d + 1)):
-            if poly_mod(mask, cand) == 0:
-                return False
-    return True
+    x = poly_mod(0b10, mask)
+    frob = [x]  # x^(2^k) mod f for k = 0..m; squaring spreads the bits apart
+    for _ in range(m):
+        frob.append(poly_mod(int("0".join(format(frob[-1], "b")), 2), mask))
+    return frob[m] == x and all(
+        _poly_gcd(mask, frob[m // r] ^ x) == 1 for r in _prime_factors(m)
+    )
 
 
 class BinaryField:
@@ -135,30 +169,49 @@ class BinaryField:
                 a ^= self.modulus
         return r
 
+    def _pow_raw(self, a: int, e: int) -> int:
+        r = 1
+        while e:
+            if e & 1:
+                r = self._mul_raw(r, a)
+            a = self._mul_raw(a, a)
+            e >>= 1
+        return r
+
+    def _generator(self) -> int:
+        """The least multiplicative generator: the least mask g with
+        g^((2^m - 1)/r) != 1 for every prime r dividing 2^m - 1.  The
+        reduction polynomial need not be primitive, and z is not one at
+        m = 8, 12 and 16."""
+        period = self.order - 1
+        cofactors = [period // r for r in _prime_factors(period)]
+        for g in range(2, self.order):
+            if all(self._pow_raw(g, e) != 1 for e in cofactors):
+                return g
+        raise CheckFailed(f"no multiplicative generator of {self!r}")
+
     def _build_tables(self) -> None:
-        # the reduction polynomial need not be primitive, so search for a
-        # multiplicative generator in ascending mask order (z itself works
-        # for most shipped moduli)
+        # multiplication by g is GF(2)-linear: v g = lo[low bits] ^ hi[high bits]
+        g = self._generator()
+        h = self.m // 2
+        low = (1 << h) - 1
+        lo = _span_table([self._mul_raw(1 << j, g) for j in range(h)])
+        hi = _span_table([self._mul_raw(1 << j, g) for j in range(h, self.m)])
         order = self.order
-        for g in range(2, order):
-            exp = [0] * (2 * order)
-            log = [0] * order
-            v = 1
-            ok = True
-            for i in range(order - 1):
-                if v == 1 and i > 0:
-                    ok = False
-                    break
-                exp[i] = v
-                log[v] = i
-                v = self._mul_raw(v, g)
-            if ok:
-                for i in range(order - 1, 2 * order):
-                    exp[i] = exp[i - (order - 1)]
-                self._exp = exp
-                self._log = log
-                return
-        raise CheckFailed(f"no multiplicative generator of {self!r}")  # unreachable
+        period = order - 1
+        exp = [0] * (2 * order)
+        log = [0] * order
+        v = 1
+        for i in range(period):
+            exp[i] = exp[i + period] = v
+            log[v] = i
+            v = lo[v & low] ^ hi[v >> h]
+        # the run must close at g^(2^m - 1) and pass 1 only at its start
+        if v != 1 or log[1]:
+            raise CheckFailed(f"{g:#x} does not generate the multiplicative group of {self!r}")
+        exp[2 * period :] = exp[:2]  # 2 order = 2 period + 2 entries
+        self._exp = exp
+        self._log = log
 
     def _build_tower(self) -> tuple:
         """Tables for GF(2^m) = K[w]/(w^2 + w + nu), K = GF(2^h), h = m/2.
@@ -532,28 +585,6 @@ class FieldElement:
         if acc not in (0, 1):
             raise CheckFailed(f"absolute trace of {self!r} escaped GF(2)")
         return acc
-
-    def trace_to(self, sub_degree: int) -> FieldElement:
-        """Relative trace onto GF(2^sub_degree)."""
-        if self.field.m % sub_degree != 0:
-            raise ValueError(f"{sub_degree} does not divide m={self.field.m}")
-        acc = 0
-        a = self.bits
-        for _ in range(self.field.m // sub_degree):
-            acc ^= a
-            a = self.field.frob_int(a, sub_degree)
-        return FieldElement(acc, self.field)
-
-    def norm_to(self, sub_degree: int) -> FieldElement:
-        """Relative norm onto GF(2^sub_degree)."""
-        if self.field.m % sub_degree != 0:
-            raise ValueError(f"{sub_degree} does not divide m={self.field.m}")
-        acc = 1
-        a = self.bits
-        for _ in range(self.field.m // sub_degree):
-            acc = self.field.mul_int(acc, a)
-            a = self.field.frob_int(a, sub_degree)
-        return FieldElement(acc, self.field)
 
 
 def _eval_poly_mask(field: BinaryField, poly_mask: int, x: int) -> int:

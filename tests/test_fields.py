@@ -11,6 +11,7 @@ import pytest
 from maxcurves import fields
 from maxcurves.fields import (
     BinaryField,
+    CheckFailed,
     is_irreducible,
     linearized_solve,
     make_field,
@@ -44,6 +45,113 @@ def test_gf256_modulus_same_irreducibility_oracle():
     assert p.bit_length() == 9
     for d in range(1, 5):
         assert all(poly_mod(p, cand) != 0 for cand in range(1 << d, 1 << (d + 1)))
+
+
+def trial_division_irreducible(mask: int) -> bool:
+    """The reference for Rabin's test: no factor of degree 1 to m/2."""
+    m = mask.bit_length() - 1
+    if m <= 0:
+        return False
+    for d in range(1, m // 2 + 1):
+        for cand in range(1 << d, 1 << (d + 1)):
+            if poly_mod(mask, cand) == 0:
+                return False
+    return True
+
+
+def clmul(a: int, b: int) -> int:
+    """Carry-less product of two GF(2)[z] polynomials, unreduced."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    return r
+
+
+def test_poly_mod_by_zero_raises():
+    for a in (0, 1, 5):
+        with pytest.raises(ZeroDivisionError):
+            poly_mod(a, 0)
+
+
+def test_rabin_agrees_with_trial_division_up_to_degree_12():
+    for mask in range(1 << 13):
+        assert is_irreducible(mask) == trial_division_irreducible(mask), bin(mask)
+
+
+@pytest.mark.parametrize("m", [16, 20])
+def test_rabin_agrees_with_trial_division_at_random_degree_16_and_20(m):
+    rng = random.Random(m)
+    masks = [1 << m | rng.randrange(1 << m) for _ in range(60)]
+    masks += [1 << m | rng.randrange(1 << m) | 1 for _ in range(60)]  # no factor z
+    verdicts = [is_irreducible(p) for p in masks]
+    assert verdicts == [trial_division_irreducible(p) for p in masks]
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_rabin_accepts_every_shipped_modulus():
+    for m, modulus in fields._MODULI.items():
+        assert modulus.bit_length() - 1 == m
+        assert is_irreducible(modulus) and trial_division_irreducible(modulus)
+
+
+@pytest.mark.parametrize("m", [16, 20])
+def test_rabin_refuses_products_of_two_irreducibles_of_degree_m_over_2(m, monkeypatch):
+    # f = g1 g2 divides z^(2^m) - z, since deg g1 = deg g2 divides m: only the
+    # gcd with z^(2^(m/2)) - z refuses it, so dropping the gcd step (no
+    # prime divisors of m) accepts every such product
+    half = [p for p in range(1 << m // 2, 1 << (m // 2 + 1)) if trial_division_irreducible(p)]
+    products = [clmul(a, b) for a, b in zip(half[:6], half[1:7])]
+    assert not any(is_irreducible(p) for p in products)
+    monkeypatch.setattr(fields, "_prime_factors", lambda n: [])
+    assert all(is_irreducible(p) for p in products)
+
+
+def reference_tables(fld: BinaryField) -> tuple[int, list[int], list[int]]:
+    """The ascending search that once built the tables: the first g whose
+    shift-and-reduce run 1, g, g^2, ... meets 1 again only after 2^m - 1 steps."""
+    order = fld.order
+    for g in range(2, order):
+        exp = [0] * (2 * order)
+        log = [0] * order
+        v = 1
+        for i in range(order - 1):
+            if v == 1 and i > 0:
+                break
+            exp[i] = v
+            log[v] = i
+            v = fld._mul_raw(v, g)
+        else:
+            for i in range(order - 1, 2 * order):
+                exp[i] = exp[i - (order - 1)]
+            return g, log, exp
+    raise AssertionError("no generator")
+
+
+TABLED_FIELDS = sorted(
+    {f.m: f for t in range(1, 6) for f in (make_field(t), make_field(t, "quartic")) if f.m <= 16}.values(),
+    key=lambda f: f.m,
+)
+
+
+@pytest.mark.parametrize("fld", TABLED_FIELDS, ids=lambda f: f"m={f.m}")
+def test_tables_equal_the_ascending_shift_and_reduce_search(fld):
+    g, log, exp = reference_tables(fld)
+    assert fld._tables() == (log, exp)
+    assert fld._exp[1] == g == (3 if fld.m in (8, 12, 16) else 2)
+
+
+def test_a_generator_test_missing_a_prime_fails_the_table_build(monkeypatch):
+    # z has order 51 = 255 / 5 at m = 8: an order test without r = 5 accepts
+    # it, and its run meets 1 again at z^51, which the build must refuse
+    real = fields._prime_factors
+    monkeypatch.setattr(fields, "_prime_factors", lambda n: [r for r in real(n) if r != 5])
+    fld = BinaryField(2, "quartic", 8, GF256.modulus)
+    with pytest.raises(CheckFailed, match="does not generate"):
+        fld.mul_int(3, 5)
+    assert fld._log is None and fld._exp is None
 
 
 @pytest.mark.parametrize("t,level,m", [(1, "base-square", 2), (2, "base-square", 4),
@@ -296,23 +404,17 @@ def test_embedding_is_field_homomorphism():
 
 
 def test_trace_and_norm_land_in_subfield():
+    # the relative trace and norm onto GF(2^d): the sum of the conjugates
+    # a^(2^(dk)), and their product as the one power a^((2^m - 1)/(2^d - 1))
     rng = random.Random(7)
     for fld, d in ((GF16, 2), (GF256, 4), (GF64, 3)):
         for _ in range(50):
             a = fld.element(rng.randrange(fld.order))
-            assert a.trace_to(d).in_subfield(d)
-            assert a.norm_to(d).in_subfield(d)
+            trace = functools.reduce(operator.add, (a.frobenius(d * k) for k in range(fld.m // d)))
+            assert trace.in_subfield(d)
+            assert (a ** ((fld.order - 1) // ((1 << d) - 1))).in_subfield(d)
             assert a.absolute_trace() in (0, 1)
-
-
-def test_trace_additive_norm_multiplicative():
-    rng = random.Random(8)
-    for _ in range(100):
-        a = GF256.element(rng.randrange(256))
-        b = GF256.element(rng.randrange(256))
-        assert (a + b).trace_to(4) == a.trace_to(4) + b.trace_to(4)
-        assert (a * b).norm_to(4) == a.norm_to(4) * b.norm_to(4)
-        assert a.square() == a * a
+            assert a.square() == a * a
 
 
 def test_element_immutability_and_range():
