@@ -417,6 +417,23 @@ def test_trace_and_norm_land_in_subfield():
             assert a.square() == a * a
 
 
+def test_trace_additive_norm_multiplicative():
+    # relative trace and norm GF(256) -> GF(16), from their definitions
+    def trace(a):
+        return a + a.frobenius(4)
+
+    def norm(a):
+        return a ** 17
+
+    rng = random.Random(8)
+    for _ in range(100):
+        a = GF256.element(rng.randrange(256))
+        b = GF256.element(rng.randrange(256))
+        assert trace(a + b) == trace(a) + trace(b)
+        assert norm(a * b) == norm(a) * norm(b)
+        assert a.square() == a * a
+
+
 def test_element_immutability_and_range():
     a = GF16.element(3)
     with pytest.raises(AttributeError):
