@@ -16,7 +16,6 @@ from .census import (
     InfinitePoint,
     count_rational,
     enumerate_points,
-    frobenius_point,
     g1,
     g2,
     genus_bounds,

@@ -1,7 +1,7 @@
 """Exact point enumeration over GF(q^2) and GF(q^4), and maximality checks.
 
-Every built-in model reads A(y) = P(x) + c with A additive (its
-:class:`curves.AdditiveModel`), so A is GF(2)-linear and each fibre of A
+Every curve is held as its additive model A(y) = P(x) + c
+(:class:`curves.AdditiveModel`), so A is GF(2)-linear and each fibre of A
 is empty or a coset of ker A.  One Gaussian elimination on the images
 A(1 << j) (:func:`fields.reduce_gf2`) gives ker A, a reduced basis of
 im A and a linear section of it.  The values P(x) + c at every x come
@@ -9,16 +9,16 @@ from one row kernel (:meth:`fields.BinaryField.values`), and a byte
 table over the masks, set on the 2^rank images spanned from the basis,
 says which of them lie in im A.  Counting adds 2^(dim ker A) for each x
 that passes; enumeration lists the coset over each such x, in ascending
-(x, y) order.  A y-part that is not additive raises ``ValueError``.
-Enumeration costs little more than its coordinates: each call keeps a
-dict from y mask to :class:`FieldElement`, so a y shared by many points
-is one object (no table over the whole field is built: at level 2 most
-masks are never a y), and :class:`AffinePoint` is a slotted frozen
-dataclass whose enumerated instances get their slots filled directly,
-without the generated ``__init__`` and its ``object.__setattr__`` per
-field.  Every level-1 point is GF(q^2)-rational without a Frobenius test.
-As deg A and deg P are coprime, one point lies over x = infinity, and it
-is rational: each census adds it, never finding it by a blow-up.
+(x, y) order.  Enumeration costs little more than its coordinates: each
+call keeps a dict from y mask to :class:`FieldElement`, so a y shared by
+many points is one object (no table over the whole field is built: at
+level 2 most masks are never a y), and :class:`AffinePoint` is a
+slotted frozen dataclass whose enumerated instances get their slots
+filled directly, without the generated ``__init__`` and its
+``object.__setattr__`` per field.  Every level-1 point is
+GF(q^2)-rational without a Frobenius test.  As deg A and deg P are
+coprime, one point lies over x = infinity, and it is rational: each
+census adds it, never finding it by a blow-up.
 
 Censuses cover fields of at most 2^16 elements: every level-1 field,
 and level 2 for q <= 16.  Larger fields are refused with
@@ -143,14 +143,6 @@ def count_rational(curve: PlaneCurve, level: int = 1) -> int:
     P(x) + c lies in im A, plus the point at infinity."""
     _, rhs, in_image, a_map = _census_setup(curve, level)
     return sum(map(in_image.__getitem__, rhs)) * len(a_map.kernel) + 1
-
-
-def frobenius_point(curve: PlaneCurve, point: CurvePoint) -> CurvePoint:
-    """The GF(q^2)-Frobenius image (x, y) -> (x^(q^2), y^(q^2))."""
-    if isinstance(point, InfinitePoint):
-        return point
-    k = 2 * curve.t
-    return AffinePoint(point.x.frobenius(k), point.y.frobenius(k), point.level)
 
 
 def is_rational(curve: PlaneCurve, point: CurvePoint) -> bool:

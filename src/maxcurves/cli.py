@@ -286,7 +286,7 @@ def run(config: RunConfig) -> tuple[dict, int]:
         payload, ok = _COMMANDS[config.command](config)
     except (curves.NormalizationError, ArithmeticError) as exc:
         return {"error": str(exc)}, EXIT_CHECK_FAILED
-    except (ValueError, census.CensusLimitError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, census.CensusLimitError, OSError, json.JSONDecodeError) as exc:
         return {"error": str(exc)}, EXIT_CONFIG
     payload["schema"] = 1
     return payload, EXIT_OK if ok else EXIT_CHECK_FAILED

@@ -7,14 +7,18 @@ Four families are supported:
     trace-form           x^(q+1) + sum a_i y^(q/2^i) + b
     trace-form-extended  x^(q+1) + sum a_i y^(q/2^i) + sum b_i x^(q/2^i) + b_0
 
-Polynomials are sparse (exponent pair -> coefficient); the models have
-O(t) terms.  Defining polynomials are kept canonical: the coefficient of
-the graded-lex leading monomial x^(q+1) is 1.  Each reads A(y) = P(x) + c
-with A additive: the :class:`AdditiveModel` that census, series and
-orders read.  With a = deg A and b = deg P coprime, x and y have pole
-orders a and b at the one point over x = infinity, its semigroup is
-<a, b> and the genus is (a-1)(b-1)/2 (Stichtenoth, *Algebraic Function
-Fields and Codes*, ch. 6).
+Each reads A(y) = P(x) + c with A additive, and a curve is held as that
+one :class:`AdditiveModel`: the parts A = {2^k: a} and P = {i: b} and
+the constant c, O(t) coefficients in all.  Census, series and orders
+read it; at level 2 it is the same model embedded in GF(q^4).  The model
+is kept canonical: the coefficient of the graded-lex leading monomial
+x^(q+1) is 1.  Coordinate changes act on the parts.  A trace form or a
+JSON document is scaled, classified and then split into them, so a term
+outside the families (a mixed term, or a y-power that is not a power of
+2) is refused when the curve is built.  With a = deg A and b = deg P
+coprime, x and y have pole orders a and b at the one point over
+x = infinity, its semigroup is <a, b> and the genus is (a-1)(b-1)/2
+(Stichtenoth, *Algebraic Function Fields and Codes*, ch. 6).
 
 ``normalize`` reduces a trace-form or extended curve to the standard
 curve through an explicit sequence of invertible coordinate changes
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .fields import BinaryField, CheckFailed, FieldElement, linearized_solve, make_field
 from .semigroups import NumericalSemigroup
@@ -40,82 +44,6 @@ class NormalizationError(ValueError):
     """Input curve is not in the standard curve's isomorphism class."""
 
 
-def _submasks(j: int) -> Iterable[int]:
-    """All k with binom(j, k) odd, i.e. the bitwise submasks of j (Lucas)."""
-    k = j
-    while True:
-        yield k
-        if k == 0:
-            return
-        k = (k - 1) & j
-
-
-class Poly2:
-    """Sparse bivariate polynomial over a fixed binary field."""
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field: BinaryField, terms: dict[tuple[int, int], int]) -> None:
-        self.field = field
-        self.terms = {e: c for e, c in terms.items() if c}
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Poly2)
-            and other.field is self.field
-            and other.terms == self.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.field), tuple(sorted(self.terms.items()))))
-
-    def __repr__(self) -> str:
-        parts = []
-        for (i, j), c in sorted(self.terms.items()):
-            mono = "".join(
-                (f"x^{i}" if i > 1 else "x" * i, f"y^{j}" if j > 1 else "y" * j)
-            )
-            parts.append(f"{self.field.to_hex(c)}*{mono}" if mono else self.field.to_hex(c))
-        return " + ".join(parts) or "0"
-
-    def coefficient(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.terms.get((i, j), 0), self.field)
-
-    def evaluate(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        if x.field is not self.field or y.field is not self.field:
-            raise ValueError("evaluation point lives in a different field")
-        fld = self.field
-        xpow: dict[int, int] = {}
-        ypow: dict[int, int] = {}
-        acc = 0
-        for (i, j), c in self.terms.items():
-            if i not in xpow:
-                xpow[i] = fld.pow_int(x.bits, i)
-            if j not in ypow:
-                ypow[j] = fld.pow_int(y.bits, j)
-            acc ^= fld.mul_int(c, fld.mul_int(xpow[i], ypow[j]))
-        return FieldElement(acc, fld)
-
-    def embed_into(self, target: BinaryField) -> Poly2:
-        return Poly2(
-            target,
-            {e: target.embed(FieldElement(c, self.field)).bits for e, c in self.terms.items()},
-        )
-
-    def leading_monomial(self) -> tuple[int, int]:
-        return max(self.terms, key=lambda e: (e[0] + e[1], e))
-
-    def canonical(self) -> Poly2:
-        """Scale so the graded-lex leading coefficient equals 1."""
-        if not self.terms:
-            return self
-        lead = self.terms[self.leading_monomial()]
-        if lead == 1:
-            return self
-        inv = self.field.inv_int(lead)
-        return Poly2(self.field, {e: self.field.mul_int(c, inv) for e, c in self.terms.items()})
-
-
 @dataclass(frozen=True)
 class AdditiveModel:
     """A(y) = P(x) + c at one tower level: ypart = {2^k: a} is A,
@@ -126,17 +54,25 @@ class AdditiveModel:
     ypart: dict[int, int]
     const: int
 
-    @classmethod
-    def parse(cls, poly: Poly2) -> AdditiveModel:
-        """Raises ValueError for a mixed term or a y exponent that is not a power of 2."""
-        terms = poly.terms
-        if any((i and j) or j & (j - 1) for i, j in terms):
-            raise ValueError(
-                "mixed or non-2-power y term; the model must read A(y) = P(x) + c, A additive"
-            )
-        xpart = {i: c for (i, j), c in terms.items() if i}
-        ypart = {j: c for (i, j), c in terms.items() if j}
-        return cls(poly.field, xpart, ypart, terms.get((0, 0), 0))
+    def terms(self) -> dict[tuple[int, int], int]:
+        """The polynomial A(y) + P(x) + c as {(i, j): coefficient of x^i y^j},
+        in ascending exponent order."""
+        terms = {(i, 0): c for i, c in self.xpart.items()}
+        terms.update({(0, j): c for j, c in self.ypart.items()})
+        if self.const:
+            terms[(0, 0)] = self.const
+        return dict(sorted(terms.items()))
+
+    def embed_into(self, target: BinaryField) -> AdditiveModel:
+        def embed(c: int) -> int:
+            return target.embed(FieldElement(c, self.field)).bits
+
+        return AdditiveModel(
+            target,
+            {i: embed(c) for i, c in self.xpart.items()},
+            {j: embed(c) for j, c in self.ypart.items()},
+            embed(self.const),
+        )
 
     @property
     def pole_orders(self) -> tuple[int, int]:
@@ -194,34 +130,39 @@ IsomorphismRecord = list[CoordinateChange]
 
 
 class PlaneCurve:
-    """A plane model from one of the built-in families."""
+    """A plane model from one of the built-in families, held as its
+    additive model over GF(q^2)."""
 
-    __slots__ = ("field", "t", "q", "poly", "family", "_quartic_poly", "_models")
+    __slots__ = ("field", "t", "q", "family", "_models")
 
-    def __init__(self, field: BinaryField, poly: Poly2, family: str):
+    def __init__(self, model: AdditiveModel, family: str):
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-        self.field = field
-        self.t = field.t
-        self.q = field.q
-        self.poly = poly.canonical()
+        self.field = model.field
+        self.t = self.field.t
+        self.q = self.field.q
         self.family = family
-        self._quartic_poly: Poly2 | None = None
-        self._models: dict[int, AdditiveModel] = {}
+        self._models = {1: model}
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, PlaneCurve)
             and other.field is self.field
             and other.family == self.family
-            and other.poly == self.poly
+            and other.model(1) == self.model(1)
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.field), self.family, self.poly))
+        return hash((id(self.field), self.family, tuple(self.model(1).terms().items())))
 
     def __repr__(self) -> str:
-        return f"PlaneCurve(q={self.q}, family={self.family!r}, {self.poly!r})"
+        parts = []
+        for (i, j), c in self.model(1).terms().items():
+            mono = "".join(
+                (f"x^{i}" if i > 1 else "x" * i, f"y^{j}" if j > 1 else "y" * j)
+            )
+            parts.append(f"{self.field.to_hex(c)}*{mono}" if mono else self.field.to_hex(c))
+        return f"PlaneCurve(q={self.q}, family={self.family!r}, {' + '.join(parts)})"
 
     def level_field(self, level: int) -> BinaryField:
         if level == 1:
@@ -230,54 +171,48 @@ class PlaneCurve:
             return make_field(self.t, "quartic")
         raise ValueError(f"level must be 1 or 2, got {level}")
 
-    def poly_at_level(self, level: int) -> Poly2:
-        if level == 1:
-            return self.poly
-        if self._quartic_poly is None:
-            self._quartic_poly = self.poly.embed_into(self.level_field(2))
-        return self._quartic_poly
-
     def model(self, level: int) -> AdditiveModel:
-        """The additive model at a tower level, parsed once per curve."""
+        """The additive model at a tower level; level 2 is the level-1
+        model embedded, once per curve."""
         model = self._models.get(level)
         if model is None:
-            model = self._models[level] = AdditiveModel.parse(self.poly_at_level(level))
+            model = self._models[level] = self._models[1].embed_into(self.level_field(level))
         return model
 
     def evaluate(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        """F(x, y) for a point at either tower level."""
+        """A(y) + P(x) + c for a point at either tower level."""
         if x.field is not y.field:
             raise ValueError("x and y live in different fields")
         if x.field is self.field:
-            return self.poly.evaluate(x, y)
-        if x.field is make_field(self.t, "quartic"):
-            return self.poly_at_level(2).evaluate(x, y)
-        raise ValueError("point field matches neither tower level of the curve")
-
-    # -- coefficient views for the trace-shaped families ----------------------
-
-    def y_coeffs(self) -> list[FieldElement]:
-        """a_1..a_t, the coefficients of y^(q/2^i)."""
-        return [self.poly.coefficient(0, self.q >> i) for i in range(1, self.t + 1)]
-
-    def x_linear_coeffs(self) -> list[FieldElement]:
-        """b_1..b_t, the coefficients of x^(q/2^i)."""
-        return [self.poly.coefficient(self.q >> i, 0) for i in range(1, self.t + 1)]
-
-    def constant_coeff(self) -> FieldElement:
-        return self.poly.coefficient(0, 0)
+            model = self.model(1)
+        elif x.field is self.level_field(2):
+            model = self.model(2)
+        else:
+            raise ValueError("point field matches neither tower level of the curve")
+        fld = model.field
+        return FieldElement(
+            model.const ^ _part_at(fld, model.xpart, x.bits) ^ _part_at(fld, model.ypart, y.bits),
+            fld,
+        )
 
     def to_json(self) -> dict:
         return {
             "q": self.q,
             "family": self.family,
-            "terms": [[i, j, self.field.to_hex(c)] for (i, j), c in sorted(self.poly.terms.items())],
+            "terms": [[i, j, self.field.to_hex(c)] for (i, j), c in self.model(1).terms().items()],
         }
 
 
-def _classify(field: BinaryField, poly: Poly2) -> str:
+def _part_at(field: BinaryField, part: dict[int, int], v: int) -> int:
+    """sum of c v^e over part = {e: c}."""
+    acc = 0
+    for e, c in part.items():
+        acc ^= field.mul_int(c, field.pow_int(v, e))
+    return acc
+
+
+def _classify(field: BinaryField, terms: dict[tuple[int, int], int]) -> str:
     q, t = field.q, field.t
-    terms = poly.terms
     if terms.get((q + 1, 0)) != 1:
         raise ValueError("defining polynomial lacks a monic x^(q+1) term")
     hermitian_terms = {(q + 1, 0): 1, (0, q): 1, (0, 1): 1}
@@ -304,27 +239,36 @@ def _classify(field: BinaryField, poly: Poly2) -> str:
     return "trace-form-extended" if has_x_linear else "trace-form"
 
 
-def _curve_from_poly(field: BinaryField, poly: Poly2) -> PlaneCurve:
-    poly = poly.canonical()
-    return PlaneCurve(field, poly, _classify(field, poly))
+def _curve_from_terms(field: BinaryField, terms: dict[tuple[int, int], int]) -> PlaneCurve:
+    """The curve of sum c x^i y^j over terms = {(i, j): c}, scaled so the
+    coefficient of its graded-lex leading monomial is 1, classified, and
+    split into the parts of its additive model (classification refuses
+    every term that is not x^i, y^(2^k) or 1)."""
+    terms = {e: c for e, c in terms.items() if c}
+    if terms:
+        lead = terms[max(terms, key=lambda e: (e[0] + e[1], e))]
+        if lead != 1:
+            inv = field.inv_int(lead)
+            terms = {e: field.mul_int(c, inv) for e, c in terms.items()}
+    family = _classify(field, terms)
+    xpart = {i: c for (i, j), c in terms.items() if i}
+    ypart = {j: c for (i, j), c in terms.items() if j}
+    return PlaneCurve(AdditiveModel(field, xpart, ypart, terms.get((0, 0), 0)), family)
 
 
 def hermitian(t: int) -> PlaneCurve:
     """The Hermitian curve y^q + y = x^(q+1) over GF(q^2), q = 2^t."""
     field = make_field(t)
     q = field.q
-    poly = Poly2(field, {(q + 1, 0): 1, (0, q): 1, (0, 1): 1})
-    return PlaneCurve(field, poly, "hermitian")
+    return PlaneCurve(AdditiveModel(field, {q + 1: 1}, {q: 1, 1: 1}, 0), "hermitian")
 
 
 def trace_curve(t: int) -> PlaneCurve:
     """The curve sum_{i=1..t} y^(q/2^i) = x^(q+1) over GF(q^2), q = 2^t."""
     field = make_field(t)
     q = field.q
-    terms = {(q + 1, 0): 1}
-    terms.update({(0, q >> i): 1 for i in range(1, t + 1)})
-    poly = Poly2(field, terms)
-    return PlaneCurve(field, poly, "trace-standard")
+    ypart = {q >> i: 1 for i in range(1, t + 1)}
+    return PlaneCurve(AdditiveModel(field, {q + 1: 1}, ypart, 0), "trace-standard")
 
 
 def trace_form(a: Sequence[FieldElement], b: FieldElement) -> PlaneCurve:
@@ -340,7 +284,7 @@ def trace_form(a: Sequence[FieldElement], b: FieldElement) -> PlaneCurve:
         if ai.field is not field:
             raise ValueError("coefficients live in different fields")
         terms[(0, q >> i)] = ai.bits
-    return _curve_from_poly(field, Poly2(field, terms))
+    return _curve_from_terms(field, terms)
 
 
 def trace_form_extended(a: Sequence[FieldElement], b_list: Sequence[FieldElement]) -> PlaneCurve:
@@ -349,51 +293,34 @@ def trace_form_extended(a: Sequence[FieldElement], b_list: Sequence[FieldElement
     t, q = field.t, field.q
     if len(b_list) != t + 1:
         raise ValueError(f"expected b_0..b_t (t+1={t + 1} values), got {len(b_list)}")
-    base = trace_form(a, b_list[0])
-    terms = dict(base.poly.terms)
-    for i in range(1, t + 1):
-        bi = b_list[i]
-        if bi.bits:
-            terms[(q >> i, 0)] = terms.get((q >> i, 0), 0) ^ bi.bits
-    return _curve_from_poly(field, Poly2(field, terms))
+    terms = trace_form(a, b_list[0]).model(1).terms()
+    terms.update({(q >> i, 0): b_list[i].bits for i in range(1, t + 1)})
+    return _curve_from_terms(field, terms)
 
 
 # -- coordinate changes --------------------------------------------------------
 
 
-def _transform_poly(poly: Poly2, change: CoordinateChange) -> Poly2:
-    """The defining polynomial of the image curve: F composed with the
-    inverse point map, recanonicalized."""
-    fld = poly.field
-    c = change.constant
-    if c.field is not fld:
-        raise ValueError("change constant lives in a different field")
-    out: dict[tuple[int, int], int] = {}
-
-    def put(e: tuple[int, int], v: int) -> None:
-        out[e] = out.get(e, 0) ^ v
-
-    if change.kind == "scale-y":
-        cinv = fld.inv_int(c.bits)
-        for (i, j), v in poly.terms.items():
-            put((i, j), fld.mul_int(v, fld.pow_int(cinv, j)))
-    elif change.kind == "scale-x":
-        cinv = fld.inv_int(c.bits)
-        for (i, j), v in poly.terms.items():
-            put((i, j), fld.mul_int(v, fld.pow_int(cinv, i)))
-    elif change.kind == "translate-y":
-        for (i, j), v in poly.terms.items():
-            for k in _submasks(j):
-                put((i, k), fld.mul_int(v, fld.pow_int(c.bits, j - k)))
-    else:  # shear: y -> b*x + y
-        for (i, j), v in poly.terms.items():
-            for k in _submasks(j):
-                put((i + j - k, k), fld.mul_int(v, fld.pow_int(c.bits, j - k)))
-    return Poly2(fld, out).canonical()
-
-
 def apply_change(curve: PlaneCurve, change: CoordinateChange) -> PlaneCurve:
-    return _curve_from_poly(curve.field, _transform_poly(curve.poly, change))
+    """The image curve: the model composed with the inverse point map,
+    recanonicalized and reclassified."""
+    model = curve.model(1)
+    fld, c = model.field, change.constant.bits
+    if change.constant.field is not fld:
+        raise ValueError("change constant lives in a different field")
+    xpart, ypart, const = dict(model.xpart), dict(model.ypart), model.const
+    if change.kind == "scale-y":  # a_j -> a_j c^(-j)
+        cinv = fld.inv_int(c)
+        ypart = {j: fld.mul_int(a, fld.pow_int(cinv, j)) for j, a in ypart.items()}
+    elif change.kind == "scale-x":  # b_i -> b_i c^(-i)
+        cinv = fld.inv_int(c)
+        xpart = {i: fld.mul_int(b, fld.pow_int(cinv, i)) for i, b in xpart.items()}
+    elif change.kind == "translate-y":  # A(y + c) = A(y) + A(c)
+        const ^= _part_at(fld, ypart, c)
+    else:  # shear, y -> c x + y: a_j (c x + y)^j = a_j y^j + a_j c^j x^j, j a power of 2
+        for j, a in ypart.items():
+            xpart[j] = xpart.get(j, 0) ^ fld.mul_int(a, fld.pow_int(c, j))
+    return _curve_from_terms(fld, AdditiveModel(fld, xpart, ypart, const).terms())
 
 
 def apply_record(curve: PlaneCurve, record: Sequence[CoordinateChange]) -> PlaneCurve:
@@ -402,21 +329,8 @@ def apply_record(curve: PlaneCurve, record: Sequence[CoordinateChange]) -> Plane
     return curve
 
 
-def replay_xy(
-    record: Sequence[CoordinateChange], x: FieldElement, y: FieldElement
-) -> tuple[FieldElement, FieldElement]:
-    """Push an affine point through every change of a record, in order."""
-    for change in record:
-        x, y = change.apply_to_xy(x, y)
-    return x, y
-
-
 def record_to_json(record: Sequence[CoordinateChange]) -> list[dict]:
     return [change.to_json() for change in record]
-
-
-def record_from_json(data: Sequence[dict], field: BinaryField) -> list[CoordinateChange]:
-    return [CoordinateChange(d["kind"], field.from_hex(d["constant"])) for d in data]
 
 
 def curve_from_json(data: object) -> PlaneCurve:
@@ -437,7 +351,7 @@ def curve_from_json(data: object) -> PlaneCurve:
         raise ValueError(f"q={q} is not a power of two")
     field = make_field(t)
     terms = {(i, j): field.from_hex(h).bits for i, j, h in raw_terms}
-    curve = _curve_from_poly(field, Poly2(field, terms))
+    curve = _curve_from_terms(field, terms)
     if data.get("family") and data["family"] != curve.family:
         raise ValueError(f"declared family {data['family']!r}, classified {curve.family!r}")
     return curve
@@ -497,43 +411,46 @@ def normalize(curve: PlaneCurve) -> tuple[PlaneCurve, list[CoordinateChange]]:
         record.append(change)
         return apply_change(work, change)
 
+    def coeffs(part: dict[int, int]) -> list[FieldElement]:
+        """The coefficients of v^(q/2^i), i = 1..t, in part = {e: c}."""
+        return [FieldElement(part.get(q >> i, 0), field) for i in range(1, t + 1)]
+
     work = curve
-    a = work.y_coeffs()
+    a = coeffs(work.model(1).ypart)
     if not a[-1]:
         raise NormalizationError("a_t = 0: the model is singular, not in the class")
     if a[-1] != one:
         # the x-term relations below presume a monic y-part, so scale first
         work = step(work, CoordinateChange("scale-y", a[-1]))
-        a = work.y_coeffs()
+        a = coeffs(work.model(1).ypart)
 
     if work.family == "trace-form-extended":
-        bx = work.x_linear_coeffs()
+        bx = coeffs(work.model(1).xpart)
         bt = bx[-1]
         for i in range(1, t + 1):
             if bx[i - 1] != a[i - 1] * bt ** (q >> i):
                 raise NormalizationError(
                     f"x-coefficient b_{i} breaks the relation b_i = a_i * b_t^(q/2^{i})"
                 )
+        # the shear moves only x-terms, so a stays
         work = step(work, CoordinateChange("shear", bt))
         if work.family == "trace-form-extended":
             raise NormalizationError("shear failed to clear the x-linearized terms")
-        a = work.y_coeffs()
 
+    b = FieldElement(work.model(1).const, field)
     if t >= 2:
-        report = fact0_identities(a, work.constant_coeff())
+        report = fact0_identities(a, b)
         failed = [name for name, ok in report.items() if not ok]
         if failed:
             raise NormalizationError(f"coefficient identities failed: {', '.join(failed)}")
 
-    b = work.constant_coeff()
     if b:
         solutions = linearized_solve(a, b)
         if not solutions:
             raise NormalizationError("no y-translation over GF(q^2) clears the constant")
         # any solution works (they differ by kernel elements); smallest mask
-        # keeps records deterministic
+        # keeps records deterministic.  The translation moves only the constant.
         work = step(work, CoordinateChange("translate-y", solutions[0]))
-        a = work.y_coeffs()
 
     if any(ai != one for ai in a):
         work = step(work, CoordinateChange("scale-x", a[0].inv()))

@@ -531,10 +531,6 @@ class FieldElement:
     def __pow__(self, e: int) -> FieldElement:
         return FieldElement(self.field.pow_int(self.bits, e), self.field)
 
-    def __truediv__(self, other: FieldElement) -> FieldElement:
-        self._check(other)
-        return self * other.inv()
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FieldElement)

@@ -14,8 +14,8 @@ coefficients that land below tau^prec, where ``pow2k(k)`` would build
 prec * 2^k entries to be cut.
 
 Expansions of y along the curve are computed coefficient by coefficient.
-Every built-in model reads A(y) = P(x) + c with A additive (a linearized
-polynomial in y; the curve's :class:`curves.AdditiveModel`), so
+Every curve is held as its additive model A(y) = P(x) + c (A is a
+linearized polynomial in y; :class:`curves.AdditiveModel`), so
 y = y(P) + eta with A(eta) = P(x(P) + tau) + P(x(P)), and the
 coefficient of tau^r in eta depends only on those at r / 2^k: one
 pass over r gives the unique Hensel lift (dF/dy is a nonzero constant, so
@@ -50,13 +50,6 @@ PRECISION_LIMIT = 4096  # largest precision an expansion may use; beyond it the 
 
 class PrecisionError(ArithmeticError):
     """A computation asked for more precision than the operands carry."""
-
-
-def binom_mod2(n: int, k: int) -> int:
-    """binom(n, k) mod 2 by Lucas' theorem."""
-    if k < 0 or k > n:
-        return 0
-    return 1 if (n & k) == k else 0
 
 
 class TruncatedSeries:
@@ -286,7 +279,7 @@ def expand_y_at(curve: PlaneCurve, point, n: int) -> TruncatedSeries:
     """The unique series y(tau), tau = x - x(P), with y(0) = y(P) and
     F(x(P) + tau, y(tau)) = 0 mod tau^n.
 
-    The model must read A(y) = P(x) + c with A additive; the coefficients
+    The curve's model reads A(y) = P(x) + c with A additive; the coefficients
     come from the one-pass recurrence of :func:`_additive_lift`, and the
     series is checked against F by :func:`_additive_residual` before it
     is returned (raising :class:`CheckFailed` if the residual is nonzero).
@@ -301,7 +294,7 @@ def expand_y_at(curve: PlaneCurve, point, n: int) -> TruncatedSeries:
     level = 1 if fld is curve.field else 2
     if curve.evaluate(x0, y0):
         raise ValueError("point does not lie on the curve")
-    # a mixed or non-2-power y term is also what makes dF/dy nonconstant
+    # dF/dy of the additive model is a_t, the coefficient of y
     model = curve.model(level)
     if not model.ypart.get(1):
         raise ValueError("singular point: dF/dy vanishes")

@@ -140,10 +140,14 @@ def test_criterion_6_hasse_properties():
         report = series.check_h_identities(make_field(t), 1000, rng)
         for name in ("h1", "h2", "h3", "h3prime"):
             assert report[name]["pass"] == 1000 and report[name]["fail"] == 0
+    # D^k tau^n = binom(n, k) tau^(n-k), its coefficient read by Lucas' rule
+    fld = make_field(2)
     row = [1]
     for n in range(64):
+        tau_n = series.TruncatedSeries(fld, tuple(int(i == n) for i in range(64)))
         for k in range(n + 1):
-            assert series.binom_mod2(n, k) == row[k] % 2 == math.comb(n, k) % 2
+            coefficient = tau_n.hasse_derivative(k).coefficient(n - k).bits
+            assert coefficient == row[k] % 2 == math.comb(n, k) % 2
         row = [1] + [row[k - 1] + row[k] for k in range(1, n + 1)] + [1]
 
 

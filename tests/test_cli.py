@@ -141,6 +141,12 @@ def test_normalize_malformed_json_exits_2(tmp_path, capsys, document):
     assert "curve JSON" in payload["error"]
 
 
+def test_normalize_file_that_is_a_directory_exits_2(tmp_path, capsys):
+    code, payload = run_json(capsys, "normalize", "--file", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert payload["schema"] == 1 and str(tmp_path) in payload["error"]
+
+
 @pytest.mark.parametrize("t", [2, 3])
 def test_full_suite_exits_zero(capsys, t):
     code, payload = run_json(capsys, "full-suite", "--t", str(t), "--samples", "10")

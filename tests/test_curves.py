@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from maxcurves import census
+from maxcurves import census, curves
 from maxcurves.curves import (
+    CHANGE_KINDS,
     AdditiveModel,
     CoordinateChange,
-    Poly2,
     NormalizationError,
     apply_change,
     apply_record,
@@ -17,9 +17,7 @@ from maxcurves.curves import (
     fact0_identities,
     hermitian,
     normalize,
-    record_from_json,
     record_to_json,
-    replay_xy,
     trace_curve,
     trace_form,
     trace_form_extended,
@@ -40,11 +38,11 @@ def random_record(fld, rng, length=None):
 
 def test_built_in_polynomials():
     tc2 = trace_curve(2)
-    assert tc2.poly.terms == {(5, 0): 1, (0, 2): 1, (0, 1): 1}
+    assert tc2.model(1).terms() == {(5, 0): 1, (0, 2): 1, (0, 1): 1}
     h2 = hermitian(2)
-    assert h2.poly.terms == {(5, 0): 1, (0, 4): 1, (0, 1): 1}
+    assert h2.model(1).terms() == {(5, 0): 1, (0, 4): 1, (0, 1): 1}
     tc1 = trace_curve(1)
-    assert tc1.poly.terms == {(3, 0): 1, (0, 1): 1}
+    assert tc1.model(1).terms() == {(3, 0): 1, (0, 1): 1}
 
 
 def test_infinity_descriptors():
@@ -90,7 +88,7 @@ def test_level_2_model_is_the_level_1_model_embedded(t):
 
 def test_model_refuses_non_coprime_degrees():
     fld = make_field(2)
-    model = AdditiveModel.parse(Poly2(fld, {(6, 0): 1, (0, 2): 1, (0, 1): 1}))
+    model = AdditiveModel(fld, {6: 1}, {2: 1, 1: 1}, 0)
     with pytest.raises(ValueError, match="not coprime"):
         model.pole_orders
 
@@ -131,7 +129,7 @@ def test_trace_form_fixture_q4():
     g = fld.element(2)
     curve = trace_form([fld.one, fld.one], g * g + g)
     assert curve.family == "trace-form"
-    assert curve.constant_coeff() == g * g + g
+    assert curve.model(1).const == (g * g + g).bits
 
 
 def test_trace_form_rejects_zero_a1():
@@ -155,8 +153,8 @@ def test_record_json_round_trip():
     fld = make_field(2)
     rng = random.Random(0)
     record = random_record(fld, rng, 4)
-    data = record_to_json(record)
-    back = record_from_json(data, fld)
+    data = json.loads(json.dumps(record_to_json(record)))
+    back = [CoordinateChange(d["kind"], fld.from_hex(d["constant"])) for d in data]
     assert [c.kind for c in back] == [c.kind for c in record]
     assert [c.constant.bits for c in back] == [c.constant.bits for c in record]
 
@@ -220,7 +218,9 @@ def test_normalize_fixture_translate_only():
     # replay maps every affine rational point of the source onto the target
     for p in census.enumerate_points(curve, 1):
         if isinstance(p, census.AffinePoint):
-            x, y = replay_xy(record, p.x, p.y)
+            x, y = p.x, p.y
+            for change in record:
+                x, y = change.apply_to_xy(x, y)
             assert not target.evaluate(x, y)
 
 
@@ -263,7 +263,7 @@ def test_normalize_extended_form():
     bt = fld.element(rng.randrange(1, fld.order))
     moved = apply_change(standard, CoordinateChange("shear", bt))
     assert moved.family == "trace-form-extended"
-    assert moved.x_linear_coeffs()[-1] == bt
+    assert moved.model(1).xpart[1] == bt.bits
     back, record = normalize(moved)
     assert back == standard
     assert record[0].kind == "shear"
@@ -304,3 +304,113 @@ def test_scale_constants_must_be_nonzero():
         CoordinateChange("scale-y", fld.zero)
     with pytest.raises(ValueError):
         CoordinateChange("rotate", fld.one)
+
+
+# -- the generic transform, kept as the reference for apply_change ------------
+
+
+def _submasks(j):
+    """All k with binom(j, k) odd, i.e. the bitwise submasks of j (Lucas)."""
+    k = j
+    while True:
+        yield k
+        if k == 0:
+            return
+        k = (k - 1) & j
+
+
+def reference_change(fld, terms, change):
+    """The image of sum c x^i y^j over terms = {(i, j): c}: the polynomial
+    composed with the inverse point map, with (y + c)^j expanded over the
+    submasks of j, then scaled so the graded-lex leading coefficient is 1."""
+    c = change.constant.bits
+    out = {}
+
+    def put(e, v):
+        out[e] = out.get(e, 0) ^ v
+
+    for (i, j), v in terms.items():
+        if change.kind == "scale-y":
+            put((i, j), fld.mul_int(v, fld.pow_int(fld.inv_int(c), j)))
+        elif change.kind == "scale-x":
+            put((i, j), fld.mul_int(v, fld.pow_int(fld.inv_int(c), i)))
+        else:  # translate-y: y -> y + c;  shear: y -> c x + y
+            for k in _submasks(j):
+                e = (i + j - k, k) if change.kind == "shear" else (i, k)
+                put(e, fld.mul_int(v, fld.pow_int(c, j - k)))
+    out = {e: v for e, v in out.items() if v}
+    inv = fld.inv_int(out[max(out, key=lambda e: (e[0] + e[1], e))])
+    return {e: fld.mul_int(v, inv) for e, v in out.items()}
+
+
+def reference_evaluate(curve, x, y):
+    """sum c x^i y^j over the level-1 terms, each coefficient embedded on its own."""
+    fld = x.field
+    acc = fld.zero
+    for (i, j), c in curve.model(1).terms().items():
+        acc = acc + fld.embed(curve.field.element(c)) * x ** i * y ** j
+    return acc
+
+
+def every_family(t):
+    """The Hermitian and trace curves, and seeded trace-form and extended curves."""
+    fld = make_field(t)
+    rng = random.Random(130 + t)
+    a = [fld.element(rng.randrange(1, fld.order)) for _ in range(t)]
+    b = [fld.element(rng.randrange(fld.order))]
+    b += [fld.element(rng.randrange(1, fld.order)) for _ in range(t)]
+    return [hermitian(t), trace_curve(t), trace_form(a, b[0]), trace_form_extended(a, b)]
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_apply_change_matches_the_generic_transform(t):
+    fld = make_field(t)
+    rng = random.Random(140 + t)
+    curves_seen = every_family(t)
+    assert [c.family for c in curves_seen] == list(curves.FAMILIES)
+    outcomes = {"image": 0, "refused": 0}
+    for curve in curves_seen:
+        for kind in CHANGE_KINDS:
+            for _ in range(6):
+                lo = 1 if kind.startswith("scale") else 0
+                change = CoordinateChange(kind, fld.element(rng.randrange(lo, fld.order)))
+                expected = reference_change(fld, curve.model(1).terms(), change)
+                try:
+                    family = curves._classify(fld, expected)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as refusal:
+                        apply_change(curve, change)
+                    assert str(refusal.value) == str(exc), (curve, change)
+                    outcomes["refused"] += 1
+                    continue
+                image = apply_change(curve, change)
+                assert image.model(1).terms() == expected, (curve, change)
+                assert image.family == family, (curve, change)
+                outcomes["image"] += 1
+    assert outcomes["image"] and outcomes["refused"]  # the Hermitian curve refuses shears
+
+
+def test_shear_of_the_hermitian_curve_is_refused():
+    fld = make_field(2)
+    with pytest.raises(ValueError, match=r"^term x\^0 y\^4 outside the supported families$"):
+        apply_change(hermitian(2), CoordinateChange("shear", fld.one))
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_evaluate_matches_term_by_term_at_every_level_1_pair(t):
+    fld = make_field(t)
+    elements = list(fld.elements())
+    for curve in every_family(t):
+        for x in elements:
+            for y in elements:
+                assert curve.evaluate(x, y) == reference_evaluate(curve, x, y), (curve, x, y)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+def test_evaluate_matches_term_by_term_at_seeded_level_2_pairs(t):
+    rng = random.Random(150 + t)
+    for curve in every_family(t):
+        fld = curve.level_field(2)
+        for _ in range(40):
+            x, y = fld.element(rng.randrange(fld.order)), fld.element(rng.randrange(fld.order))
+            assert curve.evaluate(x, y) == reference_evaluate(curve, x, y), (curve, x, y)
