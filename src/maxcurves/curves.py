@@ -126,9 +126,6 @@ class CoordinateChange:
         return {"kind": self.kind, "constant": self.constant.hex()}
 
 
-IsomorphismRecord = list[CoordinateChange]
-
-
 class PlaneCurve:
     """A plane model from one of the built-in families, held as its
     additive model over GF(q^2)."""
