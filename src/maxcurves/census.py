@@ -3,7 +3,7 @@
 Every curve is held as its additive model A(y) = P(x) + c
 (:class:`curves.AdditiveModel`), so A is GF(2)-linear and each fibre of A
 is empty or a coset of ker A.  One Gaussian elimination on the images
-A(1 << j) (:func:`fields.reduce_gf2`) gives ker A, a reduced basis of
+A(1 << j) (:func:`fields.additive_map`) gives ker A, a reduced basis of
 im A and a linear section of it.  The values P(x) + c at every x come
 from one row kernel (:meth:`fields.BinaryField.values`), and a byte
 table over the masks, set on the 2^rank images spanned from the basis,
@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Union
 
 from .curves import PlaneCurve
-from .fields import BinaryField, CheckFailed, FieldElement, GF2Reduction, reduce_gf2
+from .fields import BinaryField, CheckFailed, FieldElement, GF2Reduction, additive_map
 
 CENSUS_FIELD_LIMIT = 1 << 16
 
@@ -96,18 +96,6 @@ def _census_field(curve: PlaneCurve, level: int) -> BinaryField:
     return fld
 
 
-def _eval_sparse(fld: BinaryField, part: dict[int, int], v: int) -> int:
-    acc = 0
-    for e, c in part.items():
-        acc ^= fld.mul_int(c, fld.pow_int(v, e))
-    return acc
-
-
-def _column_images(fld: BinaryField, ypart: dict[int, int]) -> list[int]:
-    """A(1 << j) for j < m: the columns of A as a GF(2)-linear map."""
-    return [_eval_sparse(fld, ypart, 1 << j) for j in range(fld.m)]
-
-
 def _census_setup(
     curve: PlaneCurve, level: int
 ) -> tuple[BinaryField, list[int], bytearray, GF2Reduction]:
@@ -115,7 +103,7 @@ def _census_setup(
     of im A and the reduced A, for the model A(y) = P(x) + c."""
     fld = _census_field(curve, level)
     model = curve.model(level)
-    a_map = reduce_gf2(_column_images(fld, model.ypart))
+    a_map = additive_map(fld, model.ypart)
     return fld, fld.values({**model.xpart, 0: model.const}), a_map.image_table(fld.order), a_map
 
 

@@ -34,7 +34,6 @@ class RunConfig:
     fmt: str = "json"
     point: str | None = None
     generators: str | None = None
-    bound: int | None = None
     dims: str | None = None
     file: str | None = None
     exhaustive: bool = False
@@ -125,7 +124,7 @@ def _cmd_semigroup(config: RunConfig):
     if not config.generators:
         raise ValueError("--generators a,b,... is required")
     gens = [int(x) for x in config.generators.split(",")]
-    s = semigroups.NumericalSemigroup(gens, config.bound)
+    s = semigroups.NumericalSemigroup(gens)
     payload = {
         "generators": list(s.generators),
         "gaps": list(s.gaps),
@@ -301,8 +300,16 @@ def _render(payload: dict, fmt: str) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on a bad command line, so that it is reported as
+    JSON, not as usage text; subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maxcurves",
         description="Exact verification of maximal binary curves and their invariants.",
     )
@@ -343,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("semigroup", help="gaps, genus and dimensions of a numerical semigroup")
     p.add_argument("--generators", required=True, help="comma-separated generators")
-    p.add_argument("--bound", type=int)
     p.add_argument("--dims", help="comma-separated degrees to report dim |dP| for")
 
     p = add("normalize", help="reduce a trace-form curve (JSON) to the standard model")
@@ -360,9 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    try:
+        args = build_parser().parse_args(argv)
+    except ValueError as exc:
+        print(_render({"error": str(exc), "schema": 1}, "json"))
+        return EXIT_CONFIG
     # every argparse destination is a RunConfig field with the same default
-    config = RunConfig(**vars(parser.parse_args(argv)))
+    config = RunConfig(**vars(args))
     if not 1 <= config.t <= 5:
         print(_render({"error": f"t={config.t} outside [1, 5]", "schema": 1}, config.fmt))
         return EXIT_CONFIG

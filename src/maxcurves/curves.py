@@ -188,7 +188,7 @@ class PlaneCurve:
             raise ValueError("point field matches neither tower level of the curve")
         fld = model.field
         return FieldElement(
-            model.const ^ _part_at(fld, model.xpart, x.bits) ^ _part_at(fld, model.ypart, y.bits),
+            model.const ^ fld.part_at(model.xpart, x.bits) ^ fld.part_at(model.ypart, y.bits),
             fld,
         )
 
@@ -198,14 +198,6 @@ class PlaneCurve:
             "family": self.family,
             "terms": [[i, j, self.field.to_hex(c)] for (i, j), c in self.model(1).terms().items()],
         }
-
-
-def _part_at(field: BinaryField, part: dict[int, int], v: int) -> int:
-    """sum of c v^e over part = {e: c}."""
-    acc = 0
-    for e, c in part.items():
-        acc ^= field.mul_int(c, field.pow_int(v, e))
-    return acc
 
 
 def _classify(field: BinaryField, terms: dict[tuple[int, int], int]) -> str:
@@ -313,7 +305,7 @@ def apply_change(curve: PlaneCurve, change: CoordinateChange) -> PlaneCurve:
         cinv = fld.inv_int(c)
         xpart = {i: fld.mul_int(b, fld.pow_int(cinv, i)) for i, b in xpart.items()}
     elif change.kind == "translate-y":  # A(y + c) = A(y) + A(c)
-        const ^= _part_at(fld, ypart, c)
+        const ^= fld.part_at(ypart, c)
     else:  # shear, y -> c x + y: a_j (c x + y)^j = a_j y^j + a_j c^j x^j, j a power of 2
         for j, a in ypart.items():
             xpart[j] = xpart.get(j, 0) ^ fld.mul_int(a, fld.pow_int(c, j))

@@ -13,15 +13,18 @@ degree-4 extension points.  GF(q) itself is not a separate structure: it
 is the fixed field of the q-power map inside GF(q^2), and subfield
 membership is a single Frobenius test.
 
-Fields of at most 2^16 elements multiply by log/antilog tables, and
-powers, inverses and Frobenius maps are one lookup in them.  Larger ones
-(only GF(2^20), the quartic field at q = 32) multiply through the
-degree-2 tower K[w]/(w^2 + w + nu) over their tabled subfield K =
-GF(2^(m/2)), instead of 2^m-entry tables: two lookups per operand change
-basis, three K products in Karatsuba form and three lookups change back,
-all from tables of about 2^(m/2) entries.  A tower inverse is
-(a + b + b w) / N with the norm N = a^2 + ab + nu b^2 in K, so it takes
-one tabled K inverse.
+:func:`make_field` chooses how a field multiplies, and the constructor
+builds all it needs: a quartic field the images of the base-square
+basis, which embed GF(q^2) in it, and then its tables or its tower.
+Fields of at most 2^16 elements (:class:`BinaryField`) multiply by
+log/antilog tables, and powers, inverses and Frobenius maps are one
+lookup in them.  GF(2^20), the quartic field at q = 32, is a
+:class:`TowerField`: it multiplies through the degree-2 tower
+K[w]/(w^2 + w + nu) over its tabled subfield K = GF(2^(m/2)), instead of
+2^m-entry tables: two lookups per operand change basis, three K products
+in Karatsuba form and three lookups change back, all from tables of
+about 2^(m/2) entries.  A tower inverse is (a + b + b w) / N with the
+norm N = a^2 + ab + nu b^2 in K, so it takes one tabled K inverse.
 
 The tables are one run 1, g, g^2, ... of the least primitive element g,
 found by its order: g^((2^m - 1)/r) != 1 for every prime r dividing
@@ -34,13 +37,17 @@ certified irreducible by Rabin's test on every field creation.
 
 Row kernels work on whole coefficient lists: the truncated product of
 two lists (:meth:`BinaryField.convolve`), a scalar times a list, the
-Frobenius of a list, and a sparse polynomial at every mask of the field
-(:meth:`BinaryField.values`).  On tabled fields each looks the tables up
-once and runs one loop with no call per coefficient, skipping zero
-entries, whose log is a placeholder.  The tower multiplies through
+Frobenius of a list, and a sparse polynomial at every mask of a tabled
+field (:meth:`BinaryField.values`).  On tabled fields each looks the
+tables up once and runs one loop with no call per coefficient, skipping
+zero entries, whose log is a placeholder.  The tower multiplies through
 ``mul_int`` per nonzero entry, but squares through its own two square
 tables inline, in ``frob_int`` and ``frob_row``: squaring is
 GF(2)-linear, so 0 needs no test.  A scalar 1 copies the list.
+
+:meth:`BinaryField.part_at` evaluates a sparse polynomial at one
+point, and :func:`additive_map` reduces an additive one as a GF(2)-linear
+map; the census and both solvers share that one reduction.
 """
 
 from __future__ import annotations
@@ -130,7 +137,7 @@ class BinaryField:
 
     Do not instantiate directly: use :func:`make_field`, which interns
     one object per (t, level) so field identity can be checked with
-    ``is``.
+    ``is``, and makes a :class:`TowerField` above 2^16 elements.
     """
 
     def __init__(self, t: int, level: str, m: int, modulus: int) -> None:
@@ -143,10 +150,9 @@ class BinaryField:
         self.q = 1 << t
         self.order = 1 << m
         self.hex_width = (m + 3) // 4
-        self._log: list[int] | None = None
-        self._exp: list[int] | None = None
-        self._tower: tuple | None = None  # built by _build_tower for m > _TABLE_LIMIT
-        self._embedding: list[int] | None = None  # basis images in the quartic field
+        if level == "quartic":
+            self._embedding = self._embedding_images()  # basis images of GF(q^2)
+        self._build_arithmetic()
 
     def __repr__(self) -> str:
         return f"BinaryField(t={self.t}, level={self.level!r}, m={self.m})"
@@ -190,7 +196,8 @@ class BinaryField:
                 return g
         raise CheckFailed(f"no multiplicative generator of {self!r}")
 
-    def _build_tables(self) -> None:
+    def _build_arithmetic(self) -> None:
+        """The log/antilog tables, one run 1, g, g^2, ... of the generator."""
         # multiplication by g is GF(2)-linear: v g = lo[low bits] ^ hi[high bits]
         g = self._generator()
         h = self.m // 2
@@ -213,80 +220,9 @@ class BinaryField:
         self._exp = exp
         self._log = log
 
-    def _build_tower(self) -> tuple:
-        """Tables for GF(2^m) = K[w]/(w^2 + w + nu), K = GF(2^h), h = m/2.
-
-        K is the base-square field, embedded by :meth:`_embedding_images`
-        as the span of beta^i; nu is the first element of K of absolute
-        trace 1, so w^2 + w + nu is irreducible over K, and w is the least
-        root of u^2 + u = nu here.  The columns beta^i and w beta^i then
-        form a GF(2)-basis, and a mask a + b w of the tower is the pair
-        (a, b) of K masks packed as a | b << h.  Squaring, being
-        GF(2)-linear, gets two 2^h-entry tables of its own.
-        """
-        base = make_field(self.t)
-        h = base.m
-        if base._log is None:
-            base._build_tables()
-        images = self._embedding_images()
-        from_a = _span_table(images)
-        nu = _tower_constant(base)
-        squares = [self._mul_raw(1 << j, 1 << j) for j in range(self.m)]
-        w = reduce_gf2([s ^ (1 << j) for j, s in enumerate(squares)]).preimage(from_a[nu])
-        if w is None or self._mul_raw(w, w) ^ w != from_a[nu]:
-            raise ArithmeticError(f"no root of w^2 + w = nu in {self!r}")
-        w_images = [self._mul_raw(w, b) for b in images]
-        basis = reduce_gf2(images + w_images)
-        if basis.kernel != [0]:
-            raise ArithmeticError(f"1 and w do not span {self!r} over GF(2^{h})")
-        coords = [basis.preimage(1 << j) for j in range(self.m)]
-        # zero-aware logs of K: log 0 = 2(2^h - 1) - 1 sends every product
-        # with a zero factor past the cyclic part of exp, onto zeros
-        period = base.order - 1
-        log = list(base._log)
-        log[0] = 2 * period - 1
-        exp = base._exp[: 2 * period - 1] + [0] * (2 * period)
-        # (a + b w)(c + d w) = (ac + nu bd) + ((a + b)(c + d) + ac) w
-        from_b = _span_table(w_images)
-        back_ac = [from_a[k] ^ from_b[k] for k in range(base.order)]
-        back_bd = [from_a[base.mul_int(nu, k)] for k in range(base.order)]
-        self._tower = (
-            h, period, _span_table(coords[:h]), _span_table(coords[h:]),
-            log, exp, back_ac, back_bd, from_b,
-            _span_table(squares[:h]), _span_table(squares[h:]), nu,
-        )
-        return self._tower
-
-    def _tables(self) -> tuple[list[int], list[int]]:
-        """The log and antilog tables of a field of at most 2^16 elements."""
-        if self._log is None:
-            self._build_tables()
-        return self._log, self._exp
-
     def mul_int(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._log is None:
-            if self.m > _TABLE_LIMIT:
-                # built before the shortcut for 1, so mul_int(1, 1) builds it too
-                tower = self._tower or self._build_tower()
-                if a == 1:
-                    return b
-                if b == 1:
-                    return a
-                h, low, to_lo, to_hi, log, exp, back_ac, back_bd, back_s, sq_lo, sq_hi, _ = tower
-                if a == b:  # squaring is GF(2)-linear
-                    return sq_lo[a & low] ^ sq_hi[a >> h]
-                u = to_lo[a & low] ^ to_hi[a >> h]
-                v = to_lo[b & low] ^ to_hi[b >> h]
-                ua, ub, va, vb = u & low, u >> h, v & low, v >> h
-                ac = exp[log[ua] + log[va]]
-                return (
-                    back_ac[ac]
-                    ^ back_bd[exp[log[ub] + log[vb]]]
-                    ^ back_s[exp[log[ua ^ ub] + log[va ^ vb]]]
-                )
-            self._build_tables()
         return self._exp[self._log[a] + self._log[b]]
 
     def sqr_int(self, a: int) -> int:
@@ -297,65 +233,33 @@ class BinaryField:
             raise ValueError("negative exponent; use inv_int first")
         if a == 0:
             return 1 if e == 0 else 0
-        if self._log is not None:
-            return self._exp[(self._log[a] * e) % (self.order - 1)]
-        r = 1
-        base = a
-        while e:
-            if e & 1:
-                r = self.mul_int(r, base)
-            base = self.mul_int(base, base)
-            e >>= 1
-        return r
+        return self._exp[(self._log[a] * e) % (self.order - 1)]
 
     def inv_int(self, a: int) -> int:
         if a == 0:
             raise ValueError("zero has no inverse")
-        if self.m <= _TABLE_LIMIT:
-            return self.pow_int(a, self.order - 2)
-        # (a + b w)(a + b + b w) = a^2 + ab + nu b^2 = N, an element of K
-        tower = self._tower or self._build_tower()
-        h, low, to_lo, to_hi, _, _, back_ac, _, back_s, _, _, nu = tower
-        base = make_field(self.t)
-        u = to_lo[a & low] ^ to_hi[a >> h]
-        a, b = u & low, u >> h
-        c = a ^ b
-        n_inv = base.inv_int(base.mul_int(a, c) ^ base.mul_int(nu, base.mul_int(b, b)))
-        # back_ac[k] ^ back_s[k] is k, and back_s[k] is k w, in this field's masks
-        c, b = base.mul_int(c, n_inv), base.mul_int(b, n_inv)
-        return back_ac[c] ^ back_s[c] ^ back_s[b]
+        return self.pow_int(a, self.order - 2)
 
     def frob_int(self, a: int, k: int) -> int:
         """a^(2^k), the k-fold binary Frobenius."""
         if not a:
             return 0
-        if self.m <= _TABLE_LIMIT:
-            log, exp = self._tables()
-            return exp[(log[a] << k % self.m) % (self.order - 1)]
-        h, low, _, _, _, _, _, _, _, sq_lo, sq_hi, _ = self._tower or self._build_tower()
-        for _ in range(k % self.m):
-            a = sq_lo[a & low] ^ sq_hi[a >> h]  # squaring is GF(2)-linear
-        return a
+        return self._exp[(self._log[a] << k % self.m) % (self.order - 1)]
+
+    def part_at(self, part: dict[int, int], v: int) -> int:
+        """sum of c v^e over part = {e: c}."""
+        acc = 0
+        for e, c in part.items():
+            acc ^= self.mul_int(c, self.pow_int(v, e))
+        return acc
 
     # -- row kernels -----------------------------------------------------------
-    # Each kernel skips zero entries: on tabled fields log[0] is a placeholder,
-    # and on the tower a call per zero would cost more than the product.
+    # Each kernel skips zero entries: log[0] is a placeholder.
 
     def convolve(self, u: Sequence[int], v: Sequence[int], n: int) -> list[int]:
         """The coefficients below n of the product of the coefficient lists u and v."""
         out = [0] * n
-        if self.m > _TABLE_LIMIT:
-            mul = self.mul_int
-            nonzero_v = [(j, b) for j, b in enumerate(v[:n]) if b]
-            for i, a in enumerate(u[:n]):
-                if a:
-                    room = n - i
-                    for j, b in nonzero_v:
-                        if j >= room:
-                            break
-                        out[i + j] ^= mul(a, b)
-            return out
-        log, exp = self._tables()
+        log, exp = self._log, self._exp
         logs_v = [(j, log[b]) for j, b in enumerate(v[:n]) if b]
         for i, a in enumerate(u[:n]):
             if a:
@@ -370,26 +274,17 @@ class BinaryField:
         """a times every entry of row."""
         if a == 1:
             return list(row)
-        if self.m > _TABLE_LIMIT:
-            return [self.mul_int(a, b) if b else 0 for b in row]
         if not a:
             return [0] * len(row)
-        log, exp = self._tables()
+        log, exp = self._log, self._exp
         la = log[a]
         return [exp[la + log[b]] if b else 0 for b in row]
 
     def frob_row(self, row: Sequence[int], k: int) -> list[int]:
         """Every entry of row raised to the power 2^k."""
-        if self.m > _TABLE_LIMIT:
-            # squaring is GF(2)-linear: two lookups per square, and 0 stays 0
-            h, low, _, _, _, _, _, _, _, sq_lo, sq_hi, _ = self._tower or self._build_tower()
-            out = list(row)
-            for _ in range(k % self.m):
-                out = [sq_lo[a & low] ^ sq_hi[a >> h] for a in out]
-            return out
-        if not k % self.m:  # the identity, as on the tower
+        if not k % self.m:
             return list(row)
-        log, exp = self._tables()
+        log, exp = self._log, self._exp
         period = self.order - 1
         e = (1 << k % self.m) % period
         return [exp[log[a] * e % period] if a else 0 for a in row]
@@ -399,12 +294,7 @@ class BinaryField:
         (x^0 = 1, also at x = 0)."""
         out = [part.get(0, 0)] * self.order
         terms = [(e, c) for e, c in part.items() if e and c]
-        if self.m > _TABLE_LIMIT:
-            for e, c in terms:
-                for x in range(1, self.order):
-                    out[x] ^= self.mul_int(c, self.pow_int(x, e))
-            return out
-        log, exp = self._tables()
+        log, exp = self._log, self._exp
         period = self.order - 1
         logs = log[1:]
         for e, c in terms:
@@ -445,22 +335,18 @@ class BinaryField:
         The embedding sends the base generator z to the numerically
         smallest root of the base reduction polynomial here, which pins
         one canonical embedding out of the 2t conjugate choices.  It
-        multiplies shift-and-reduce, because the tower of GF(2^20) is
-        built on it.
+        multiplies shift-and-reduce, because it runs before any table
+        exists and the tower of GF(2^20) is built on it.
         """
-        if self.level != "quartic":
-            raise ValueError("embedding target must be a quartic field")
-        if self._embedding is None:
-            base = make_field(self.t, "base-square")
-            sub = self.subfield_masks(base.m)
-            beta = next((s for s in sub if _eval_poly_mask(self, base.modulus, s) == 0), None)
-            if beta is None:
-                raise ArithmeticError("base modulus has no root in the quartic field")
-            images = [1]
-            for _ in range(1, base.m):
-                images.append(self._mul_raw(images[-1], beta))
-            self._embedding = images
-        return self._embedding
+        base = make_field(self.t, "base-square")
+        sub = self.subfield_masks(base.m)
+        beta = next((s for s in sub if _eval_poly_mask(self, base.modulus, s) == 0), None)
+        if beta is None:
+            raise ArithmeticError("base modulus has no root in the quartic field")
+        images = [1]
+        for _ in range(1, base.m):
+            images.append(self._mul_raw(images[-1], beta))
+        return images
 
     def subfield_masks(self, sub_degree: int) -> list[int]:
         """All masks of the subfield GF(2^sub_degree), ascending.
@@ -486,7 +372,7 @@ class BinaryField:
         base = make_field(self.t, "base-square")
         if a.field is not base:
             raise ValueError(f"cannot embed {a.field!r} into {self!r}")
-        images = self._embedding_images()
+        images = self._embedding
         bits = 0
         mask = a.bits
         i = 0
@@ -496,6 +382,131 @@ class BinaryField:
             mask >>= 1
             i += 1
         return FieldElement(bits, self)
+
+
+class TowerField(BinaryField):
+    """GF(2^20) as the tower K[w]/(w^2 + w + nu), K = GF(2^10): it builds
+    the tower in place of tables and overrides the arithmetic that reads
+    them."""
+
+    def _build_arithmetic(self) -> None:
+        """Tables for GF(2^m) = K[w]/(w^2 + w + nu), K = GF(2^h), h = m/2.
+
+        K is the base-square field, embedded as the span of the images
+        beta^i of its basis; nu is the first element of K of absolute
+        trace 1, so w^2 + w + nu is irreducible over K, and w is the least
+        root of u^2 + u = nu here.  The columns beta^i and w beta^i then
+        form a GF(2)-basis, and a mask a + b w of the tower is the pair
+        (a, b) of K masks packed as a | b << h.  Squaring, being
+        GF(2)-linear, gets two 2^h-entry tables of its own.
+        """
+        base = make_field(self.t)
+        h = base.m
+        images = self._embedding
+        from_a = _span_table(images)
+        nu = _tower_constant(base)
+        squares = [self._mul_raw(1 << j, 1 << j) for j in range(self.m)]
+        w = reduce_gf2([s ^ (1 << j) for j, s in enumerate(squares)]).preimage(from_a[nu])
+        if w is None or self._mul_raw(w, w) ^ w != from_a[nu]:
+            raise ArithmeticError(f"no root of w^2 + w = nu in {self!r}")
+        w_images = [self._mul_raw(w, b) for b in images]
+        basis = reduce_gf2(images + w_images)
+        if basis.kernel != [0]:
+            raise ArithmeticError(f"1 and w do not span {self!r} over GF(2^{h})")
+        coords = [basis.preimage(1 << j) for j in range(self.m)]
+        # zero-aware logs of K: log 0 = 2(2^h - 1) - 1 sends every product
+        # with a zero factor past the cyclic part of exp, onto zeros
+        period = base.order - 1
+        log = list(base._log)
+        log[0] = 2 * period - 1
+        exp = base._exp[: 2 * period - 1] + [0] * (2 * period)
+        # (a + b w)(c + d w) = (ac + nu bd) + ((a + b)(c + d) + ac) w
+        from_b = _span_table(w_images)
+        back_ac = [from_a[k] ^ from_b[k] for k in range(base.order)]
+        back_bd = [from_a[base.mul_int(nu, k)] for k in range(base.order)]
+        self._tower = (
+            h, period, _span_table(coords[:h]), _span_table(coords[h:]),
+            log, exp, back_ac, back_bd, from_b,
+            _span_table(squares[:h]), _span_table(squares[h:]), nu,
+        )
+
+    def mul_int(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        if a == 1:
+            return b
+        if b == 1:
+            return a
+        h, low, to_lo, to_hi, log, exp, back_ac, back_bd, back_s, sq_lo, sq_hi, _ = self._tower
+        if a == b:  # squaring is GF(2)-linear
+            return sq_lo[a & low] ^ sq_hi[a >> h]
+        u = to_lo[a & low] ^ to_hi[a >> h]
+        v = to_lo[b & low] ^ to_hi[b >> h]
+        ua, ub, va, vb = u & low, u >> h, v & low, v >> h
+        ac = exp[log[ua] + log[va]]
+        return (
+            back_ac[ac]
+            ^ back_bd[exp[log[ub] + log[vb]]]
+            ^ back_s[exp[log[ua ^ ub] + log[va ^ vb]]]
+        )
+
+    def pow_int(self, a: int, e: int) -> int:
+        if e < 0:
+            raise ValueError("negative exponent; use inv_int first")
+        r = 1
+        while e:
+            if e & 1:
+                r = self.mul_int(r, a)
+            a = self.mul_int(a, a)
+            e >>= 1
+        return r
+
+    def inv_int(self, a: int) -> int:
+        # (a + b w)(a + b + b w) = a^2 + ab + nu b^2 = N, an element of K;
+        # N = 0 exactly at a = 0, and K refuses to invert it
+        h, low, to_lo, to_hi, _, _, back_ac, _, back_s, _, _, nu = self._tower
+        base = make_field(self.t)
+        u = to_lo[a & low] ^ to_hi[a >> h]
+        a, b = u & low, u >> h
+        c = a ^ b
+        n_inv = base.inv_int(base.mul_int(a, c) ^ base.mul_int(nu, base.mul_int(b, b)))
+        # back_ac[k] ^ back_s[k] is k, and back_s[k] is k w, in this field's masks
+        c, b = base.mul_int(c, n_inv), base.mul_int(b, n_inv)
+        return back_ac[c] ^ back_s[c] ^ back_s[b]
+
+    def frob_int(self, a: int, k: int) -> int:
+        """a^(2^k), the k-fold binary Frobenius."""
+        h, low, _, _, _, _, _, _, _, sq_lo, sq_hi, _ = self._tower
+        for _ in range(k % self.m):
+            a = sq_lo[a & low] ^ sq_hi[a >> h]  # squaring is GF(2)-linear
+        return a
+
+    # -- row kernels: a call per zero entry would cost more than the product
+
+    def convolve(self, u: Sequence[int], v: Sequence[int], n: int) -> list[int]:
+        out = [0] * n
+        mul = self.mul_int
+        nonzero_v = [(j, b) for j, b in enumerate(v[:n]) if b]
+        for i, a in enumerate(u[:n]):
+            if a:
+                room = n - i
+                for j, b in nonzero_v:
+                    if j >= room:
+                        break
+                    out[i + j] ^= mul(a, b)
+        return out
+
+    def scale_row(self, a: int, row: Sequence[int]) -> list[int]:
+        if a == 1:
+            return list(row)
+        return [self.mul_int(a, b) if b else 0 for b in row]
+
+    def frob_row(self, row: Sequence[int], k: int) -> list[int]:
+        h, low, _, _, _, _, _, _, _, sq_lo, sq_hi, _ = self._tower
+        out = list(row)
+        for _ in range(k % self.m):
+            out = [sq_lo[a & low] ^ sq_hi[a >> h] for a in out]
+        return out
 
 
 class FieldElement:
@@ -623,7 +634,8 @@ def make_field(t: int, level: str = "base-square") -> BinaryField:
         m = 2 * t if level == "base-square" else 4 * t
         if m not in _MODULI:
             raise ValueError(f"no table modulus for degree m={m}")
-        _FIELD_CACHE[key] = BinaryField(t, level, m, _MODULI[m])
+        cls = BinaryField if m <= _TABLE_LIMIT else TowerField
+        _FIELD_CACHE[key] = cls(t, level, m, _MODULI[m])
     return _FIELD_CACHE[key]
 
 
@@ -723,6 +735,12 @@ def reduce_gf2(columns: Sequence[int]) -> GF2Reduction:
     return GF2Reduction(kernel, checks, image, section)
 
 
+def additive_map(field: BinaryField, part: dict[int, int]) -> GF2Reduction:
+    """The additive polynomial sum of c y^e over part = {e: c}, every e a
+    power of 2, reduced as a GF(2)-linear map of the field."""
+    return reduce_gf2([field.part_at(part, 1 << j) for j in range(field.m)])
+
+
 def solve_artin_schreier(c: FieldElement) -> list[FieldElement]:
     """All u in c's field with u^2 + u = c, ascending.
 
@@ -730,8 +748,7 @@ def solve_artin_schreier(c: FieldElement) -> list[FieldElement]:
     and is nonempty exactly when the absolute trace of c vanishes.
     """
     field = c.field
-    cols = [field.sqr_int(1 << j) ^ (1 << j) for j in range(field.m)]
-    return [FieldElement(s, field) for s in reduce_gf2(cols).coset(c.bits)]
+    return [FieldElement(s, field) for s in additive_map(field, {2: 1, 1: 1}).coset(c.bits)]
 
 
 def linearized_solve(coeffs: Sequence[FieldElement], b: FieldElement) -> list[FieldElement]:
@@ -750,12 +767,5 @@ def linearized_solve(coeffs: Sequence[FieldElement], b: FieldElement) -> list[Fi
     for a in coeffs:
         if a.field is not field:
             raise ValueError("coefficients and target live in different fields")
-
-    def image(x: int) -> int:
-        acc = 0
-        for i, a in enumerate(coeffs, start=1):
-            acc ^= field.mul_int(a.bits, field.frob_int(x, t - i))
-        return acc
-
-    cols = [image(1 << j) for j in range(field.m)]
-    return [FieldElement(s, field) for s in reduce_gf2(cols).coset(b.bits)]
+    part = {field.q >> i: a.bits for i, a in enumerate(coeffs, start=1)}
+    return [FieldElement(s, field) for s in additive_map(field, part).coset(b.bits)]

@@ -1,10 +1,11 @@
 """Numerical semigroups: membership sieve, gaps, genus, system dimensions.
 
 A semigroup is generated by positive integers with gcd 1 and stored as a
-membership table up to a bound safely past the conductor.  A bound above
-``SIEVE_LIMIT`` is refused before the table is allocated.  The genus is
-the gap count; the projective dimension of the one-point system |dP| is
-the number of non-gaps up to d, minus one.
+membership table up to the bound 2 max(gens)^2, safely past the
+conductor.  A bound above ``SIEVE_LIMIT`` is refused before the table is
+allocated.  The genus is the gap count; the projective dimension of the
+one-point system |dP| is the number of non-gaps up to d, minus one,
+where every integer past the bound is a non-gap.
 
 At infinity, a model A(y) = P(x) + c has the semigroup <deg A, deg P>:
 <q/2, q+1> on the trace curve, whose genus q(q-2)/4 closes the loop with
@@ -22,7 +23,7 @@ SIEVE_LIMIT = 1 << 20  # largest bound a sieve may use; beyond it the input is r
 class NumericalSemigroup:
     """All non-negative integer combinations of the generators."""
 
-    def __init__(self, generators: Sequence[int], bound: int | None = None) -> None:
+    def __init__(self, generators: Sequence[int]) -> None:
         gens = sorted(set(int(g) for g in generators))
         if not gens or gens[0] < 1:
             raise ValueError("generators must be positive integers")
@@ -31,11 +32,7 @@ class NumericalSemigroup:
             g = gcd(g, x)
         if g != 1:
             raise ValueError(f"gcd of generators is {g} != 1: infinitely many gaps")
-        min_bound = 2 * gens[-1] ** 2
-        if bound is None:
-            bound = min_bound
-        if bound < min_bound:
-            raise ValueError(f"bound {bound} below the safe minimum 2*max(gens)^2 = {min_bound}")
+        bound = 2 * gens[-1] ** 2
         if bound > SIEVE_LIMIT:
             raise ValueError(f"a sieve up to {bound} exceeds the limit {SIEVE_LIMIT}")
         self.generators = tuple(gens)
@@ -91,10 +88,11 @@ class NumericalSemigroup:
 
 
 def dim_from_semigroup(s: NumericalSemigroup, d: int) -> int:
-    """Projective dimension of |dP| from non-gap counting: #{s <= d} - 1."""
+    """Projective dimension of |dP| from non-gap counting: #{s <= d} - 1,
+    where each of the d - bound integers past the sieve is a member."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    return len(s.elements_upto(d)) - 1
+    return len(s.elements_upto(min(d, s.bound))) + max(d - s.bound, 0) - 1
 
 
 def infinity_semigroup(q: int) -> NumericalSemigroup:

@@ -32,7 +32,7 @@ from maxcurves.curves import (
     trace_curve,
     trace_form,
 )
-from maxcurves.fields import make_field
+from maxcurves.fields import make_field, reduce_gf2
 from maxcurves.orders import dp_orders_at_infinity
 
 
@@ -208,18 +208,21 @@ def test_census_refuses_a_y_part_that_is_not_additive(terms):
         enumerate_points(curve_from_json(document), 1)
 
 
-def test_planted_column_defect_is_caught(monkeypatch, capsys):
-    columns = census._column_images
+def columns_of(fld, part) -> list[int]:
+    """A(1 << j) for j < m: the columns that fields.additive_map reduces."""
+    return [fld.part_at(part, 1 << j) for j in range(fld.m)]
 
+
+def test_planted_column_defect_is_caught(monkeypatch, capsys):
     def planted(fld, ypart):
-        images = columns(fld, ypart)
+        images = columns_of(fld, ypart)
         # only the Hermitian y^q + y: full-suite samples trace-curve points,
         # and off-curve samples would stop it before it reports
         if fld.q in ypart:
             images[0] ^= 2  # A(1) = z instead of 0
-        return images
+        return reduce_gf2(images)
 
-    monkeypatch.setattr(census, "_column_images", planted)
+    monkeypatch.setattr(census, "additive_map", planted)
     for t in (1, 2, 3, 4):
         q = 1 << t
         assert count_rational(hermitian(t), 1) != l_polynomial_count(q, g1(q), 1)
@@ -228,14 +231,12 @@ def test_planted_column_defect_is_caught(monkeypatch, capsys):
 
 
 def test_planted_column_defect_on_the_trace_curve_fails_full_suite(monkeypatch, capsys):
-    columns = census._column_images
-
     def planted(fld, ypart):
-        images = columns(fld, ypart)
+        images = columns_of(fld, ypart)
         images[0] ^= 2  # A(1) = z for every curve, the trace curve included
-        return images
+        return reduce_gf2(images)
 
-    monkeypatch.setattr(census, "_column_images", planted)
+    monkeypatch.setattr(census, "additive_map", planted)
     assert cli.main(["full-suite", "--t", "3"]) == cli.EXIT_CHECK_FAILED
     error = json.loads(capsys.readouterr().out)["error"]
     assert "census of the trace-standard curve" in error and "not on it" in error

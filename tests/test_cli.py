@@ -78,6 +78,13 @@ def test_semigroup_subcommand(capsys):
     assert payload["dims"] == {"5": 3, "10": 8}
 
 
+def test_semigroup_dims_past_the_sieve_bound(capsys):
+    # <4, 9> sieves to 2 * 9^2 = 162; every integer above it is a member
+    code, payload = run_json(capsys, "semigroup", "--generators", "4,9", "--dims", "200")
+    members = {4 * i + 9 * j for i in range(51) for j in range(23)}
+    assert code == EXIT_OK and payload["dims"] == {"200": sum(d in members for d in range(201)) - 1}
+
+
 def test_frobenius_check(capsys):
     code, payload = run_json(
         capsys, "frobenius-check", "--curve", "trace", "--t", "2", "--samples", "10"
@@ -256,15 +263,32 @@ def test_config_errors_exit_2(capsys):
     assert code == EXIT_CONFIG and "precision" in payload["error"]  # x0 + tau needs tau^1
     code, payload = run_json(capsys, "orders", "--curve", "hermitian", "--t", "3", "--point", "inf")
     assert code == EXIT_CONFIG and "deg A = 8" in payload["error"]  # 2 deg A > deg P
+    code, payload = run_json(capsys, "no-such-command")  # argparse rejects it
+    assert code == EXIT_CONFIG and "invalid choice" in payload["error"] and payload["schema"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("count", "--t", "x"), "argument --t: invalid int value: 'x'"),
+        (("count", "--bogus"), "unrecognized arguments: --bogus"),
+        (("semigroup", "--generators", "4,9", "--bound", "400"),
+         "unrecognized arguments: --bound 400"),
+    ],
+)
+def test_a_refused_command_line_exits_2_with_a_json_error(capsys, argv, error):
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG and json.loads(out) == {"error": error, "schema": 1}
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == EXIT_CONFIG  # argparse rejects unknown subcommands
+        main(["count", "--help"])
+    assert exc.value.code == 0 and "usage: maxcurves count" in capsys.readouterr().out
 
 
 def test_oversized_semigroup_sieve_exits_2(capsys):
     code, payload = run_json(capsys, "semigroup", "--generators", "100000,100001")
-    assert code == EXIT_CONFIG and "exceeds the limit" in payload["error"]
-    code, payload = run_json(capsys, "semigroup", "--generators", "4,9", "--bound", str(10**12))
     assert code == EXIT_CONFIG and "exceeds the limit" in payload["error"]
 
 

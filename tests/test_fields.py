@@ -12,6 +12,8 @@ from maxcurves import fields
 from maxcurves.fields import (
     BinaryField,
     CheckFailed,
+    TowerField,
+    additive_map,
     is_irreducible,
     linearized_solve,
     make_field,
@@ -139,7 +141,7 @@ TABLED_FIELDS = sorted(
 @pytest.mark.parametrize("fld", TABLED_FIELDS, ids=lambda f: f"m={f.m}")
 def test_tables_equal_the_ascending_shift_and_reduce_search(fld):
     g, log, exp = reference_tables(fld)
-    assert fld._tables() == (log, exp)
+    assert (fld._log, fld._exp) == (log, exp)  # built by make_field, before any product
     assert fld._exp[1] == g == (3 if fld.m in (8, 12, 16) else 2)
 
 
@@ -148,10 +150,8 @@ def test_a_generator_test_missing_a_prime_fails_the_table_build(monkeypatch):
     # it, and its run meets 1 again at z^51, which the build must refuse
     real = fields._prime_factors
     monkeypatch.setattr(fields, "_prime_factors", lambda n: [r for r in real(n) if r != 5])
-    fld = BinaryField(2, "quartic", 8, GF256.modulus)
     with pytest.raises(CheckFailed, match="does not generate"):
-        fld.mul_int(3, 5)
-    assert fld._log is None and fld._exp is None
+        BinaryField(2, "quartic", 8, GF256.modulus)
 
 
 @pytest.mark.parametrize("t,level,m", [(1, "base-square", 2), (2, "base-square", 4),
@@ -477,7 +477,7 @@ def gf2_20_samples() -> list[int]:
     seeded random masks."""
     rng = random.Random(20)
     subfield = [GF2_20.embed(make_field(5).element(b)).bits for b in (2, 3, 0x155, 0x3FF)]
-    return [0, 1, 2, GF2_20.order - 1, *GF2_20._embedding_images(), *subfield] + [
+    return [0, 1, 2, GF2_20.order - 1, *GF2_20._embedding, *subfield] + [
         rng.randrange(GF2_20.order) for _ in range(60)
     ]
 
@@ -507,16 +507,20 @@ def test_gf2_20_powers_inverses_and_frobenius_match_shift_and_reduce():
             assert ref_mul(a, inv, mod) == 1 and inv == ref_pow(a, GF2_20.order - 2, mod)
 
 
-def test_tower_is_built_on_the_first_product_of_nonzero_operands():
+def test_tower_is_built_when_the_field_is_made():
+    fld = TowerField(5, "quartic", 20, GF2_20.modulus)
+    assert fld._tower == GF2_20._tower  # before any product
     for a, b in ((1, 1), (1, 7), (7, 1), (3, 5)):
-        fld = BinaryField(5, "quartic", 20, GF2_20.modulus)
-        assert fld._tower is None
         assert fld.mul_int(0, a) == fld.mul_int(b, 0) == 0
         assert fld.mul_int(a, b) == ref_mul(a, b, fld.modulus)
-        assert fld._tower is not None
-        # no table of 2^20 entries: the largest is the zero-aware exp of GF(2^10)
-        assert fld._log is None
-        assert max(len(table) for table in fld._tower if isinstance(table, list)) < 1 << 12
+    # no table of 2^20 entries: the largest is the zero-aware exp of GF(2^10)
+    assert not hasattr(fld, "_log")
+    assert max(len(table) for table in fld._tower if isinstance(table, list)) < 1 << 12
+
+
+def test_make_field_makes_a_tower_exactly_at_m_20():
+    for fld in SHIPPED_FIELDS:
+        assert type(fld) is (TowerField if fld.m == 20 else BinaryField), fld
 
 
 def test_tower_with_a_trace_zero_constant_is_refused(monkeypatch):
@@ -524,9 +528,8 @@ def test_tower_with_a_trace_zero_constant_is_refused(monkeypatch):
     # no new dimension and the 20 columns cannot span GF(2^20)
     assert make_field(5).one.absolute_trace() == 0
     monkeypatch.setattr(fields, "_tower_constant", lambda base: 1)
-    fld = BinaryField(5, "quartic", 20, GF2_20.modulus)
     with pytest.raises(ArithmeticError):
-        fld.mul_int(3, 5)
+        TowerField(5, "quartic", 20, GF2_20.modulus)
 
 
 @pytest.mark.parametrize(
@@ -570,7 +573,7 @@ EMBEDDING_IMAGES = {
 @pytest.mark.parametrize("t", sorted(EMBEDDING_IMAGES))
 def test_embedding_images_are_pinned(t):
     # recorded when beta was the least root among all norms of the field
-    assert make_field(t, "quartic")._embedding_images() == EMBEDDING_IMAGES[t]
+    assert make_field(t, "quartic")._embedding == EMBEDDING_IMAGES[t]
 
 
 def inverse_failures(fld: BinaryField, samples) -> list[int]:
@@ -580,8 +583,10 @@ def inverse_failures(fld: BinaryField, samples) -> list[int]:
 def test_gf2_20_inverse_goes_through_the_tower_norm():
     samples = gf2_20_samples()
     subfield = set(samples[4:-60])  # 1, the embedded basis and the GF(2^10) picks
-    fld = BinaryField(5, "quartic", 20, GF2_20.modulus)
-    assert fld.inv_int(1) == 1  # the first inverse builds the tower
+    fld = TowerField(5, "quartic", 20, GF2_20.modulus)
+    assert fld.inv_int(1) == 1
+    with pytest.raises(ValueError, match="zero has no inverse"):  # the norm of 0 is 0
+        fld.inv_int(0)
     assert not inverse_failures(fld, samples)
     # plant a wrong nu in the norm a^2 + ab + nu b^2: products stay right,
     # inverses of elements outside GF(2^10) (b != 0) go wrong
@@ -623,13 +628,16 @@ def test_row_kernels_match_shift_and_reduce(fld):
         assert fld.frob_row(u, k) == [fld.frob_int(a, k) for a in u] == expected
 
 
-@pytest.mark.parametrize("fld", SHIPPED_FIELDS, ids=lambda f: f"m={f.m}-{f.level}")
+# the census refuses GF(2^20) before it evaluates, so the tower has no values
+TABLED_SHIPPED_FIELDS = [f for f in SHIPPED_FIELDS if f.m <= 16]
+
+
+@pytest.mark.parametrize("fld", TABLED_SHIPPED_FIELDS, ids=lambda f: f"m={f.m}-{f.level}")
 def test_values_match_shift_and_reduce(fld):
     mod = fld.modulus
     rng = random.Random(fld.m)
-    part = {0: rng.randrange(1, fld.order), 1: rng.randrange(1, fld.order)}
-    if fld.m <= 16:  # the tower evaluates 2^20 points by mul_int, so it gets two terms
-        part.update({2: 0, 3: rng.randrange(1, fld.order), fld.order + 1: rng.randrange(1, fld.order)})
+    part = {0: rng.randrange(1, fld.order), 1: rng.randrange(1, fld.order), 2: 0,
+            3: rng.randrange(1, fld.order), fld.order + 1: rng.randrange(1, fld.order)}
     values = fld.values(part)
     assert len(values) == fld.order
     xs = range(fld.order) if fld.order <= 256 else [0, 1, 2, fld.order - 1, *rng.sample(range(fld.order), 200)]
@@ -637,6 +645,23 @@ def test_values_match_shift_and_reduce(fld):
         expected = functools.reduce(operator.xor, (ref_mul(c, ref_pow(x, e, mod), mod) for e, c in part.items()))
         assert values[x] == expected, hex(x)
     assert fld.values({}) == [0] * fld.order
+
+
+@pytest.mark.parametrize("fld", SHIPPED_FIELDS, ids=lambda f: f"m={f.m}-{f.level}")
+def test_part_at_and_additive_map_match_shift_and_reduce(fld):
+    mod = fld.modulus
+    rng = random.Random(fld.m + 1)
+    # an additive part, with a zero coefficient first and a nonzero term last
+    part = {8: 0} | {1 << k: rng.randrange(1, fld.order) for k in range(3)} | {1 << fld.m + 2: 1}
+    xs = [0, 1, 2, fld.order - 1, *(rng.randrange(fld.order) for _ in range(30))]
+    for x in xs:
+        terms = (ref_mul(c, ref_pow(x, e, mod), mod) for e, c in part.items())
+        assert fld.part_at(part, x) == functools.reduce(operator.xor, terms), hex(x)
+    a_map = additive_map(fld, part)
+    assert all(fld.part_at(part, y) == 0 for y in a_map.kernel)
+    for x in xs:
+        v = fld.part_at(part, x)
+        assert a_map.in_image(v) and x in a_map.coset(v)
 
 
 def test_tower_frob_row_matches_shift_and_reduce_for_every_k():

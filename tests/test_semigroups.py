@@ -47,6 +47,21 @@ def test_dimension_from_nongap_count():
     assert dim_from_semigroup(s89, 18) == 8
 
 
+def brute_force_dim(gens, d: int) -> int:
+    """#{s <= d} - 1, the members found by adding generators to members."""
+    member = [True] + [False] * d
+    for value in range(1, d + 1):
+        member[value] = any(g <= value and member[value - g] for g in gens)
+    return sum(member) - 1
+
+
+def test_dimension_past_the_sieve_bound():
+    for gens in ((2, 5), (4, 9), (3, 5, 7)):
+        s = NumericalSemigroup(gens)
+        for d in (s.bound - 1, s.bound, s.bound + 1, 200, 5 * s.bound):
+            assert dim_from_semigroup(s, d) == brute_force_dim(gens, d), (gens, d)
+
+
 def test_classical_genus_identity_for_all_coprime_pairs():
     for a in range(2, 21):
         for b in range(a + 1, 21):
@@ -90,19 +105,18 @@ def test_constructor_guards():
     with pytest.raises(ValueError):
         NumericalSemigroup([0, 3])
     with pytest.raises(ValueError):
-        NumericalSemigroup([2, 5], bound=10)  # below 2*max^2
-    with pytest.raises(ValueError):
-        NumericalSemigroup([3], bound=18)  # gcd 3... caught as gcd error
-    s = NumericalSemigroup([2, 5], bound=2 * 25)
-    assert s.genus == 2
+        NumericalSemigroup([3])  # gcd 3
+    s = NumericalSemigroup([2, 5])
+    assert s.genus == 2 and s.bound == 2 * 25
 
 
 def test_sieve_over_the_limit_is_refused_before_it_is_allocated():
     tracemalloc.start()
     try:
-        for gens, bound in (((100000, 100001), None), ((4, 9), 10**12), ((4, 9), SIEVE_LIMIT + 1)):
+        # 2 * 725^2 = 1051250 is just over the limit of 2^20 cells
+        for gens in ((100000, 100001), (724, 725)):
             with pytest.raises(ValueError, match="exceeds the limit"):
-                NumericalSemigroup(gens, bound)
+                NumericalSemigroup(gens)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
