@@ -4,26 +4,30 @@ Every curve is held as its additive model A(y) = P(x) + c
 (:class:`curves.AdditiveModel`), so A is GF(2)-linear and each fibre of A
 is empty or a coset of ker A.  One Gaussian elimination on the images
 A(1 << j) (:func:`fields.additive_map`) gives ker A, a reduced basis of
-im A and a linear section of it.  The values P(x) + c at every x come
-from one row kernel (:meth:`fields.BinaryField.values`), and a byte
-table over the masks, set on the 2^rank images spanned from the basis,
-says which of them lie in im A.  Counting adds 2^(dim ker A) for each x
-that passes; enumeration lists the coset over each such x, in ascending
-(x, y) order.  Enumeration costs little more than its coordinates: each
-call keeps a dict from y mask to :class:`FieldElement`, so a y shared by
-many points is one object (no table over the whole field is built: at
-level 2 most masks are never a y), and :class:`AffinePoint` is a
-slotted frozen dataclass whose enumerated instances get their slots
-filled directly, without the generated ``__init__`` and its
-``object.__setattr__`` per field.  Every level-1 point is
+im A and a linear section of it.  A byte table over the masks, set on
+the 2^rank images spanned from the basis, says which values P(x) + c lie
+in im A.  Counting adds 2^(dim ker A) for each x that passes.  It reads
+the values at x != 0 in log order (:meth:`fields.BinaryField.values_by_log`),
+as strided slices of the antilog table, and P(0) + c = c, since every
+exponent of P is positive; a count does not depend on the order of the x.
+Enumeration takes the values in mask order
+(:meth:`fields.BinaryField.values`), and lists the coset over each x that
+passes, in ascending (x, y) order.  It costs little more than its
+coordinates: each call keeps a dict from y mask to :class:`FieldElement`,
+so a y shared by many points is one object (no table over the whole
+field is built: at level 2 most masks are never a y), and
+:class:`AffinePoint` is a slotted frozen dataclass whose enumerated
+instances get their slots filled directly, without the generated
+``__init__`` and its ``object.__setattr__`` per field.  Every level-1 point is
 GF(q^2)-rational without a Frobenius test.  As deg A and deg P are
 coprime, one point lies over x = infinity, and it is rational: each
 census adds it, never finding it by a blow-up.
 
 Censuses cover fields of at most 2^16 elements: every level-1 field,
 and level 2 for q <= 16.  Larger fields are refused with
-:class:`CensusLimitError`: over GF(2^20) the 2^20 evaluations of the
-x-part alone would take seconds.
+:class:`CensusLimitError`: GF(2^20) multiplies through its tower and
+has no antilog table to walk, and 2^20 evaluations of the x-part there
+would take seconds.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .curves import PlaneCurve
+from .curves import AdditiveModel, PlaneCurve
 from .fields import BinaryField, CheckFailed, FieldElement, GF2Reduction, additive_map
 
 CENSUS_FIELD_LIMIT = 1 << 16
@@ -98,19 +102,20 @@ def _census_field(curve: PlaneCurve, level: int) -> BinaryField:
 
 def _census_setup(
     curve: PlaneCurve, level: int
-) -> tuple[BinaryField, list[int], bytearray, GF2Reduction]:
-    """The field, P(x) + c at every x in mask order, the membership table
-    of im A and the reduced A, for the model A(y) = P(x) + c."""
+) -> tuple[BinaryField, AdditiveModel, bytearray, GF2Reduction]:
+    """The field, the model A(y) = P(x) + c, the membership table of im A
+    and the reduced A."""
     fld = _census_field(curve, level)
     model = curve.model(level)
     a_map = additive_map(fld, model.ypart)
-    return fld, fld.values({**model.xpart, 0: model.const}), a_map.image_table(fld.order), a_map
+    return fld, model, a_map.image_table(fld.order), a_map
 
 
 def enumerate_points(curve: PlaneCurve, level: int) -> list[CurvePoint]:
     """All points at the given tower level, affine ones in lexicographic
     order of serialized (x, y), then the point at infinity."""
-    fld, rhs, in_image, a_map = _census_setup(curve, level)
+    fld, model, in_image, a_map = _census_setup(curve, level)
+    rhs = fld.values({**model.xpart, 0: model.const})  # P(x) + c in mask order
     ys: dict[int, FieldElement] = {}  # one element per y mask, for this call only
     points: list[CurvePoint] = []
     for xb, v in enumerate(rhs):
@@ -128,9 +133,13 @@ def enumerate_points(curve: PlaneCurve, level: int) -> list[CurvePoint]:
 
 def count_rational(curve: PlaneCurve, level: int = 1) -> int:
     """Number of points at the given level: |ker A| for each x whose
-    P(x) + c lies in im A, plus the point at infinity."""
-    _, rhs, in_image, a_map = _census_setup(curve, level)
-    return sum(map(in_image.__getitem__, rhs)) * len(a_map.kernel) + 1
+    P(x) + c lies in im A, plus the point at infinity.  Every exponent of
+    P is positive, so x = 0 gives c; the other x are taken in log order,
+    which a count does not see."""
+    fld, model, in_image, a_map = _census_setup(curve, level)
+    c = model.const
+    rhs = fld.values_by_log({**model.xpart, 0: c})
+    return (in_image[c] + sum(map(in_image.__getitem__, rhs))) * len(a_map.kernel) + 1
 
 
 def is_rational(curve: PlaneCurve, point: CurvePoint) -> bool:

@@ -37,22 +37,30 @@ certified irreducible by Rabin's test on every field creation.
 
 Row kernels work on whole coefficient lists: the truncated product of
 two lists (:meth:`BinaryField.convolve`), a scalar times a list, the
-Frobenius of a list, and a sparse polynomial at every mask of a tabled
-field (:meth:`BinaryField.values`).  On tabled fields each looks the
-tables up once and runs one loop with no call per coefficient, skipping
-zero entries, whose log is a placeholder.  The tower multiplies through
-``mul_int`` per nonzero entry, but squares through its own two square
-tables inline, in ``frob_int`` and ``frob_row``: squaring is
-GF(2)-linear, so 0 needs no test.  A scalar 1 copies the list.
+Frobenius of a list, and a sparse polynomial at every nonzero element of
+a tabled field.  On tabled fields each looks the tables up once and runs
+one loop with no call per coefficient, skipping zero entries, whose log
+is a placeholder.  The polynomial is taken in log order
+(:meth:`BinaryField.values_by_log`): c x^e at x = g^i is the antilog
+entry at log c + e i, so each term is a run of strided slices of the
+antilog table, and the terms are added with one C-level XOR pass each;
+:meth:`BinaryField.values` gathers that walk into mask order through the
+log table.  The tower multiplies through ``mul_int`` per nonzero entry,
+but squares through its own two square tables inline, in ``frob_int``
+and ``frob_row``: squaring is GF(2)-linear, so 0 needs no test.  A
+scalar 1 copies the list.
 
 :meth:`BinaryField.part_at` evaluates a sparse polynomial at one
 point, and :func:`additive_map` reduces an additive one as a GF(2)-linear
-map; the census and both solvers share that one reduction.
+map; the census and both solvers share that one reduction.  Each field
+holds the reduction of u -> u^2 + u, made after its tables or tower, so
+solving u^2 + u = c is one coset lookup.
 """
 
 from __future__ import annotations
 
 from importlib import resources
+from itertools import repeat
 from operator import xor
 from typing import Iterator, NamedTuple, Sequence
 
@@ -153,6 +161,7 @@ class BinaryField:
         if level == "quartic":
             self._embedding = self._embedding_images()  # basis images of GF(q^2)
         self._build_arithmetic()
+        self._artin_schreier = additive_map(self, {2: 1, 1: 1})  # u -> u^2 + u
 
     def __repr__(self) -> str:
         return f"BinaryField(t={self.t}, level={self.level!r}, m={self.m})"
@@ -291,16 +300,48 @@ class BinaryField:
 
     def values(self, part: dict[int, int]) -> list[int]:
         """sum of c x^e over part = {e: c}, at every mask x in ascending order
-        (x^0 = 1, also at x = 0)."""
-        out = [part.get(0, 0)] * self.order
-        terms = [(e, c) for e, c in part.items() if e and c]
-        log, exp = self._log, self._exp
+        (x^0 = 1, also at x = 0): the walk of :meth:`values_by_log`,
+        gathered into mask order through the log table."""
+        cyc = self.values_by_log(part)
+        return [part.get(0, 0)] + list(map(cyc.__getitem__, self._log[1:]))
+
+    def values_by_log(self, part: dict[int, int]) -> list[int]:
+        """sum of c x^e over part = {e: c} at x = g^i for i = 0 .. p - 1,
+        with g = exp[1] the table generator and p = 2^m - 1.
+
+        x^p = 1 for x != 0, so exponents count mod p, and a term with
+        e = 0 mod p adds c everywhere.  Any other term is the walk
+        exp[log c + e i mod p], read as the strided slices exp[j : 2p : e]
+        of the antilog table, which repeats with period p up to index 2p:
+        about e/2 slices per term, each copied at C speed.  Terms are
+        combined with one ``map(xor, ...)`` each, and the constant is added
+        once.  The census's exponents are q + 1 and powers of 2 up to q/2,
+        a few slices each.  A large reduced exponent takes up to about p/2
+        slices: at m = 16 the walk for e = p - 1 costs some 20 times that
+        for e = 17, about as much as evaluating the term at every mask one
+        by one.
+        """
         period = self.order - 1
-        logs = log[1:]
-        for e, c in terms:
-            lc = log[c]
-            out[1:] = map(xor, out[1:], [exp[(lc + e * lx) % period] for lx in logs])
-        return out
+        log, exp = self._log, self._exp
+        const = 0
+        out = None
+        for e, c in part.items():
+            e %= period
+            if not c:
+                continue
+            if not e:
+                const ^= c
+                continue
+            walk: list[int] = []
+            j = log[c]
+            while len(walk) < period:
+                chunk = exp[j : min(2 * period, j + e * (period - len(walk))) : e]
+                walk += chunk
+                j = (j + e * len(chunk)) % period
+            out = walk if out is None else list(map(xor, out, walk))
+        if out is None:
+            return [const] * period
+        return list(map(xor, out, repeat(const, period))) if const else out
 
     # -- elements ------------------------------------------------------------
 
@@ -745,10 +786,11 @@ def solve_artin_schreier(c: FieldElement) -> list[FieldElement]:
     """All u in c's field with u^2 + u = c, ascending.
 
     The solution set has size 0 or 2 (the kernel of u^2 + u is GF(2)),
-    and is nonempty exactly when the absolute trace of c vanishes.
+    and is nonempty exactly when the absolute trace of c vanishes.  It is
+    a coset of the reduction that c's field holds.
     """
     field = c.field
-    return [FieldElement(s, field) for s in additive_map(field, {2: 1, 1: 1}).coset(c.bits)]
+    return [FieldElement(s, field) for s in field._artin_schreier.coset(c.bits)]
 
 
 def linearized_solve(coeffs: Sequence[FieldElement], b: FieldElement) -> list[FieldElement]:

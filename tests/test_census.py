@@ -5,6 +5,7 @@ import dataclasses
 import json
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from maxcurves.curves import (
     hermitian,
     trace_curve,
     trace_form,
+    trace_form_extended,
 )
 from maxcurves.fields import make_field, reduce_gf2
 from maxcurves.orders import dp_orders_at_infinity
@@ -190,6 +192,33 @@ def test_elimination_matches_a_scan_of_every_y(t):
             for v in range(fld.order):
                 assert a_map.coset(v) == fibres.get(v, [])
                 assert in_image[v] == (v in fibres)
+
+
+def seeded_forms_with_a_constant(t, rng):
+    """A trace-form and a trace-form-extended curve, b_0 != 0 in both."""
+    fld = make_field(t)
+    a = [fld.element(rng.randrange(1, fld.order))]
+    a += [fld.element(rng.randrange(fld.order)) for _ in range(t - 1)]
+    b = [fld.element(rng.randrange(1, fld.order))]
+    b += [fld.element(rng.randrange(1, fld.order)) for _ in range(t)]
+    return trace_form(a, b[0]), trace_form_extended(a, b)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("level", [1, 2])
+def test_count_matches_a_scan_of_every_x_and_y(t, level):
+    # seeded curves with a nonzero constant, against #{y : A(y) = P(x) + c}
+    # summed over every x in mask order
+    rng = random.Random(60 + 2 * t + level)
+    made = seeded_forms_with_a_constant(t, rng)
+    for curve in made:
+        model = curve.model(level)
+        fld = model.field
+        assert model.const
+        fibre_sizes = Counter(fld.part_at(model.ypart, y) for y in range(fld.order))
+        affine = sum(fibre_sizes[fld.part_at(model.xpart, x) ^ model.const] for x in range(fld.order))
+        assert count_rational(curve, level) == affine + 1
+    assert [c.family for c in made] == ["trace-form", "trace-form-extended"]
 
 
 @pytest.mark.parametrize(

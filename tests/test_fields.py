@@ -647,6 +647,31 @@ def test_values_match_shift_and_reduce(fld):
     assert fld.values({}) == [0] * fld.order
 
 
+@pytest.mark.parametrize("fld", TABLED_SHIPPED_FIELDS, ids=lambda f: f"m={f.m}-{f.level}")
+def test_values_by_log_walks_the_antilog_table(fld):
+    period = fld.order - 1
+    rng = random.Random(fld.m + 2)
+    exponents = [0, 1, fld.q + 1, period, 2 * period, fld.order + 1, period - 1]
+    part = {e: rng.randrange(1, fld.order) for e in exponents}  # at m = 2, q + 1 = p
+    part[3 * period + 2] = 0  # a zero coefficient
+    cyc = fld.values_by_log(part)
+    assert len(cyc) == period
+    idx = range(period) if fld.m <= 8 else [0, 1, period - 1, *rng.sample(range(period), 200)]
+    for i in idx:
+        assert cyc[i] == fld.part_at(part, fld._exp[i]), i
+    # e = 0 mod p adds its coefficient at every nonzero x
+    assert fld.values_by_log({0: 1, period: 2, 2 * period: 0}) == [3] * period
+    assert fld.values_by_log({}) == [0] * period
+
+
+@pytest.mark.parametrize("fld", SHIPPED_FIELDS, ids=lambda f: f"m={f.m}-{f.level}")
+def test_each_field_holds_its_artin_schreier_reduction(fld):
+    assert fld._artin_schreier == additive_map(fld, {2: 1, 1: 1})
+    u = fld.order - 3
+    c = fld.element(fld.mul_int(u, u) ^ u)
+    assert [s.bits for s in solve_artin_schreier(c)] == sorted([u, u ^ 1])
+
+
 @pytest.mark.parametrize("fld", SHIPPED_FIELDS, ids=lambda f: f"m={f.m}-{f.level}")
 def test_part_at_and_additive_map_match_shift_and_reduce(fld):
     mod = fld.modulus
