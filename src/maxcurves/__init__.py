@@ -27,7 +27,6 @@ from .curves import (
     CoordinateChange,
     NormalizationError,
     PlaneCurve,
-    fact0_identities,
     hermitian,
     normalize,
     trace_curve,
@@ -37,7 +36,6 @@ from .curves import (
 from .fields import (
     BinaryField,
     FieldElement,
-    linearized_solve,
     make_field,
     solve_artin_schreier,
 )

@@ -22,9 +22,11 @@ x = infinity, its semigroup is <a, b> and the genus is (a-1)(b-1)/2
 
 ``normalize`` reduces a trace-form or extended curve to the standard
 curve through an explicit sequence of invertible coordinate changes
-(shear, y-scaling, y-translation, x-scaling), and refuses inputs whose
-coefficients fail the identities that characterize the standard curve's
-GF(q^2)-isomorphism class.
+(shear, y-scaling, y-translation, x-scaling).  On every such model x has
+pole order q/2 at infinity, so by the paper's theorem the standard
+curve's GF(q^2)-isomorphism class is the set of maximal models, and
+``normalize`` refuses the others through the maximality criterion it
+reads off one reduction of A (see :func:`normalize`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .fields import BinaryField, CheckFailed, FieldElement, linearized_solve, make_field
+from .fields import BinaryField, CheckFailed, FieldElement, additive_map, make_field
 from .semigroups import NumericalSemigroup
 
 FAMILIES = ("hermitian", "trace-standard", "trace-form", "trace-form-extended")
@@ -225,6 +227,8 @@ def _classify(field: BinaryField, terms: dict[tuple[int, int], int]) -> str:
         raise ValueError(f"term x^{i} y^{j} outside the supported families")
     if terms.get((0, q >> 1), 0) == 0:
         raise ValueError("trace-form curves need a nonzero leading y-coefficient a_1")
+    if terms.get((0, 1), 0) == 0:  # A inseparable: the genus formula would not hold
+        raise ValueError("trace-form curves need a nonzero y-coefficient a_t")
     return "trace-form-extended" if has_x_linear else "trace-form"
 
 
@@ -346,46 +350,26 @@ def curve_from_json(data: object) -> PlaneCurve:
     return curve
 
 
-# -- coefficient identities and normalization ----------------------------------
-
-
-def fact0_identities(a: Sequence[FieldElement], b: FieldElement) -> dict[str, bool]:
-    """The five coefficient identities satisfied inside the standard
-    curve's isomorphism class, for a_t = 1 (t >= 2):
-
-        (i)   1 + a_{t-1} a_1^(2q) = 0
-        (ii)  1 + a_{t-1} a_1^2 = 0
-        (iii) a_i + a_{t-1} a_{i+1}^2 = 0         (i = 1..t-1)
-        (iv)  a_i^q + a_{t-1} a_{i+1}^(2q) = 0    (i = 1..t-1)
-        (v)   b + b^q + a_{t-1} (b^2 + b^(2q)) = 0
-    """
-    t = len(a)
-    if t < 2:
-        raise ValueError("identities are defined for t >= 2 only")
-    field = b.field
-    if a[-1] != field.one:
-        raise ValueError("normalize a_t to 1 (scale-y) before checking identities")
-    q = field.q
-    one = field.one
-    at1 = a[t - 2]
-    report = {
-        "i": one + at1 * a[0] ** (2 * q) == field.zero,
-        "ii": one + at1 * a[0] ** 2 == field.zero,
-        "iii": all(a[i - 1] + at1 * a[i] ** 2 == field.zero for i in range(1, t)),
-        "iv": all(a[i - 1] ** q + at1 * a[i] ** (2 * q) == field.zero for i in range(1, t)),
-        "v": b + b ** q + at1 * (b ** 2 + b ** (2 * q)) == field.zero,
-    }
-    return report
+# -- normalization -------------------------------------------------------------
 
 
 def normalize(curve: PlaneCurve) -> tuple[PlaneCurve, list[CoordinateChange]]:
     """Reduce a trace-form or extended curve to the standard curve.
 
     Returns the standard curve and the record of coordinate changes that
-    maps points of the input onto points of the output.  Raises
-    :class:`NormalizationError` when a coefficient identity fails or no
-    y-translation over GF(q^2) exists, i.e. the input is not in the
-    standard curve's GF(q^2)-isomorphism class.
+    maps points of the input onto points of the output.  After the
+    y-scaling (a_t = 1) and the shear (P = x^(q+1)) the model reads
+    A(y) = x^(q+1) + c, where x has pole order q/2 at infinity, so by
+    the paper's theorem it is in the standard curve's GF(q^2)-isomorphism
+    class iff it is maximal.  That is the criterion, read off one
+    reduction of A: |ker A| = q/2, GF(q) is inside im A, and c is in
+    im A.  Raises :class:`NormalizationError` when any part fails.
+
+    Under <u, v> = Tr(uv), GF(q) is its own orthogonal, so GF(q) in im A
+    iff ker A* lies in GF(q).  A*^(2^(t-1)) = sum (a_i v)^(2^(i-1)) is
+    monic of degree q/2, so its roots are a hyperplane Tr(beta v) = 0 of
+    GF(q) and a_i = lambda^(q/2^i - 1) with lambda = 1/beta in GF(q)*;
+    then c is in im A iff c + c^q is 0 or 1/lambda.
     """
     if curve.family == "trace-standard":
         return curve, []
@@ -406,8 +390,6 @@ def normalize(curve: PlaneCurve) -> tuple[PlaneCurve, list[CoordinateChange]]:
 
     work = curve
     a = coeffs(work.model(1).ypart)
-    if not a[-1]:
-        raise NormalizationError("a_t = 0: the model is singular, not in the class")
     if a[-1] != one:
         # the x-term relations below presume a monic y-part, so scale first
         work = step(work, CoordinateChange("scale-y", a[-1]))
@@ -426,20 +408,21 @@ def normalize(curve: PlaneCurve) -> tuple[PlaneCurve, list[CoordinateChange]]:
         if work.family == "trace-form-extended":
             raise NormalizationError("shear failed to clear the x-linearized terms")
 
-    b = FieldElement(work.model(1).const, field)
-    if t >= 2:
-        report = fact0_identities(a, b)
-        failed = [name for name, ok in report.items() if not ok]
-        if failed:
-            raise NormalizationError(f"coefficient identities failed: {', '.join(failed)}")
-
-    if b:
-        solutions = linearized_solve(a, b)
-        if not solutions:
-            raise NormalizationError("no y-translation over GF(q^2) clears the constant")
-        # any solution works (they differ by kernel elements); smallest mask
-        # keeps records deterministic.  The translation moves only the constant.
-        work = step(work, CoordinateChange("translate-y", solutions[0]))
+    model = work.model(1)
+    a_map = additive_map(field, model.ypart)
+    if len(a_map.kernel) != q >> 1:
+        raise NormalizationError(
+            f"A has {len(a_map.kernel)} roots, not q/2 = {q >> 1}: the curve is not maximal"
+        )
+    # u + u^q over the basis u = 1 << j of GF(q^2) spans GF(q)
+    if not all(a_map.in_image((1 << j) ^ field.frob_int(1 << j, t)) for j in range(2 * t)):
+        raise NormalizationError("GF(q) is not inside the image of A: the curve is not maximal")
+    alpha = a_map.preimage(model.const)
+    if alpha is None:
+        raise NormalizationError("the constant is not in the image of A: the curve is not maximal")
+    if alpha:
+        # the least solution keeps records deterministic; it moves only the constant
+        work = step(work, CoordinateChange("translate-y", FieldElement(alpha, field)))
 
     if any(ai != one for ai in a):
         work = step(work, CoordinateChange("scale-x", a[0].inv()))

@@ -52,9 +52,10 @@ scalar 1 copies the list.
 
 :meth:`BinaryField.part_at` evaluates a sparse polynomial at one
 point, and :func:`additive_map` reduces an additive one as a GF(2)-linear
-map; the census and both solvers share that one reduction.  Each field
-holds the reduction of u -> u^2 + u, made after its tables or tower, so
-solving u^2 + u = c is one coset lookup.
+map; the census, the maximality criterion of ``normalize`` and the
+Artin-Schreier solver share that one reduction.  Each field holds the
+reduction of u -> u^2 + u, made after its tables or tower, so solving
+u^2 + u = c is one coset lookup.
 """
 
 from __future__ import annotations
@@ -792,22 +793,3 @@ def solve_artin_schreier(c: FieldElement) -> list[FieldElement]:
     field = c.field
     return [FieldElement(s, field) for s in field._artin_schreier.coset(c.bits)]
 
-
-def linearized_solve(coeffs: Sequence[FieldElement], b: FieldElement) -> list[FieldElement]:
-    """All alpha in GF(q^2) with sum of coeffs[i-1] * alpha^(q/2^i) = b.
-
-    The additive map alpha -> sum a_i alpha^(2^(t-i)) is GF(2)-linear on
-    the 2t-dimensional GF(2)-space underlying GF(q^2); the full solution
-    coset is returned (possibly empty), ascending.
-    """
-    if not coeffs or all(a.bits == 0 for a in coeffs):
-        raise ValueError("all-zero coefficient list defines the zero map")
-    field = b.field
-    t = field.t
-    if len(coeffs) != t:
-        raise ValueError(f"expected t={t} coefficients, got {len(coeffs)}")
-    for a in coeffs:
-        if a.field is not field:
-            raise ValueError("coefficients and target live in different fields")
-    part = {field.q >> i: a.bits for i, a in enumerate(coeffs, start=1)}
-    return [FieldElement(s, field) for s in additive_map(field, part).coset(b.bits)]

@@ -76,16 +76,6 @@ class NumericalSemigroup:
             raise ValueError(f"{d} beyond the sieve bound {self.bound}")
         return [i for i in range(d + 1) if self._member[i]]
 
-    def nth_nongap(self, i: int) -> int:
-        """m_i: the i-th element of the semigroup in increasing order (m_0 = 0)."""
-        seen = -1
-        for value in range(self.bound + 1):
-            if self._member[value]:
-                seen += 1
-                if seen == i:
-                    return value
-        raise ValueError(f"m_{i} beyond the sieve bound")
-
 
 def dim_from_semigroup(s: NumericalSemigroup, d: int) -> int:
     """Projective dimension of |dP| from non-gap counting: #{s <= d} - 1,

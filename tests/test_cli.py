@@ -121,13 +121,23 @@ def test_normalize_failure_exits_1(tmp_path, capsys):
     curve = {
         "q": 4,
         "family": "trace-form",
-        "terms": [[5, 0, "1"], [0, 2, "2"], [0, 1, "1"]],  # a = (g, 1) breaks (ii)
+        "terms": [[5, 0, "1"], [0, 2, "2"], [0, 1, "1"]],  # a = (g, 1): GF(4) not in im A
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(curve))
     code, payload = run_json(capsys, "normalize", "--file", str(path))
     assert code == EXIT_CHECK_FAILED
-    assert "identities failed" in payload["error"]
+    assert "GF(q) is not inside the image of A" in payload["error"]
+
+
+def test_normalize_model_without_a_y_term_exits_2(tmp_path, capsys):
+    # y^2 = x^5 + 3: A(y) = y^2 is inseparable, so the model is refused as input
+    curve = {"q": 4, "terms": [[5, 0, "1"], [0, 2, "1"], [0, 0, "3"]]}
+    path = tmp_path / "inseparable.json"
+    path.write_text(json.dumps(curve))
+    code, payload = run_json(capsys, "normalize", "--file", str(path))
+    assert code == EXIT_CONFIG
+    assert "a_t" in payload["error"]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Curve models, coefficient identities, and normalization."""
+"""Curve models, normalization, and its maximality criterion."""
 
 import json
 import random
@@ -14,7 +14,6 @@ from maxcurves.curves import (
     apply_change,
     apply_record,
     curve_from_json,
-    fact0_identities,
     hermitian,
     normalize,
     record_to_json,
@@ -138,6 +137,24 @@ def test_trace_form_rejects_zero_a1():
         trace_form([fld.zero, fld.one], fld.zero)
 
 
+def test_models_without_a_y_term_are_refused():
+    # y^2 = x^5 + 3 over GF(16): A(y) = y^2 is inseparable, so the curve has
+    # genus 0 and 17 = q^2 + 1 points, not the genus 2 the pole orders give
+    fld = make_field(2)
+    a, c = [fld.one, fld.zero], fld.element(3)
+    text = "nonzero y-coefficient a_t"
+    with pytest.raises(ValueError, match=text):
+        trace_form(a, c)
+    with pytest.raises(ValueError, match=text):
+        trace_form_extended(a, [c, fld.one, fld.zero])
+    document = {"q": 4, "terms": [[5, 0, "1"], [0, 2, "1"], [0, 0, "3"]]}
+    with pytest.raises(ValueError, match=text):
+        curve_from_json(document)
+    # the leading coefficient is tested first, so a model lacking both names a_1
+    with pytest.raises(ValueError, match="leading y-coefficient a_1"):
+        curve_from_json({"q": 4, "terms": [[5, 0, "1"], [0, 0, "3"]]})
+
+
 def test_curve_json_round_trip():
     fld = make_field(2)
     g = fld.element(2)
@@ -157,47 +174,6 @@ def test_record_json_round_trip():
     back = [CoordinateChange(d["kind"], fld.from_hex(d["constant"])) for d in data]
     assert [c.kind for c in back] == [c.kind for c in record]
     assert [c.constant.bits for c in back] == [c.constant.bits for c in record]
-
-
-@pytest.mark.parametrize("t", [2, 3, 4, 5])
-def test_fact0_all_true_on_standard(t):
-    fld = make_field(t)
-    report = fact0_identities([fld.one] * t, fld.zero)
-    assert all(report.values())
-
-
-def test_fact0_identity_v_on_base_subfield():
-    # q = 8: for every b in GF(8) inside GF(64), (v) holds with unit a's
-    fld = make_field(3)
-    ones = [fld.one] * 3
-    truth = {b.bits: fact0_identities(ones, b)["v"] for b in fld.elements()}
-    for b in fld.elements():
-        if b.in_subfield(3):
-            assert truth[b.bits]
-    # (v) reads (b+b^q) + (b+b^q)^2 = 0, so it also holds iff b+b^q is 0 or 1
-    for b in fld.elements():
-        s = b + b ** 8
-        assert truth[b.bits] == (s.bits in (0, 1))
-
-
-def test_fact0_perturbation_falsifies_identity_i():
-    fld = make_field(2)
-    one = fld.one
-    falsified = []
-    for bits in range(2, fld.order):
-        g = fld.element(bits)
-        report = fact0_identities([g, one], fld.zero)
-        if not report["i"]:
-            falsified.append(bits)
-    assert falsified, "some perturbation a_1 -> a_1*g must break identity (i)"
-
-
-def test_fact0_preconditions():
-    fld = make_field(2)
-    with pytest.raises(ValueError):
-        fact0_identities([fld.one], fld.zero)  # t = 1 undefined
-    with pytest.raises(ValueError):
-        fact0_identities([fld.one, fld.element(3)], fld.zero)  # a_t != 1
 
 
 def test_normalize_standard_is_identity():
@@ -273,7 +249,7 @@ def test_normalize_rejects_outside_class():
     fld = make_field(2)
     g = fld.element(2)
     with pytest.raises(NormalizationError):
-        # a = (g, 1) violates identity (ii): 1 + a_{t-1} a_1^2 = 1 + g^2 != 0
+        # a = (g, 1): a_1 is not in GF(4)*, so GF(4) is not inside im A
         normalize(trace_form([g, fld.one], fld.zero))
     with pytest.raises(NormalizationError):
         normalize(hermitian(2))
@@ -286,6 +262,70 @@ def test_normalize_rejects_broken_x_relation():
     curve = trace_form_extended([fld.one, fld.one], [fld.zero, g, fld.zero])
     with pytest.raises(NormalizationError):
         normalize(curve)
+
+
+def lambda_family(fld):
+    """The y-parts a_i = lambda^(q/2^i - 1), lambda in GF(q)*: the ones
+    whose A has q/2 roots and GF(q) inside its image."""
+    t, q = fld.t, fld.q
+    return [
+        [fld.element(lam) ** ((q >> i) - 1) for i in range(1, t + 1)]
+        for lam in fld.subfield_masks(t)
+        if lam
+    ]
+
+
+def verdict_sweep():
+    """Trace-form and extended curves at t = 2..5, maximal and not: t = 2
+    exhaustively with a_t = 1, extended curves at t = 2 over the
+    lambda-family, a seeded sample at t = 3, and the lambda-orbits at
+    t = 3..5 with constants both in and outside im A."""
+    fld = make_field(2)
+    for a1 in range(1, fld.order):
+        for c in fld.elements():
+            yield trace_form([fld.element(a1), fld.one], c)
+    rng = random.Random(160)
+    for a in lambda_family(fld):
+        for b1 in fld.elements():
+            for b2 in fld.elements():
+                b0 = fld.element(rng.randrange(fld.order))
+                yield trace_form_extended(a, [b0, b1, b2])
+    fld = make_field(3)
+    for _ in range(1000):
+        a = [fld.element(rng.randrange(fld.order)) for _ in range(3)]
+        a[0], a[-1] = a[0] or fld.one, a[-1] or fld.one
+        yield trace_form(a, fld.element(rng.randrange(fld.order)))
+    for t in (3, 4, 5):
+        fld = make_field(t)
+        for a in lambda_family(fld):
+            part = {fld.q >> i: ai.bits for i, ai in enumerate(a, start=1)}
+            for _ in range(4):
+                yield trace_form(a, fld.element(rng.randrange(fld.order)))
+                yield trace_form(a, fld.element(fld.part_at(part, rng.randrange(fld.order))))
+
+
+def test_normalize_accepts_exactly_the_maximal_curves():
+    # x has pole order q/2 on every model, so by the paper's theorem the
+    # maximal models are the standard curve's isomorphism class; a refusal
+    # is a NormalizationError, and any other exception fails the test
+    wrong, accepted_at_t2, curves_swept = [], set(), 0
+    for curve in verdict_sweep():
+        curves_swept += 1
+        try:
+            normalize(curve)
+            accepted = True
+        except NormalizationError:
+            accepted = False
+        maximal = census.count_rational(curve, 1) == census.hasse_weil_max(
+            curve.q, curve.model(1).genus
+        )
+        if accepted != maximal:
+            wrong.append(curve)
+        if accepted and curve.t == 2 and curve.family == "trace-form":
+            accepted_at_t2.add(curve.model(1).ypart[2])
+    assert not wrong, f"{len(wrong)} of {curves_swept} verdicts differ from the census: {wrong[:3]}"
+    # exactly q - 1 y-parts pass at t = 2: a_1 runs over GF(4)*
+    assert accepted_at_t2 == set(make_field(2).subfield_masks(2)) - {0}
 
 
 def test_replay_preserves_point_counts():

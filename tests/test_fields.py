@@ -15,7 +15,6 @@ from maxcurves.fields import (
     TowerField,
     additive_map,
     is_irreducible,
-    linearized_solve,
     make_field,
     poly_mod,
     reduce_gf2,
@@ -296,54 +295,21 @@ def test_artin_schreier_gamma5_example():
     assert len(solve_artin_schreier(g5)) == 2
 
 
-def test_linearized_solve_identity_map_cases():
-    one = GF16.one
-    sols = linearized_solve([one, one], GF16.zero)
-    assert [s.bits for s in sols] == [0, 1]  # alpha^2 + alpha = 0
-
-
-def test_linearized_solve_trace_one_target_empty():
-    one = GF16.one
-    # brute force over all 16 candidates for each target
-    for bits in range(16):
-        b = GF16.element(bits)
-        expected = sorted(
-            a.bits for a in GF16.elements() if a.square() + a == b
-        )
-        got = [s.bits for s in linearized_solve([one, one], b)]
-        assert got == expected
-    bad = next(c for c in GF16.elements() if c.absolute_trace() == 1)
-    assert linearized_solve([one, one], bad) == []
-
-
-def test_linearized_solve_q8_kernel_by_brute_force():
-    one = GF64.one
-    got = {s.bits for s in linearized_solve([one, one, one], GF64.zero)}
-    expected = {
-        a.bits for a in GF64.elements() if a.frobenius(2) + a.square() + a == GF64.zero
-    }
-    assert got == expected and len(got) == 4
-
-
-def test_linearized_solve_substitution_property():
+def test_additive_map_cosets_match_brute_force():
+    # trace-form y-parts over GF(16) and GF(64), the standard one first:
+    # every coset against a scan of the field, and the standard kernel has q/2 elements
     rng = random.Random(5)
     for fld in (GF16, GF64):
-        t = fld.t
-        for _ in range(25):
-            coeffs = [fld.element(rng.randrange(fld.order)) for _ in range(t)]
-            if all(c.bits == 0 for c in coeffs):
-                coeffs[0] = fld.one
-            b = fld.element(rng.randrange(fld.order))
-            for alpha in linearized_solve(coeffs, b):
-                acc = fld.zero
-                for i, c in enumerate(coeffs, start=1):
-                    acc = acc + c * alpha.frobenius(t - i)
-                assert acc == b
-
-
-def test_linearized_solve_rejects_zero_map():
-    with pytest.raises(ValueError):
-        linearized_solve([GF16.zero, GF16.zero], GF16.one)
+        t, q = fld.t, fld.q
+        parts = [{q >> i: 1 for i in range(1, t + 1)}]
+        parts += [{q >> i: rng.randrange(1, fld.order) for i in range(1, t + 1)} for _ in range(3)]
+        for part in parts:
+            fibres = {}
+            for y in range(fld.order):
+                fibres.setdefault(fld.part_at(part, y), []).append(y)
+            a_map = additive_map(fld, part)
+            assert all(a_map.coset(v) == fibres.get(v, []) for v in range(fld.order))
+        assert len(additive_map(fld, parts[0]).kernel) == q // 2
 
 
 @pytest.mark.parametrize("rank_cap", [0, 1, 3, 6, 8])

@@ -92,11 +92,6 @@ def test_riemann_roch_regime():
             assert dim_from_semigroup(s, d) == d - g
 
 
-def test_nth_nongap():
-    s = infinity_semigroup(8)
-    assert [s.nth_nongap(i) for i in range(4)] == [0, 4, 8, 9]
-
-
 def test_constructor_guards():
     with pytest.raises(ValueError):
         NumericalSemigroup([4, 6])  # gcd 2
