@@ -295,21 +295,47 @@ def test_artin_schreier_gamma5_example():
     assert len(solve_artin_schreier(g5)) == 2
 
 
-def test_additive_map_cosets_match_brute_force():
-    # trace-form y-parts over GF(16) and GF(64), the standard one first:
-    # every coset against a scan of the field, and the standard kernel has q/2 elements
+def test_linearized_solve_identity_map_cases():
+    # the standard y-part y^2 + y over GF(16): its kernel is GF(2), q/2 elements
+    assert additive_map(GF16, {2: 1, 1: 1}).coset(0) == [0, 1]
+
+
+def test_linearized_solve_trace_one_target_empty():
+    a_map = additive_map(GF16, {2: 1, 1: 1})
+    # brute force over all 16 candidates for each target
+    for bits in range(16):
+        b = GF16.element(bits)
+        expected = sorted(a.bits for a in GF16.elements() if a.square() + a == b)
+        assert a_map.coset(bits) == expected
+    bad = next(c for c in GF16.elements() if c.absolute_trace() == 1)
+    assert a_map.coset(bad.bits) == []
+
+
+def test_linearized_solve_q8_kernel_by_brute_force():
+    # the standard y-part y^4 + y^2 + y over GF(64): its kernel has q/2 elements
+    got = additive_map(GF64, {4: 1, 2: 1, 1: 1}).kernel
+    expected = [
+        a.bits for a in GF64.elements() if a.frobenius(2) + a.square() + a == GF64.zero
+    ]
+    assert got == sorted(expected) and len(got) == 4
+
+
+def test_linearized_solve_substitution_property():
+    # seeded trace-form y-parts sum a_i y^(q/2^i): every coset equals the
+    # fibre of a scan that evaluates the sum with Frobenius powers
     rng = random.Random(5)
     for fld in (GF16, GF64):
         t, q = fld.t, fld.q
-        parts = [{q >> i: 1 for i in range(1, t + 1)}]
-        parts += [{q >> i: rng.randrange(1, fld.order) for i in range(1, t + 1)} for _ in range(3)]
-        for part in parts:
+        for _ in range(4):
+            coeffs = [fld.element(rng.randrange(1, fld.order)) for _ in range(t)]
             fibres = {}
-            for y in range(fld.order):
-                fibres.setdefault(fld.part_at(part, y), []).append(y)
-            a_map = additive_map(fld, part)
-            assert all(a_map.coset(v) == fibres.get(v, []) for v in range(fld.order))
-        assert len(additive_map(fld, parts[0]).kernel) == q // 2
+            for alpha in fld.elements():
+                acc = fld.zero
+                for i, c in enumerate(coeffs, start=1):
+                    acc = acc + c * alpha.frobenius(t - i)
+                fibres.setdefault(acc.bits, []).append(alpha.bits)
+            a_map = additive_map(fld, {q >> i: c.bits for i, c in enumerate(coeffs, start=1)})
+            assert all(a_map.coset(v) == sorted(fibres.get(v, [])) for v in range(fld.order))
 
 
 @pytest.mark.parametrize("rank_cap", [0, 1, 3, 6, 8])
