@@ -23,11 +23,11 @@ GF(q^2)-rational without a Frobenius test.  As deg A and deg P are
 coprime, one point lies over x = infinity, and it is rational: each
 census adds it, never finding it by a blow-up.
 
-Censuses cover fields of at most 2^16 elements: every level-1 field,
-and level 2 for q <= 16.  Larger fields are refused with
-:class:`CensusLimitError`: GF(2^20) multiplies through its tower and
-has no antilog table to walk, and 2^20 evaluations of the x-part there
-would take seconds.
+Censuses cover the fields with an antilog table, those of at most 2^16
+elements: every level-1 field, and level 2 for q <= 16.  A
+:class:`fields.TowerField` is refused with :class:`CensusLimitError`:
+GF(2^20) multiplies through its tower and has no antilog table to walk,
+and 2^20 evaluations of the x-part there would take seconds.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ from fractions import Fraction
 from typing import Union
 
 from .curves import AdditiveModel, PlaneCurve
-from .fields import BinaryField, CheckFailed, FieldElement, GF2Reduction, additive_map
-
-CENSUS_FIELD_LIMIT = 1 << 16
+from .fields import BinaryField, CheckFailed, FieldElement, GF2Reduction, TowerField, additive_map
 
 
 class CensusLimitError(ValueError):
@@ -93,7 +91,7 @@ CurvePoint = Union[AffinePoint, InfinitePoint]
 
 def _census_field(curve: PlaneCurve, level: int) -> BinaryField:
     fld = curve.level_field(level)
-    if fld.order > CENSUS_FIELD_LIMIT:
+    if isinstance(fld, TowerField):  # no antilog table for values_by_log to walk
         raise CensusLimitError(
             f"census over GF(2^{fld.m}) refused: censuses cover fields of at most 2^16 elements"
         )
@@ -169,13 +167,14 @@ def is_maximal(curve: PlaneCurve, g: int) -> bool:
 
 
 def g1(q: int) -> int:
-    """Largest genus of a GF(q^2)-maximal curve: q(q-1)/2."""
-    return q * (q - 1) // 2
+    """Largest genus of a GF(q^2)-maximal curve: q(q-1)/2, the bound at n = 1."""
+    return genus_bounds(q, 1) // 2
 
 
 def g2(q: int) -> int:
-    """Second-largest genus floor((q-1)^2/4); equals q(q-2)/4 for even q."""
-    return (q - 1) ** 2 // 4
+    """Second-largest genus floor((q-1)^2/4), the bound at n = 2; equals
+    q(q-2)/4 for even q."""
+    return genus_bounds(q, 2) // 2
 
 
 def genus_bounds(q: int, n: int) -> Fraction:

@@ -1,9 +1,19 @@
 """Command-line front end: every verification as a subcommand.
 
+Two tables declare the command line.  ``_COMMANDS`` gives each
+subcommand its handler, its help and the options it reads; ``_OPTIONS``
+holds the one declaration of each option, whose destination is a
+:class:`RunConfig` field.  A subcommand takes only the options it reads
+(``--format`` on all of them), and an option it is not given keeps its
+:class:`RunConfig` default, the only default written.  So ``--seed``
+exists only on the sampling subcommands, and a flag a subcommand does
+not read is refused like any unknown flag.
+
 Output is a single JSON document (sorted keys, ``"schema": 1``) or a
 plain key/value table.  Exit codes: 0 all assertions passed, 1 a
-mathematical check failed, 2 configuration error.  The random seed
-fully determines all sampling, so reports are reproducible bit-exactly.
+mathematical check failed, 2 configuration error, also for a command
+line the parser refuses.  The random seed fully determines all
+sampling, so reports are reproducible bit-exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ import sys
 from dataclasses import dataclass
 
 from . import census, covering, curves, orders, semigroups, series
-from .fields import make_field
+from .fields import MAX_T, make_field
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -49,7 +59,7 @@ class RunConfig:
         raise ValueError(f"unknown curve {self.curve!r}")
 
     def default_precision(self) -> int:
-        return self.precision if self.precision is not None else 2 * (1 << self.t) + 8
+        return series.default_precision(1 << self.t) if self.precision is None else self.precision
 
 
 def _parse_point(config: RunConfig, curve: curves.PlaneCurve) -> census.AffinePoint:
@@ -115,7 +125,7 @@ def _cmd_orders(config: RunConfig):
 def _cmd_frobenius_check(config: RunConfig):
     # frobenius_orders picks the default precision, and raises if any evidence fails
     triple, evidence = orders.frobenius_orders(
-        config.curve_obj(), config.samples, config.rng(), config.precision
+        curves.trace_curve(config.t), config.samples, config.rng(), config.precision
     )
     return {"orders": list(triple), "checked": len(evidence), "evidence": evidence}, True
 
@@ -263,17 +273,34 @@ def _random_record(fld, rng):
     return record
 
 
+# name: (handler, help, the RunConfig fields it reads as options besides fmt)
 _COMMANDS = {
-    "field-info": _cmd_field_info,
-    "count": _cmd_count,
-    "verify-maximal": _cmd_verify_maximal,
-    "expand": _cmd_expand,
-    "orders": _cmd_orders,
-    "frobenius-check": _cmd_frobenius_check,
-    "semigroup": _cmd_semigroup,
-    "normalize": _cmd_normalize,
-    "cover-check": _cmd_cover_check,
-    "full-suite": _cmd_full_suite,
+    "field-info": (_cmd_field_info, "show a tower field's parameters", "t level"),
+    "count": (_cmd_count, "count points over GF(q^2) or GF(q^4)", "t curve level"),
+    "verify-maximal": (_cmd_verify_maximal, "verify maximality over GF(q^2)", "t curve"),
+    "expand": (_cmd_expand, "series of y at an affine point", "t curve point level precision"),
+    "orders": (_cmd_orders, "orders of the degree-(q+1) system", "t curve point level precision"),
+    "frobenius-check": (_cmd_frobenius_check, "Frobenius orders", "t seed samples precision"),
+    "semigroup": (_cmd_semigroup, "gaps, genus and dimensions of a semigroup", "generators dims"),
+    "normalize": (_cmd_normalize, "reduce a trace-form curve (JSON) to the standard one", "file"),
+    "cover-check": (_cmd_cover_check, "degree-2 cover checks", "t seed level exhaustive samples"),
+    "full-suite": (_cmd_full_suite, "run every check for one t", "t seed samples"),
+}
+
+# RunConfig field: (flag, add_argument keywords); RunConfig holds the defaults
+_OPTIONS = {
+    "t": ("--t", {"type": int, "help": "tower parameter, q = 2^t"}),
+    "fmt": ("--format", {"choices": ("json", "table")}),
+    "seed": ("--seed", {"type": int}),
+    "level": ("--level", {"type": int, "choices": (1, 2)}),
+    "curve": ("--curve", {"choices": ("hermitian", "trace")}),
+    "point": ("--point", {"required": True, "help": "HEX,HEX, or 'inf' for orders"}),
+    "precision": ("--precision", {"type": int}),
+    "samples": ("--samples", {"type": int}),
+    "generators": ("--generators", {"required": True, "help": "comma-separated generators"}),
+    "dims": ("--dims", {"help": "comma-separated degrees to report dim |dP| for"}),
+    "file": ("--file", {"help": "curve JSON file (default: stdin)"}),
+    "exhaustive": ("--exhaustive", {"action": "store_true"}),
 }
 
 
@@ -282,10 +309,10 @@ def run(config: RunConfig) -> tuple[dict, int]:
     try:
         if config.samples < 1:  # no command has anything to check on zero points
             raise ValueError(f"--samples must be at least 1, got {config.samples}")
-        payload, ok = _COMMANDS[config.command](config)
+        payload, ok = _COMMANDS[config.command][0](config)
     except (curves.NormalizationError, ArithmeticError) as exc:
         return {"error": str(exc)}, EXIT_CHECK_FAILED
-    except (ValueError, census.CensusLimitError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # CensusLimitError and JSONDecodeError among them
         return {"error": str(exc)}, EXIT_CONFIG
     payload["schema"] = 1
     return payload, EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -314,54 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of maximal binary curves and their invariants.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--t", type=int, default=2, help="tower parameter, q = 2^t")
-        p.add_argument("--format", dest="fmt", choices=("json", "table"), default="json")
-        p.add_argument("--seed", type=int, default=0)
-        return p
-
-    p = add("field-info", help="show a tower field's parameters")
-    p.add_argument("--level", type=int, choices=(1, 2), default=1)
-
-    for name, levels in (("count", True), ("verify-maximal", False)):
-        p = add(name, help=f"{name.replace('-', ' ')} over GF(q^2)")
-        p.add_argument("--curve", choices=("hermitian", "trace"), default="trace")
-        if levels:
-            p.add_argument("--level", type=int, choices=(1, 2), default=1)
-
-    p = add("expand", help="series expansion of y at an affine point")
-    p.add_argument("--curve", choices=("hermitian", "trace"), default="trace")
-    p.add_argument("--point", required=True, help="HEX,HEX affine coordinates")
-    p.add_argument("--level", type=int, choices=(1, 2), default=1)
-    p.add_argument("--precision", type=int)
-
-    p = add("orders", help="order sequence of the degree-(q+1) system at a point")
-    p.add_argument("--curve", choices=("hermitian", "trace"), default="trace")
-    p.add_argument("--point", required=True, help="HEX,HEX or 'inf'")
-    p.add_argument("--level", type=int, choices=(1, 2), default=1)
-    p.add_argument("--precision", type=int)
-
-    p = add("frobenius-check", help="Frobenius order evidence on sampled points")
-    p.add_argument("--curve", choices=("trace",), default="trace")
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--precision", type=int)
-
-    p = add("semigroup", help="gaps, genus and dimensions of a numerical semigroup")
-    p.add_argument("--generators", required=True, help="comma-separated generators")
-    p.add_argument("--dims", help="comma-separated degrees to report dim |dP| for")
-
-    p = add("normalize", help="reduce a trace-form curve (JSON) to the standard model")
-    p.add_argument("--file", help="curve JSON file (default: stdin)")
-
-    p = add("cover-check", help="degree-2 Hermitian covering checks")
-    p.add_argument("--level", type=int, choices=(1, 2), default=1)
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--samples", type=int, default=50)
-
-    p = add("full-suite", help="run every check for one t")
-    p.add_argument("--samples", type=int, default=50)
+    for name, (_, help_text, options) in _COMMANDS.items():
+        # an option not given is left out of the namespace, so RunConfig supplies it
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for field in ["fmt", *options.split()]:  # main renders every payload by fmt
+            flag, kwargs = _OPTIONS[field]
+            p.add_argument(flag, dest=field, **kwargs)
     return parser
 
 
@@ -371,10 +356,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(_render({"error": str(exc), "schema": 1}, "json"))
         return EXIT_CONFIG
-    # every argparse destination is a RunConfig field with the same default
-    config = RunConfig(**vars(args))
-    if not 1 <= config.t <= 5:
-        print(_render({"error": f"t={config.t} outside [1, 5]", "schema": 1}, config.fmt))
+    config = RunConfig(**vars(args))  # every argparse destination is a RunConfig field
+    if not 1 <= config.t <= MAX_T:
+        print(_render({"error": f"t={config.t} outside [1, {MAX_T}]", "schema": 1}, config.fmt))
         return EXIT_CONFIG
     payload, code = run(config)
     payload.setdefault("schema", 1)

@@ -83,15 +83,6 @@ def fiber(cm: CoveringMap, target_point: AffinePoint, level: int) -> list[CurveP
     return [AffinePoint(x, u, level) for u in solve_artin_schreier(y)]
 
 
-def fiber_case(cm: CoveringMap, target_point: AffinePoint) -> str:
-    """Which covering case a rational target point realizes: both
-    preimages rational ('split'), or none at level 1 but the full fiber
-    appearing at level 2 ('inert')."""
-    if fiber(cm, target_point, 1):
-        return "split"
-    return "inert" if len(fiber(cm, target_point, 2)) == 2 else "empty"
-
-
 def covering_census_check(t: int) -> dict:
     """Point-count and Riemann-Hurwitz bookkeeping of the degree-2 cover:
     2 * #X(GF(q^2)) = #H(GF(q^2)) + 1, and

@@ -32,6 +32,7 @@ from .series import (
     CheckFailed,
     PrecisionError,
     TruncatedSeries,
+    default_precision,
     derivative_facts,
     derivative_facts_gate,
     expand_y_at,
@@ -90,7 +91,7 @@ def dp_orders(curve: PlaneCurve, point: AffinePoint, n: int | None = None) -> Or
     """
     q = curve.q
     if n is None:
-        n = 2 * q + 8
+        n = default_precision(q)
     if n < q + 3:
         raise ValueError(f"precision {n} too small; need at least q+3 = {q + 3}")
     if n > PRECISION_LIMIT:  # refused here, before basis_series allocates
@@ -136,7 +137,7 @@ def frobenius_identity_check(curve: PlaneCurve, point: AffinePoint, n: int | Non
 def _frobenius_precision(curve: PlaneCurve, n: int | None) -> int:
     q = curve.q
     if n is None:
-        n = min(2 * q + 8, q * q)
+        n = min(default_precision(q), q * q)
     if n > q * q:
         raise ValueError(f"precision {n} exceeds q^2 = {q * q}; Frobenius twist would survive")
     if n < 4:

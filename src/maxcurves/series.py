@@ -48,6 +48,11 @@ from .fields import BinaryField, CheckFailed, FieldElement
 PRECISION_LIMIT = 4096  # largest precision an expansion may use; beyond it the input is refused
 
 
+def default_precision(q: int) -> int:
+    """2q + 8, the precision of an expansion when none is asked for."""
+    return 2 * q + 8
+
+
 class PrecisionError(ArithmeticError):
     """A computation asked for more precision than the operands carry."""
 

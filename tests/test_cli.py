@@ -1,12 +1,18 @@
 """The command-line surface: subcommands, exit codes, reproducibility."""
 
+import argparse
+import dataclasses
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from maxcurves import covering, curves, fields, series
-from maxcurves.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
+from maxcurves.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, RunConfig, build_parser, main
+
+README = Path(__file__).parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -86,9 +92,7 @@ def test_semigroup_dims_past_the_sieve_bound(capsys):
 
 
 def test_frobenius_check(capsys):
-    code, payload = run_json(
-        capsys, "frobenius-check", "--curve", "trace", "--t", "2", "--samples", "10"
-    )
+    code, payload = run_json(capsys, "frobenius-check", "--t", "2", "--samples", "10")
     assert code == EXIT_OK
     assert payload["orders"] == [0, 1, 4]
     assert payload["checked"] == 10
@@ -284,11 +288,54 @@ def test_config_errors_exit_2(capsys):
         (("count", "--bogus"), "unrecognized arguments: --bogus"),
         (("semigroup", "--generators", "4,9", "--bound", "400"),
          "unrecognized arguments: --bound 400"),
+        # a subcommand takes only the options it reads
+        (("count", "--seed", "1"), "unrecognized arguments: --seed 1"),
+        (("semigroup", "--generators", "4,9", "--t", "3"), "unrecognized arguments: --t 3"),
+        (("normalize", "--t", "2"), "unrecognized arguments: --t 2"),
+        (("frobenius-check", "--curve", "trace"), "unrecognized arguments: --curve trace"),
     ],
 )
 def test_a_refused_command_line_exits_2_with_a_json_error(capsys, argv, error):
     code, out = run_cli(capsys, *argv)
     assert code == EXIT_CONFIG and json.loads(out) == {"error": error, "schema": 1}
+
+
+def _subcommand_options() -> dict[str, set[str]]:
+    """Each subcommand's option destinations, read off the parser."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {a.dest for a in parser._actions if a.dest != "help"}
+        for name, parser in sub.choices.items()
+    }
+
+
+def test_options_are_exactly_the_run_config_fields():
+    options = _subcommand_options()
+    fields_ = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
+    assert set().union(*options.values()) == fields_
+    assert options["semigroup"] == {"fmt", "generators", "dims"}
+    assert options["normalize"] == {"fmt", "file"}
+    assert {name for name, dests in options.items() if "seed" in dests} == {
+        "frobenius-check", "cover-check", "full-suite"
+    }
+    # one settable value per (subcommand, option) pair
+    assert sum(map(len, options.values())) == 42
+
+
+def _readme_command_lines() -> list[list[str]]:
+    text = README.read_text()
+    block = text.split("## Command-line interface", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.strip()]
+
+
+def test_readme_command_lines_exit_0(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "curve.json").write_text(json.dumps(TRACE_FORM_Q4))
+    lines = _readme_command_lines()
+    assert {argv[0] for argv in lines} == set(_subcommand_options())
+    for argv in lines:
+        code, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK, argv
 
 
 def test_help_still_exits_0(capsys):

@@ -82,15 +82,6 @@ def test_fiber_at_origin():
     assert [(p.x.bits, p.y.bits) for p in points] == [(0, 0), (0, 1)]
 
 
-def test_fiber_case_is_always_split_on_rational_targets():
-    from maxcurves.covering import fiber_case
-
-    cm = covering_map(2)
-    for p in enumerate_points(cm.target, 1):
-        if isinstance(p, AffinePoint):
-            assert fiber_case(cm, p) == "split"
-
-
 def test_sampled_membership_report():
     import random
 
