@@ -4,23 +4,27 @@ Every curve is held as its additive model A(y) = P(x) + c
 (:class:`curves.AdditiveModel`), so A is GF(2)-linear and each fibre of A
 is empty or a coset of ker A.  One Gaussian elimination on the images
 A(1 << j) (:func:`fields.additive_map`) gives ker A, a reduced basis of
-im A and a linear section of it.  A byte table over the masks, set on
-the 2^rank images spanned from the basis, says which values P(x) + c lie
-in im A.  Counting adds 2^(dim ker A) for each x that passes.  It reads
-the values at x != 0 in log order (:meth:`fields.BinaryField.values_by_log`),
-as strided slices of the antilog table, and P(0) + c = c, since every
-exponent of P is positive; a count does not depend on the order of the x.
-Enumeration takes the values in mask order
-(:meth:`fields.BinaryField.values`), and lists the coset over each x that
-passes, in ascending (x, y) order.  It costs little more than its
-coordinates: each call keeps a dict from y mask to :class:`FieldElement`,
-so a y shared by many points is one object (no table over the whole
-field is built: at level 2 most masks are never a y), and
-:class:`AffinePoint` is a slotted frozen dataclass whose enumerated
-instances get their slots filled directly, without the generated
-``__init__`` and its ``object.__setattr__`` per field.  Every level-1 point is
-GF(q^2)-rational without a Frobenius test.  As deg A and deg P are
-coprime, one point lies over x = infinity, and it is rational: each
+im A and a linear section of it.  A table over the masks, a list of 0/1
+ints set on the 2^rank images spanned from the basis, each shifted by c,
+marks the coset im A + c: the values of P alone that pass, so the
+constant is never added to 2^m values.  Counting adds 2^(dim ker A) for
+each x that passes.  It reads the values at x != 0 in log order
+(:meth:`fields.BinaryField.values_by_log`), as strided slices of the
+antilog table, and P(0) = 0, since every exponent of P is positive; a
+count does not depend on the order of the x.  Enumeration takes the
+values in mask order (:meth:`fields.BinaryField.values`), picks the x
+that pass in one C-level pass, and lists the coset over each, in
+ascending (x, y) order: the section is GF(2)-linear, so the least y over
+x is the lift of P(x) plus the lift of c.  It costs little more than its
+coordinates.  One :class:`FieldElement` is made per x that passes and
+one per distinct y mask, so a y shared by many points is one object (no
+table over the whole field is built: at level 2 most masks are never a
+y).  :class:`AffinePoint` is a slotted frozen dataclass; the enumerated
+points are made bare and then filled column by column, one C-level pass
+of a slot's setter over the whole list per slot, without the generated
+``__init__`` and its ``object.__setattr__`` per field.  Every level-1
+point is GF(q^2)-rational without a Frobenius test.  As deg A and deg P
+are coprime, one point lies over x = infinity, and it is rational: each
 census adds it, never finding it by a blow-up.
 
 Censuses cover the fields with an antilog table, those of at most 2^16
@@ -32,8 +36,10 @@ and 2^20 evaluations of the x-part there would take seconds.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, repeat
 from typing import Union
 
 from .curves import AdditiveModel, PlaneCurve
@@ -49,10 +55,11 @@ class AffinePoint:
     """An affine point at tower level 1 (coordinates in GF(q^2)) or 2
     (GF(q^4)).
 
-    A frozen, slotted dataclass.  :func:`enumerate_points` builds its
-    points through :func:`_affine_point`, which fills the three slots
-    directly instead of calling the generated ``__init__``; equality,
-    hashing, the repr and ``dataclasses.replace`` are the same either way.
+    A frozen, slotted dataclass.  :func:`enumerate_points` makes its
+    points with ``object.__new__`` and fills each slot for the whole list
+    through the slot's member descriptor, instead of calling the
+    generated ``__init__``; equality, hashing, the repr and
+    ``dataclasses.replace`` are the same either way.
     """
 
     x: FieldElement
@@ -63,19 +70,7 @@ class AffinePoint:
         return f"({self.x.hex()},{self.y.hex()})@{self.level}"
 
 
-_new_object = object.__new__  # bound once, not looked up per point
 _set_x, _set_y, _set_level = (AffinePoint.__dict__[f].__set__ for f in ("x", "y", "level"))
-
-
-def _affine_point(x: FieldElement, y: FieldElement, level: int) -> AffinePoint:
-    """AffinePoint(x, y, level), with the slots set by their member
-    descriptors: the frozen ``__init__`` costs one ``object.__setattr__``
-    call per field."""
-    point = _new_object(AffinePoint)
-    _set_x(point, x)
-    _set_y(point, y)
-    _set_level(point, level)
-    return point
 
 
 @dataclass(frozen=True)
@@ -100,31 +95,34 @@ def _census_field(curve: PlaneCurve, level: int) -> BinaryField:
 
 def _census_setup(
     curve: PlaneCurve, level: int
-) -> tuple[BinaryField, AdditiveModel, bytearray, GF2Reduction]:
-    """The field, the model A(y) = P(x) + c, the membership table of im A
-    and the reduced A."""
+) -> tuple[BinaryField, AdditiveModel, list[int], GF2Reduction]:
+    """The field, the model A(y) = P(x) + c, the membership table of the
+    coset im A + c, which a value of P alone is looked up in, and the
+    reduced A."""
     fld = _census_field(curve, level)
     model = curve.model(level)
     a_map = additive_map(fld, model.ypart)
-    return fld, model, a_map.image_table(fld.order), a_map
+    return fld, model, a_map.image_table(fld.order, model.const), a_map
 
 
 def enumerate_points(curve: PlaneCurve, level: int) -> list[CurvePoint]:
     """All points at the given tower level, affine ones in lexicographic
     order of serialized (x, y), then the point at infinity."""
     fld, model, in_image, a_map = _census_setup(curve, level)
-    rhs = fld.values({**model.xpart, 0: model.const})  # P(x) + c in mask order
-    ys: dict[int, FieldElement] = {}  # one element per y mask, for this call only
-    points: list[CurvePoint] = []
-    for xb, v in enumerate(rhs):
-        if in_image[v]:
-            x, y0 = FieldElement(xb, fld), a_map.lift(v)  # v passed the table
-            for k in a_map.kernel:
-                yb = y0 ^ k
-                y = ys.get(yb)
-                if y is None:
-                    y = ys[yb] = FieldElement(yb, fld)
-                points.append(_affine_point(x, y, level))
+    # the section is GF(2)-linear: lift(P(x)) + lift(c) = lift(P(x) + c),
+    # the least y over x, so the fibre over x is lift(P(x)) + this list
+    coset = [k ^ a_map.lift(model.const) for k in a_map.kernel]
+    rhs = fld.values(model.xpart)  # P(x) in mask order
+    xs = list(compress(range(fld.order), map(in_image.__getitem__, rhs)))
+    y_masks = [y0 ^ k for y0 in map(a_map.lift, map(rhs.__getitem__, xs)) for k in coset]
+    distinct = set(y_masks)  # one element per y mask, for this call only
+    ys = dict(zip(distinct, map(FieldElement, distinct, repeat(fld))))
+    x_elements = map(FieldElement, xs, repeat(fld))
+    x_column = chain.from_iterable(map(repeat, x_elements, repeat(len(coset))))
+    points: list[CurvePoint] = list(map(object.__new__, repeat(AffinePoint, len(y_masks))))
+    deque(map(_set_x, points, x_column), maxlen=0)
+    deque(map(_set_y, points, map(ys.__getitem__, y_masks)), maxlen=0)
+    deque(map(_set_level, points, repeat(level)), maxlen=0)
     points.append(InfinitePoint())
     return points
 
@@ -132,12 +130,11 @@ def enumerate_points(curve: PlaneCurve, level: int) -> list[CurvePoint]:
 def count_rational(curve: PlaneCurve, level: int = 1) -> int:
     """Number of points at the given level: |ker A| for each x whose
     P(x) + c lies in im A, plus the point at infinity.  Every exponent of
-    P is positive, so x = 0 gives c; the other x are taken in log order,
-    which a count does not see."""
+    P is positive, so x = 0 gives P(0) = 0; the other x are taken in log
+    order, which a count does not see."""
     fld, model, in_image, a_map = _census_setup(curve, level)
-    c = model.const
-    rhs = fld.values_by_log({**model.xpart, 0: c})
-    return (in_image[c] + sum(map(in_image.__getitem__, rhs))) * len(a_map.kernel) + 1
+    rhs = fld.values_by_log(model.xpart)
+    return (in_image[0] + sum(map(in_image.__getitem__, rhs))) * len(a_map.kernel) + 1
 
 
 def is_rational(curve: PlaneCurve, point: CurvePoint) -> bool:

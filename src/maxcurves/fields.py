@@ -552,13 +552,19 @@ class TowerField(BinaryField):
 
 
 class FieldElement:
-    """An element of a :class:`BinaryField`, as an immutable bit mask."""
+    """An element of a :class:`BinaryField`, as an immutable bit mask.
+
+    ``__init__`` sets the two slots through their member descriptors,
+    bound once below the class, which costs less than
+    ``object.__setattr__`` by name; ``__setattr__`` refuses every other
+    assignment.
+    """
 
     __slots__ = ("bits", "field")
 
     def __init__(self, bits: int, field: BinaryField) -> None:
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "field", field)
+        _set_bits(self, bits)
+        _set_field(self, field)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FieldElement is immutable")
@@ -636,6 +642,9 @@ class FieldElement:
         return acc
 
 
+_set_bits, _set_field = (FieldElement.__dict__[name].__set__ for name in FieldElement.__slots__)
+
+
 def _eval_poly_mask(field: BinaryField, poly_mask: int, x: int) -> int:
     """Evaluate a GF(2)[z] polynomial (bit mask) at a field element (Horner,
     shift-and-reduce)."""
@@ -700,12 +709,16 @@ class GF2Reduction(NamedTuple):
     image: list[int]
     section: list[tuple[int, int]]
 
-    def image_table(self, order: int) -> bytearray:
-        """One byte per mask below order, 1 exactly on im A; only the
-        2^rank images are visited, spanned from the basis."""
-        table = bytearray(order)
+    def image_table(self, order: int, const: int) -> list[int]:
+        """A list of 0/1 ints over the masks below order, 1 exactly on the
+        coset im A + const: entry u says whether u + const = A(y) for
+        some y.  Only the 2^rank images are visited, spanned from the
+        basis.  A list, not a bytearray: a ``bytearray``'s
+        ``__getitem__`` is a slot wrapper, and mapping it over 2^16
+        values costs about twice as much as a list's."""
+        table = [0] * order
         for v in _span_table(self.image):
-            table[v] = 1
+            table[v ^ const] = 1
         return table
 
     def in_image(self, v: int) -> bool:

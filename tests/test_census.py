@@ -183,7 +183,7 @@ def test_elimination_matches_a_scan_of_every_y(t):
         random_moved_trace_curve(t, rng),
     ):
         for level in (1, 2):
-            fld, _, in_image, a_map = census._census_setup(curve, level)
+            fld, model, in_image, a_map = census._census_setup(curve, level)
             apply_a = additive_map(curve, level)
             fibres = {}
             for yb in range(fld.order):
@@ -191,7 +191,7 @@ def test_elimination_matches_a_scan_of_every_y(t):
             assert a_map.kernel == fibres[0]
             for v in range(fld.order):
                 assert a_map.coset(v) == fibres.get(v, [])
-                assert in_image[v] == (v in fibres)
+                assert in_image[v ^ model.const] == (v in fibres)
 
 
 def seeded_forms_with_a_constant(t, rng):
@@ -271,10 +271,29 @@ def test_planted_column_defect_on_the_trace_curve_fails_full_suite(monkeypatch, 
     assert "census of the trace-standard curve" in error and "not on it" in error
 
 
+def constant_trace_form(t):
+    return seeded_forms_with_a_constant(t, random.Random(70 + t))[0]
+
+
+def constant_trace_form_extended(t):
+    return seeded_forms_with_a_constant(t, random.Random(70 + t))[1]
+
+
+def moved_trace_curve(t):
+    return random_moved_trace_curve(t, random.Random(80 + t))
+
+
+WITH_A_CONSTANT = (constant_trace_form, constant_trace_form_extended, moved_trace_curve)
+
 CONSTRUCTED = [
     (ctor, t, level)
     for ctor in (hermitian, trace_curve, lambda t: random_trace_form(t, random.Random(40 + t)))
     for level, ts in ((1, (1, 2, 3, 4)), (2, (1, 2, 3)))
+    for t in ts
+] + [
+    (ctor, t, level)
+    for ctor in WITH_A_CONSTANT
+    for level, ts in ((1, (1, 2, 3)), (2, (1, 2)))
     for t in ts
 ]
 
@@ -283,7 +302,7 @@ CONSTRUCTED = [
 def test_enumerated_points_equal_publicly_built_ones(ctor, t, level):
     curve = ctor(t)
     fld = curve.level_field(level)
-    points = enumerate_points(curve, level)
+    points = census.enumerate_points(curve, level)
     assert points[-1] == InfinitePoint()
     masks = [(p.x.bits, p.y.bits) for p in points[:-1]]
     assert masks == sorted(set(masks))
@@ -293,6 +312,34 @@ def test_enumerated_points_equal_publicly_built_ones(ctor, t, level):
     assert list(map(hash, points)) == list(map(hash, reference))
     assert list(map(repr, points)) == list(map(repr, reference))
     assert all(type(p) is AffinePoint and p.x.field is p.y.field is fld for p in points[:-1])
+    # one element per x mask and one per y mask, within the call
+    xs, ys = {}, {}
+    assert all(xs.setdefault(p.x.bits, p.x) is p.x for p in points[:-1])
+    assert all(ys.setdefault(p.y.bits, p.y) is p.y for p in points[:-1])
+    if ctor in WITH_A_CONSTANT:
+        assert curve.model(level).const
+        assert masks == brute_force_affine(curve, level)
+
+
+def enumeration_without_the_constant_lift(curve, level):
+    """A planted defect: the fibre over x taken as lift(P(x)) + ker A,
+    dropping lift(c)."""
+    fld, model, in_image, a_map = census._census_setup(curve, level)
+    points = [
+        AffinePoint(fld.element(xb), fld.element(a_map.lift(v) ^ k), level)
+        for xb, v in enumerate(fld.values(model.xpart))
+        if in_image[v]
+        for k in a_map.kernel
+    ]
+    return points + [InfinitePoint()]
+
+
+@pytest.mark.parametrize("ctor", WITH_A_CONSTANT)
+def test_planted_dropped_constant_lift_is_caught(monkeypatch, ctor):
+    monkeypatch.setattr(census, "enumerate_points", enumeration_without_the_constant_lift)
+    for t, level in ((2, 1), (3, 1), (2, 2)):
+        with pytest.raises(AssertionError):
+            test_enumerated_points_equal_publicly_built_ones(ctor, t, level)
 
 
 def test_enumerated_points_stay_frozen_dataclasses():
