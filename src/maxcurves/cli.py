@@ -211,7 +211,7 @@ def _cmd_full_suite(config: RunConfig):
         checks["dim_2q_plus_2"] = semigroups.dim_from_semigroup(sg, 2 * q + 2) == 8
 
     sample = min(config.samples, 25)
-    rational = census.sample_points(trace, 1, sample, rng, rational=True)
+    rational = census.sample_points(trace, 1, sample, rng)
     checks["orders_rational"] = all(
         orders.dp_orders(trace, p).orders == (0, 1, 2, q + 1) for p in rational
     )

@@ -329,7 +329,8 @@ def record_to_json(record: Sequence[CoordinateChange]) -> list[dict]:
 def curve_from_json(data: object) -> PlaneCurve:
     """The curve of a :meth:`PlaneCurve.to_json` document.  Raises
     ValueError unless the input is an object with an integer ``q`` and
-    ``terms``, a list of [int, int, hex string] triples."""
+    ``terms``, a list of [int, int, hex string] triples with no (i, j)
+    repeated."""
     if not isinstance(data, dict):
         raise ValueError("curve JSON must be an object")
     q, raw_terms = data.get("q"), data.get("terms")
@@ -343,7 +344,11 @@ def curve_from_json(data: object) -> PlaneCurve:
     if q < 1 or q != 1 << t:
         raise ValueError(f"q={q} is not a power of two")
     field = make_field(t)
-    terms = {(i, j): field.from_hex(h).bits for i, j, h in raw_terms}
+    terms = {}
+    for i, j, h in raw_terms:
+        if (i, j) in terms:  # a dict would keep the last coefficient, not the sum
+            raise ValueError(f"term x^{i} y^{j} appears more than once")
+        terms[i, j] = field.from_hex(h).bits
     curve = _curve_from_terms(field, terms)
     if data.get("family") and data["family"] != curve.family:
         raise ValueError(f"declared family {data['family']!r}, classified {curve.family!r}")

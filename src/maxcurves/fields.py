@@ -63,11 +63,13 @@ from __future__ import annotations
 from importlib import resources
 from itertools import repeat
 from operator import xor
+from string import hexdigits
 from typing import Iterator, NamedTuple, Sequence
 
 MAX_T = 5
 LEVELS = ("base-square", "quartic")
 
+_HEX_DIGITS = frozenset(hexdigits)  # 0-9, a-f and A-F: what from_hex accepts
 _TABLE_LIMIT = 16  # log/antilog tables up to GF(2^16); above, the degree-2 tower
 
 
@@ -364,6 +366,10 @@ class BinaryField:
             yield FieldElement(bits, self)
 
     def from_hex(self, text: str) -> FieldElement:
+        """The element of a mask written in hex digits alone: int(text, 16)
+        would also read a sign, a 0x prefix, underscores and whitespace."""
+        if not text or not set(text) <= _HEX_DIGITS:
+            raise ValueError(f"{text!r} is not a hex mask of the digits 0-9 and a-f")
         return self.element(int(text, 16))
 
     def to_hex(self, bits: int) -> str:

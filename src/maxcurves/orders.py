@@ -1,11 +1,16 @@
 """Order sequences of the degree-(q+1) one-point system on the built-in curves.
 
-The linear system spanned by (1, x, x^2, y) is expanded into truncated
-series at an affine point; the pivot columns of the row-reduced
-coefficient matrix are exactly the intersection multiplicities attained
-by hyperplane sections, i.e. the order sequence at the point.  At the
-infinite point the orders are b minus the pole orders b, 2a, a, 0 of
-y, x^2, x, 1, with (a, b) = (deg A, deg P): no series at infinity anywhere.
+The orders at a point are the intersection multiplicities of the system
+spanned by (1, x, x^2, y) there: the tau-adic valuations of its nonzero
+sections, tau = x - x(P).  In characteristic 2, x^2 = x0^2 + tau^2 (the
+cross term 2 x0 tau vanishes), so 1, x - x0 and x^2 - x0^2 have
+valuations 0, 1 and 2, and y less the combination of them that matches
+its terms below tau^3 has valuation j, the least e >= 3 with a nonzero
+tau^e coefficient in y's expansion.  So an affine point's orders are
+(0, 1, 2, j), read off :func:`series.expand_y_at` with no elimination.
+At the infinite point the orders are b minus the pole orders b, 2a, a,
+0 of y, x^2, x, 1, with (a, b) = (deg A, deg P): no series at infinity
+anywhere.
 
 Also here: the Frobenius-collinearity identity
 
@@ -29,7 +34,6 @@ from .census import AffinePoint, is_rational, sample_points
 from .curves import PlaneCurve
 from .series import (
     PRECISION_LIMIT,
-    CheckFailed,
     PrecisionError,
     TruncatedSeries,
     default_precision,
@@ -39,15 +43,6 @@ from .series import (
 )
 
 
-def basis_series(curve: PlaneCurve, point: AffinePoint, n: int) -> list[TruncatedSeries]:
-    """The basis (1, x, x^2, y) of the degree-(q+1) system, as series
-    mod tau^n at an affine point."""
-    one = TruncatedSeries.constant(point.x.field.one, n)
-    xs = TruncatedSeries.local_parameter_shifted(point.x, n)
-    x2 = (xs * xs).truncate(n)
-    return [one, xs, x2, expand_y_at(curve, point, n)]
-
-
 @dataclass(frozen=True)
 class OrderData:
     point: tuple[str, str] | str
@@ -55,61 +50,27 @@ class OrderData:
     classification: str  # at-P0 | rational | non-rational
 
 
-def _pivot_columns(fld, rows: list[list[int]]) -> list[int]:
-    """Pivot columns of a small matrix over the field, by row echelon."""
-    nrows = len(rows)
-    width = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(width):
-        sel = None
-        for k in range(r, nrows):
-            if rows[k][col]:
-                sel = k
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = fld.inv_int(rows[r][col])
-        for k in range(nrows):
-            if k != r and rows[k][col]:
-                factor = fld.mul_int(rows[k][col], inv)
-                rows[k] = [a ^ b for a, b in zip(rows[k], fld.scale_row(factor, rows[r]))]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
 def dp_orders(curve: PlaneCurve, point: AffinePoint, n: int | None = None) -> OrderData:
     """The order sequence of |(q+1)P_inf| at an affine point.
 
-    Expands 1, x, x^2, y to precision n and reads the pivot columns of
-    the 4 x n coefficient matrix.  Raises :class:`PrecisionError` when
-    fewer than four pivots fit below n (retry with larger n).
+    Expands y to precision n and reads the fourth order j off it: the
+    least e >= 3 with a nonzero tau^e coefficient (see the module
+    docstring).  Raises :class:`PrecisionError` when no such e lies below
+    n (retry with larger n).
     """
     q = curve.q
     if n is None:
         n = default_precision(q)
     if n < q + 3:
         raise ValueError(f"precision {n} too small; need at least q+3 = {q + 3}")
-    if n > PRECISION_LIMIT:  # refused here, before basis_series allocates
+    if n > PRECISION_LIMIT:
         raise ValueError(f"precision {n} exceeds the limit {PRECISION_LIMIT}")
-    rows = [list(s.coeffs) for s in basis_series(curve, point, n)]
-    pivots = _pivot_columns(point.x.field, rows)
-    if len(pivots) < 4:
-        raise PrecisionError(
-            f"only {len(pivots)} orders visible below precision {n}; increase precision"
-        )
-    orders = tuple(pivots)
-    if orders[:2] != (0, 1):
-        raise CheckFailed(
-            f"orders {orders} at ({point.x.hex()}, {point.y.hex()}): "
-            "system must be base-point-free and classical"
-        )
+    coeffs = expand_y_at(curve, point, n).coeffs
+    j = next((e for e in range(3, n) if coeffs[e]), None)
+    if j is None:
+        raise PrecisionError(f"only 3 orders visible below precision {n}; increase precision")
     tag = "rational" if is_rational(curve, point) else "non-rational"
-    return OrderData(point=(point.x.hex(), point.y.hex()), orders=orders, classification=tag)
+    return OrderData(point=(point.x.hex(), point.y.hex()), orders=(0, 1, 2, j), classification=tag)
 
 
 def dp_orders_at_infinity(curve: PlaneCurve) -> OrderData:

@@ -162,6 +162,23 @@ def test_normalize_malformed_json_exits_2(tmp_path, capsys, document):
     assert "curve JSON" in payload["error"]
 
 
+@pytest.mark.parametrize(
+    "terms, error",
+    [
+        # y^2 + y + y = x^5 is y^2 = x^5, of genus 0, not the trace curve of q = 4
+        (
+            [[5, 0, "1"], [0, 2, "1"], [0, 1, "1"], [0, 1, "1"]],
+            "term x^0 y^1 appears more than once",
+        ),
+        ([[5, 0, "1"], [0, 2, "1"], [0, 1, "0x1"]], "'0x1' is not a hex mask"),
+    ],
+)
+def test_normalize_repeated_term_or_non_hex_coefficient_exits_2(monkeypatch, capsys, terms, error):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"q": 4, "terms": terms})))
+    code, payload = run_json(capsys, "normalize")
+    assert code == EXIT_CONFIG and error in payload["error"]
+
+
 def test_normalize_file_that_is_a_directory_exits_2(tmp_path, capsys):
     code, payload = run_json(capsys, "normalize", "--file", str(tmp_path))
     assert code == EXIT_CONFIG
@@ -267,10 +284,13 @@ def test_config_errors_exit_2(capsys):
     assert code == EXIT_CONFIG  # census ceiling
     code, payload = run_json(capsys, "orders", "--curve", "trace", "--t", "9", "--point", "0,0")
     assert code == EXIT_CONFIG  # t out of range
-    code, payload = run_json(
-        capsys, "orders", "--curve", "trace", "--t", "2", "--point", "zz"
-    )
-    assert code == EXIT_CONFIG  # malformed point
+    # malformed points: int(text, 16) alone would read all but the first as
+    # (0, 0), which lies on the curve
+    for point in ("zz", "0_0,0", "0x0,0", " 0,0", "+0,0", "0,-0"):
+        code, payload = run_json(
+            capsys, "orders", "--curve", "trace", "--t", "2", "--point", point
+        )
+        assert code == EXIT_CONFIG, point
     code, payload = run_json(
         capsys, "expand", "--t", "2", "--point", "0,0", "--precision", "1"
     )

@@ -155,6 +155,16 @@ def test_models_without_a_y_term_are_refused():
         curve_from_json({"q": 4, "terms": [[5, 0, "1"], [0, 0, "3"]]})
 
 
+def test_curve_json_refuses_a_repeated_monomial():
+    # a dict keyed by (i, j) would keep the last coefficient, not their sum
+    document = {"q": 4, "terms": [[5, 0, "1"], [0, 2, "1"], [0, 1, "1"], [0, 1, "1"]]}
+    with pytest.raises(ValueError, match=r"term x\^0 y\^1 appears more than once"):
+        curve_from_json(document)
+    document["terms"][-1] = [5, 0, "0"]
+    with pytest.raises(ValueError, match=r"term x\^5 y\^0 appears more than once"):
+        curve_from_json(document)
+
+
 def test_curve_json_round_trip():
     fld = make_field(2)
     g = fld.element(2)

@@ -10,7 +10,6 @@ from maxcurves.curves import hermitian, trace_curve
 from maxcurves.fields import FieldElement, additive_map
 from maxcurves.orders import (
     _frobenius_residual,
-    basis_series,
     degree_count_impossibility,
     dp_orders,
     dp_orders_at_infinity,
@@ -18,11 +17,40 @@ from maxcurves.orders import (
     frobenius_orders,
     sv_ramification_degree,
 )
-from maxcurves.series import TruncatedSeries, expand_y_at
+from maxcurves.series import PrecisionError, TruncatedSeries, expand_y_at
 
 
 def affine_rational_points(curve):
     return [p for p in enumerate_points(curve, 1) if isinstance(p, AffinePoint)]
+
+
+def level2_points(curve, count, rng, rational):
+    """Seeded level-2 points, each y solved from a random x through the
+    coset of A(y) = P(x) + c.  With rational=True x is the relative trace
+    z + z^(q^2) of a random z, so it lies in GF(q^2); with rational=False
+    x is drawn until it lies outside GF(q^2)."""
+    fld = curve.level_field(2)
+    model = curve.model(2)
+    a_map = additive_map(fld, model.ypart)
+    k = 2 * curve.t
+    points = []
+    while len(points) < count:
+        x = FieldElement(rng.randrange(fld.order), fld)
+        if rational:
+            x = x + x.frobenius(k)
+        ys = a_map.coset(fld.part_at(model.xpart, x.bits) ^ model.const)
+        if ys and (x.frobenius(k) == x) == rational:
+            points.append(AffinePoint(x, fld.element(rng.choice(ys)), 2))
+    return points
+
+
+def oracle_basis(point, ys):
+    """The basis (1, x0 + tau, x0^2 + tau^2, y) of the degree-(q+1) system,
+    as series to the precision of y's expansion ys."""
+    n = ys.prec
+    one = TruncatedSeries.constant(point.x.field.one, n)
+    xs = TruncatedSeries.local_parameter_shifted(point.x, n)
+    return [one, xs, (xs * xs).truncate(n), ys]
 
 
 def test_dp_orders_at_origin_q4():
@@ -71,7 +99,7 @@ def test_dp_orders_hermitian_with_valuation_oracle():
     # brute-force oracle: valuations of c0 + c1 x + c2 x^2 + c3 y over all
     # nonzero coefficient tuples, at the origin over the full field
     n = 24
-    basis = basis_series(h, origin, n)
+    basis = oracle_basis(origin, expand_y_at(h, origin, n))
     seen = set()
     for coeffs in itertools.product(range(fld.order), repeat=4):
         if not any(coeffs):
@@ -89,7 +117,7 @@ def test_dp_orders_hermitian_with_valuation_oracle():
     rng = random.Random(17)
     for p in sample_points(h, 1, 3, rng):
         orders = set(dp_orders(h, p, n).orders)
-        basis = basis_series(h, p, n)
+        basis = oracle_basis(p, expand_y_at(h, p, n))
         for _ in range(100):
             coeffs = [rng.randrange(fld.order) for _ in range(4)]
             if not any(coeffs):
@@ -113,51 +141,52 @@ def test_dp_orders_pivot_stability():
             assert dp_orders(tc, p, n).orders == reference
 
 
-def test_dp_orders_row_order_independence():
-    from maxcurves.orders import _pivot_columns
+@pytest.mark.parametrize("family", [trace_curve, hermitian])
+@pytest.mark.parametrize("t", [4, 5])
+def test_dp_orders_theorem_at_level_2_points(family, t):
+    # (0, 1, 2, q+1) at the GF(q^2)-rational points, (0, 1, 2, q) off them;
+    # at t = 5 the points lie in GF(2^20), where no census runs.  The
+    # Hermitian curve is minimal over GF(q^4): every point there is rational.
+    curve = family(t)
+    q = curve.q
+    rng = random.Random(90 + t)
+    cases = [(True, q + 1, "rational")]
+    if family is trace_curve:
+        cases.append((False, q, "non-rational"))
+    for rational, last, tag in cases:
+        for p in level2_points(curve, 4, rng, rational):
+            data = dp_orders(curve, p)
+            assert data.orders == (0, 1, 2, last)
+            assert data.classification == tag
 
-    tc = trace_curve(2)
-    fld = tc.field
-    origin = AffinePoint(fld.zero, fld.zero, 1)
-    n = 12
-    dense = [list(s.coeffs) for s in basis_series(tc, origin, n)]
-    reference = _pivot_columns(fld, [row[:] for row in dense])
-    for perm in itertools.permutations(range(4)):
-        rows = [dense[i][:] for i in perm]
-        assert _pivot_columns(fld, rows) == reference
 
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_planted_expansion_changes_the_orders(monkeypatch, t, level):
+    # switching the tau^3 or tau^q coefficient of y's expansion between zero
+    # and nonzero must change the fourth order or leave none below n
+    curve = trace_curve(t)
+    q = curve.q
+    rng = random.Random(60 + 10 * t + level)
+    if level == 1:
+        points = sample_points(curve, 1, 3, rng)
+    else:
+        points = level2_points(curve, 3, rng, rational=False)
+    for p in points:
+        reference = dp_orders(curve, p)
+        assert reference.orders == (0, 1, 2, q + 1 if level == 1 else q)
+        for e in (3, q):
+            def planted(curve, point, n, e=e):
+                coeffs = list(expand_y_at(curve, point, n).coeffs)
+                coeffs[e] = 0 if coeffs[e] else rng.randrange(1, point.x.field.order)
+                return TruncatedSeries(point.x.field, tuple(coeffs))
 
-@pytest.mark.parametrize("t", [1, 2])
-def test_pivot_columns_against_column_spans(t):
-    # general matrices: in the basis (1, x, x^2, y) the rows above y are
-    # unit vectors past their pivots, so no elimination factor shows there
-    from maxcurves.fields import make_field
-    from maxcurves.orders import _pivot_columns
-
-    fld = make_field(t)
-    rng = random.Random(70 + t)
-    nrows = 3
-    for _ in range(300):
-        columns = []
-        for _ in range(rng.randrange(1, 8)):
-            if columns and rng.random() < 0.4:  # a combination of earlier columns
-                a, b = rng.randrange(fld.order), rng.randrange(fld.order)
-                u, v = rng.choice(columns), rng.choice(columns)
-                columns.append([fld.mul_int(a, x) ^ fld.mul_int(b, y) for x, y in zip(u, v)])
-            else:
-                columns.append([rng.randrange(fld.order) if rng.random() < 0.7 else 0 for _ in range(nrows)])
-        # a column is a pivot iff it leaves the span of the columns before it
-        expected, span = [], {(0,) * nrows}
-        for j, col in enumerate(columns):
-            if tuple(col) not in span:
-                expected.append(j)
-                span = {
-                    tuple(s ^ fld.mul_int(a, c) for s, c in zip(vec, col))
-                    for vec in span
-                    for a in range(fld.order)
-                }
-        rows = [list(row) for row in zip(*columns)]
-        assert _pivot_columns(fld, rows) == expected, columns
+            with monkeypatch.context() as patch:
+                patch.setattr("maxcurves.orders.expand_y_at", planted)
+                try:
+                    assert dp_orders(curve, p).orders != reference.orders
+                except PrecisionError:
+                    pass
 
 
 def test_dp_orders_precision_preconditions():
@@ -249,18 +278,10 @@ def dense_frobenius_residual(curve, point, ys):
 
 def frobenius_test_points(curve, level, count, rng):
     """Seeded points at level 1 from the census; at level 2 solved from
-    random x outside GF(q^2), since S(y) = x^(q+1) is GF(2)-linear in y."""
+    random x outside GF(q^2)."""
     if level == 1:
         return sample_points(curve, 1, count, rng)
-    fld = curve.level_field(2)
-    a_map = additive_map(fld, curve.model(2).ypart)
-    points = []
-    while len(points) < count:
-        x = FieldElement(rng.randrange(fld.order), fld)
-        ys = a_map.coset((x ** (curve.q + 1)).bits)
-        if ys and x.frobenius(2 * curve.t) != x:
-            points.append(AffinePoint(x, fld.element(rng.choice(ys)), 2))
-    return points
+    return level2_points(curve, count, rng, rational=False)
 
 
 @pytest.mark.parametrize("level", [1, 2])
