@@ -149,11 +149,14 @@ def _cmd_semigroup(config: RunConfig):
 
 
 def _cmd_normalize(config: RunConfig):
-    if config.file:
-        with open(config.file) as fh:
-            data = json.load(fh)
-    else:
-        data = json.load(sys.stdin)
+    try:
+        if config.file:
+            with open(config.file) as fh:
+                data = json.load(fh)
+        else:
+            data = json.load(sys.stdin)
+    except RecursionError:  # the decoder's alone; one in the mathematics is no input error
+        raise ValueError("curve JSON nests too deeply") from None
     curve = curves.curve_from_json(data)
     target, record = curves.normalize(curve)
     return {

@@ -410,8 +410,6 @@ def normalize(curve: PlaneCurve) -> tuple[PlaneCurve, list[CoordinateChange]]:
                 )
         # the shear moves only x-terms, so a stays
         work = step(work, CoordinateChange("shear", bt))
-        if work.family == "trace-form-extended":
-            raise NormalizationError("shear failed to clear the x-linearized terms")
 
     model = work.model(1)
     a_map = additive_map(field, model.ypart)

@@ -14,13 +14,15 @@ is the fixed field of the q-power map inside GF(q^2), and subfield
 membership is a single Frobenius test.
 
 :func:`make_field` chooses how a field multiplies, and the constructor
-builds all it needs: a quartic field the images of the base-square
-basis, which embed GF(q^2) in it, and then its tables or its tower.
+builds all it needs: ``base``, the GF(q^2) of its t (the field itself
+at ``base-square``); at ``quartic`` the embedding of ``base`` as one
+table over its 2^(2t) masks, so :meth:`BinaryField.embed` is one lookup;
+then its tables or its tower.
 Fields of at most 2^16 elements (:class:`BinaryField`) multiply by
 log/antilog tables, and powers, inverses and Frobenius maps are one
 lookup in them.  GF(2^20), the quartic field at q = 32, is a
 :class:`TowerField`: it multiplies through the degree-2 tower
-K[w]/(w^2 + w + nu) over its tabled subfield K = GF(2^(m/2)), instead of
+K[w]/(w^2 + w + nu) over its tabled subfield K = ``base``, instead of
 2^m-entry tables: two lookups per operand change basis, three K products
 in Karatsuba form and three lookups change back, all from tables of
 about 2^(m/2) entries.  A tower inverse is (a + b + b w) / N with the
@@ -161,8 +163,9 @@ class BinaryField:
         self.q = 1 << t
         self.order = 1 << m
         self.hex_width = (m + 3) // 4
+        self.base = self if level == "base-square" else make_field(t)
         if level == "quartic":
-            self._embedding = self._embedding_images()  # basis images of GF(q^2)
+            self._from_base = _span_table(self._embedding_images())  # GF(q^2) mask -> mask here
         self._build_arithmetic()
         self._artin_schreier = additive_map(self, {2: 1, 1: 1})  # u -> u^2 + u
 
@@ -386,7 +389,7 @@ class BinaryField:
         multiplies shift-and-reduce, because it runs before any table
         exists and the tower of GF(2^20) is built on it.
         """
-        base = make_field(self.t, "base-square")
+        base = self.base
         sub = self.subfield_masks(base.m)
         beta = next((s for s in sub if _eval_poly_mask(self, base.modulus, s) == 0), None)
         if beta is None:
@@ -417,19 +420,9 @@ class BinaryField:
         """Map an element of the base-square field of the same t into this field."""
         if a.field is self:
             return a
-        base = make_field(self.t, "base-square")
-        if a.field is not base:
+        if a.field is not self.base:
             raise ValueError(f"cannot embed {a.field!r} into {self!r}")
-        images = self._embedding
-        bits = 0
-        mask = a.bits
-        i = 0
-        while mask:
-            if mask & 1:
-                bits ^= images[i]
-            mask >>= 1
-            i += 1
-        return FieldElement(bits, self)
+        return FieldElement(self._from_base[a.bits], self)
 
 
 class TowerField(BinaryField):
@@ -440,18 +433,19 @@ class TowerField(BinaryField):
     def _build_arithmetic(self) -> None:
         """Tables for GF(2^m) = K[w]/(w^2 + w + nu), K = GF(2^h), h = m/2.
 
-        K is the base-square field, embedded as the span of the images
-        beta^i of its basis; nu is the first element of K of absolute
-        trace 1, so w^2 + w + nu is irreducible over K, and w is the least
-        root of u^2 + u = nu here.  The columns beta^i and w beta^i then
-        form a GF(2)-basis, and a mask a + b w of the tower is the pair
-        (a, b) of K masks packed as a | b << h.  Squaring, being
-        GF(2)-linear, gets two 2^h-entry tables of its own.
+        K is ``base``, embedded by the field's table ``from_a``, whose
+        entries at 1 << i are the images beta^i of its basis; nu is the
+        first element of K of absolute trace 1, so w^2 + w + nu is
+        irreducible over K, and w is the least root of u^2 + u = nu here.
+        The columns beta^i and w beta^i then form a GF(2)-basis, and a
+        mask a + b w of the tower is the pair (a, b) of K masks packed as
+        a | b << h.  Squaring, being GF(2)-linear, gets two 2^h-entry
+        tables of its own.
         """
-        base = make_field(self.t)
+        base = self.base
         h = base.m
-        images = self._embedding
-        from_a = _span_table(images)
+        from_a = self._from_base
+        images = [from_a[1 << i] for i in range(h)]
         nu = _tower_constant(base)
         squares = [self._mul_raw(1 << j, 1 << j) for j in range(self.m)]
         w = reduce_gf2([s ^ (1 << j) for j, s in enumerate(squares)]).preimage(from_a[nu])
@@ -513,7 +507,7 @@ class TowerField(BinaryField):
         # (a + b w)(a + b + b w) = a^2 + ab + nu b^2 = N, an element of K;
         # N = 0 exactly at a = 0, and K refuses to invert it
         h, low, to_lo, to_hi, _, _, back_ac, _, back_s, _, _, nu = self._tower
-        base = make_field(self.t)
+        base = self.base
         u = to_lo[a & low] ^ to_hi[a >> h]
         a, b = u & low, u >> h
         c = a ^ b

@@ -33,7 +33,6 @@ from typing import Sequence
 from .census import AffinePoint, is_rational, sample_points
 from .curves import PlaneCurve
 from .series import (
-    PRECISION_LIMIT,
     PrecisionError,
     TruncatedSeries,
     default_precision,
@@ -63,8 +62,6 @@ def dp_orders(curve: PlaneCurve, point: AffinePoint, n: int | None = None) -> Or
         n = default_precision(q)
     if n < q + 3:
         raise ValueError(f"precision {n} too small; need at least q+3 = {q + 3}")
-    if n > PRECISION_LIMIT:
-        raise ValueError(f"precision {n} exceeds the limit {PRECISION_LIMIT}")
     coeffs = expand_y_at(curve, point, n).coeffs
     j = next((e for e in range(3, n) if coeffs[e]), None)
     if j is None:

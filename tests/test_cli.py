@@ -144,6 +144,10 @@ def test_normalize_model_without_a_y_term_exits_2(tmp_path, capsys):
     assert "a_t" in payload["error"]
 
 
+# deeper than the JSON decoder's recursion limit
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
 @pytest.mark.parametrize(
     "document",
     [
@@ -152,14 +156,22 @@ def test_normalize_model_without_a_y_term_exits_2(tmp_path, capsys):
         {"q": "4", "terms": []},
         {"q": 4, "terms": 5},
         {"q": 4, "terms": [[5, 0, 1]]},
+        pytest.param(DEEP_JSON, id="nested-200000-deep"),
     ],
 )
 def test_normalize_malformed_json_exits_2(tmp_path, capsys, document):
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(document))
+    path.write_text(document if isinstance(document, str) else json.dumps(document))
     code, payload = run_json(capsys, "normalize", "--file", str(path))
     assert code == EXIT_CONFIG
     assert "curve JSON" in payload["error"]
+
+
+def test_normalize_deeply_nested_json_on_stdin_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(DEEP_JSON))
+    code, payload = run_json(capsys, "normalize")
+    assert code == EXIT_CONFIG
+    assert payload == {"error": "curve JSON nests too deeply", "schema": 1}
 
 
 @pytest.mark.parametrize(

@@ -469,7 +469,7 @@ def gf2_20_samples() -> list[int]:
     seeded random masks."""
     rng = random.Random(20)
     subfield = [GF2_20.embed(make_field(5).element(b)).bits for b in (2, 3, 0x155, 0x3FF)]
-    return [0, 1, 2, GF2_20.order - 1, *GF2_20._embedding, *subfield] + [
+    return [0, 1, 2, GF2_20.order - 1, *basis_images(GF2_20), *subfield] + [
         rng.randrange(GF2_20.order) for _ in range(60)
     ]
 
@@ -562,10 +562,44 @@ EMBEDDING_IMAGES = {
 }
 
 
+def basis_images(fld: BinaryField) -> list[int]:
+    """The masks of embed(z^i) for the basis z^i of fld's GF(q^2)."""
+    return [fld.embed(fld.base.element(1 << i)).bits for i in range(fld.base.m)]
+
+
+def embedding_mismatches(fld: BinaryField) -> list[int]:
+    """Every mask v of GF(q^2) whose image is not the XOR of the pinned
+    basis images over the bits of v."""
+    span = [0]
+    for c in EMBEDDING_IMAGES[fld.t]:
+        span += [v ^ c for v in span]
+    base = fld.base
+    return [v for v in range(base.order) if fld.embed(base.element(v)).bits != span[v]]
+
+
 @pytest.mark.parametrize("t", sorted(EMBEDDING_IMAGES))
 def test_embedding_images_are_pinned(t):
     # recorded when beta was the least root among all norms of the field
-    assert make_field(t, "quartic")._embedding == EMBEDDING_IMAGES[t]
+    assert basis_images(make_field(t, "quartic")) == EMBEDDING_IMAGES[t]
+
+
+@pytest.mark.parametrize("t", sorted(EMBEDDING_IMAGES))
+def test_embedding_is_the_span_of_the_pinned_images_at_every_mask(t):
+    fld = make_field(t, "quartic")
+    assert fld.base is make_field(t) and fld.base.base is fld.base
+    assert not embedding_mismatches(fld)
+    other = t % fields.MAX_T + 1
+    for foreign in (make_field(other).one, make_field(other, "quartic").one):
+        with pytest.raises(ValueError, match="cannot embed"):
+            fld.embed(foreign)
+
+
+def test_planted_flipped_embedding_entry_is_caught(monkeypatch):
+    fld = make_field(5, "quartic")
+    planted = list(fld._from_base)
+    planted[0x2A5] ^= 1 << 7
+    monkeypatch.setattr(fld, "_from_base", planted)
+    assert embedding_mismatches(fld) == [0x2A5]
 
 
 def inverse_failures(fld: BinaryField, samples) -> list[int]:
