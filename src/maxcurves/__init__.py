@@ -2,10 +2,11 @@
 
 The package builds the Hermitian curve y^q + y = x^(q+1) and the trace
 curve sum_{i=1..t} y^(q/2^i) = x^(q+1) over GF(q^2), q = 2^t, and checks
-their invariants exactly: rational-point maximality, Weierstrass
-semigroups, order sequences of the degree-(q+1) one-point system,
-Frobenius orders, reduction of trace-form models to the standard curve,
-and the degree-2 Hermitian covering.
+their invariants exactly: point counts over GF(q^2) and GF(q^4)
+against the L-polynomial of a maximal curve, Weierstrass semigroups,
+order sequences of the degree-(q+1) one-point system, Frobenius orders,
+reduction of trace-form models to the standard curve, and the degree-2
+Hermitian covering.
 """
 
 from .census import (

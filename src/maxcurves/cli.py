@@ -11,8 +11,9 @@ not read is refused like any unknown flag.
 
 Output is a single JSON document (sorted keys, ``"schema": 1``) or a
 plain key/value table.  Exit codes: 0 all assertions passed, 1 a
-mathematical check failed, 2 configuration error, also for a command
-line the parser refuses.  The random seed fully determines all
+mathematical check failed (for ``count``, a point count that differs
+from the L-polynomial prediction), 2 configuration error, also for a
+command line the parser refuses.  The random seed fully determines all
 sampling, so reports are reproducible bit-exactly.
 """
 
@@ -88,13 +89,7 @@ def _cmd_field_info(config: RunConfig):
 def _cmd_count(config: RunConfig):
     curve = config.curve_obj()
     report = census.census_report(curve, census.curve_genus(curve), config.level)
-    return report.to_json(), True
-
-
-def _cmd_verify_maximal(config: RunConfig):
-    curve = config.curve_obj()
-    report = census.census_report(curve, census.curve_genus(curve), 1)
-    return report.to_json(), report.maximal
+    return report.to_json(), report.count == report.expected
 
 
 def _cmd_expand(config: RunConfig):
@@ -233,29 +228,19 @@ def _cmd_full_suite(config: RunConfig):
                 orders.dp_orders(trace, p).orders == (0, 1, 2, q) for p in nonrational
             )
 
-    if t >= 2:
-        triple, evidence = orders.frobenius_orders(trace, sample, rng)
+        triple, _ = orders.frobenius_orders(trace, sample, rng)
         checks["frobenius_orders"] = triple == (0, 1, q)
-        h_report = series.check_h_identities(make_field(t), 200, rng)
-        checks["hasse_identities"] = h_report["all_pass"]
+        fld = make_field(t)
+        checks["normalization_roundtrip"] = all(
+            curves.normalize(curves.apply_record(trace, _random_record(fld, rng)))[0] == trace
+            for _ in range(10)
+        )
 
-        for _ in range(10):
-            record = _random_record(make_field(t), rng)
-            moved = curves.apply_record(trace, record)
-            normalized, _ = curves.normalize(moved)
-            if normalized != trace:
-                checks["normalization_roundtrip"] = False
-                break
-        else:
-            checks["normalization_roundtrip"] = True
-
-    if t >= 2:
         counts = covering.covering_census_check(t)
         checks["covering_counts"] = counts["double_count_identity"]
         checks["riemann_hurwitz"] = counts["riemann_hurwitz_ok"]
         checks["covering_symbolic"] = covering.symbolic_additive_identity(t)
 
-    checks["impossibility_arithmetic"] = orders.degree_count_impossibility()["contradiction"]
     all_pass = all(checks.values())
     payload = {"t": t, "q": q, "checks": checks, "all_pass": all_pass}
     if skipped:
@@ -280,7 +265,6 @@ def _random_record(fld, rng):
 _COMMANDS = {
     "field-info": (_cmd_field_info, "show a tower field's parameters", "t level"),
     "count": (_cmd_count, "count points over GF(q^2) or GF(q^4)", "t curve level"),
-    "verify-maximal": (_cmd_verify_maximal, "verify maximality over GF(q^2)", "t curve"),
     "expand": (_cmd_expand, "series of y at an affine point", "t curve point level precision"),
     "orders": (_cmd_orders, "orders of the degree-(q+1) system", "t curve point level precision"),
     "frobenius-check": (_cmd_frobenius_check, "Frobenius orders", "t seed samples precision"),

@@ -17,11 +17,11 @@ Also here: the Frobenius-collinearity identity
     y + y^(q^2) + (x + x^(q^2)) Dy + (x^2 + x^(2q^2)) D^2 y = 0
 
 checked as a truncated-series residual, the evidence-based Frobenius
-order sequence (0, 1, q), and the ramification-degree arithmetic used by
-the q = 4 impossibility argument.  Below tau^(q^2) the twists x^(q^2) and
-y^(q^2) are the constants x0^(q^2) and y0^(q^2), so the residual is Dy and
-D^2 y scaled by c1 = x0 + x0^(q^2) and c1^2 and shifted by tau and tau^2,
-summed into one list with ys: no series products.
+order sequence (0, 1, q), and the degree of a system's ramification
+divisor.  Below tau^(q^2) the twists x^(q^2) and y^(q^2) are the
+constants x0^(q^2) and y0^(q^2), so the residual is Dy and D^2 y scaled
+by c1 = x0 + x0^(q^2) and c1^2 and shifted by tau and tau^2, summed
+into one list with ys: no series products.
 """
 
 from __future__ import annotations
@@ -175,33 +175,3 @@ def sv_ramification_degree(eps: Sequence[int], g: int, n: int, d: int) -> int:
         raise ValueError("order sequence must be strictly increasing")
     return sum(eps) * (2 * g - 2) + (n + 1) * d
 
-
-def degree_count_impossibility() -> dict:
-    """The q = 4 ramification-degree bookkeeping that rules out genus-2
-    curves whose rational points all have first non-gap 3.
-
-    Equate the candidate degree 36*(2g-2) + 40 with twice the point
-    count 2*(4*(2g-2) + 25); the equation reduces to 28*(2g-2) = 10,
-    which has no integer solution, let alone a non-negative even one.
-    (The specialized constant 40 differs from the generic (n+1)*d term
-    9*10 = 90 at n = 8, d = 10; with 90 the reduction is 28*(2g-2) = -40,
-    equally unsolvable, so the contradiction stands either way.)
-    """
-    sum_eps = sum(range(9))  # orders 0..8 of the doubled system
-    reduced_coeff = sum_eps - 2 * 4  # 36u + 40 = 8u + 50
-    reduced_value = 2 * 25 - 40
-    solutions = [u for u in range(0, 4 * reduced_value + 1, 2) if reduced_coeff * u == reduced_value]
-    generic_term = (8 + 1) * 10
-    generic_value = 2 * 25 - generic_term
-    generic_solutions = [
-        u for u in range(0, 4 * abs(generic_value) + 1, 2) if reduced_coeff * u == generic_value
-    ]
-    return {
-        "sum_orders": sum_eps,
-        "reduced_equation": {"coefficient": reduced_coeff, "value": reduced_value},
-        "even_nonnegative_solutions": solutions,
-        "contradiction": not solutions,
-        "generic_second_term": generic_term,
-        "generic_equation_solutions": generic_solutions,
-        "contradiction_with_generic_term": not generic_solutions,
-    }

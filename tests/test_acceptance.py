@@ -43,7 +43,7 @@ def test_criterion_1_hermitian_counts(capsys):
     expected = {1: 9, 2: 65, 3: 513, 4: 4097}
     for t, count in expected.items():
         start = time.monotonic()
-        code, payload = cli_json(capsys, "verify-maximal", "--curve", "hermitian", "--t", str(t))
+        code, payload = cli_json(capsys, "count", "--curve", "hermitian", "--t", str(t))
         elapsed = time.monotonic() - start
         q = 1 << t
         assert code == 0
@@ -57,7 +57,7 @@ def test_criterion_2_trace_counts(capsys):
     expected = {2: 33, 3: 257, 4: 2049}
     for t, count in expected.items():
         q = 1 << t
-        code, payload = cli_json(capsys, "verify-maximal", "--curve", "trace", "--t", str(t))
+        code, payload = cli_json(capsys, "count", "--curve", "trace", "--t", str(t))
         assert code == 0
         assert payload["count"] == count == q * q + 1 + 2 * q * (q * (q - 2) // 4)
         assert payload["maximal"]
@@ -189,13 +189,3 @@ def test_criterion_8_covering():
             assert covering.apply_cover(cm, covering.involution(cm, p)) == covering.apply_cover(
                 cm, p
             )
-
-
-@criterion(9, "ramification-degree impossibility arithmetic")
-def test_criterion_9_impossibility():
-    report = orders.degree_count_impossibility()
-    assert report["reduced_equation"] == {"coefficient": 28, "value": 10}
-    assert report["even_nonnegative_solutions"] == []
-    assert report["contradiction"]
-    # the equation stays contradictory with the generic (n+1)d term too
-    assert report["contradiction_with_generic_term"]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from maxcurves import covering, curves, fields, series
+from maxcurves import census, covering, curves, fields, series
 from maxcurves.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, RunConfig, build_parser, main
 
 README = Path(__file__).parents[1] / "README.md"
@@ -32,8 +32,8 @@ def test_field_info(capsys):
     assert payload["m"] == 8 and payload["q"] == 4 and payload["schema"] == 1
 
 
-def test_verify_maximal_trace_q8(capsys):
-    code, payload = run_json(capsys, "verify-maximal", "--curve", "trace", "--t", "3")
+def test_count_trace_q8(capsys):
+    code, payload = run_json(capsys, "count", "--curve", "trace", "--t", "3")
     assert code == EXIT_OK
     assert payload["count"] == 257 and payload["expected"] == 257 and payload["maximal"]
 
@@ -42,6 +42,18 @@ def test_count_level_2(capsys):
     code, payload = run_json(capsys, "count", "--curve", "hermitian", "--t", "2", "--level", "2")
     assert code == EXIT_OK
     assert payload["count"] == 65 and payload["expected"] == 65
+
+
+@pytest.mark.parametrize("argv", [("--t", "3"), ("--t", "2", "--level", "2")])
+def test_a_count_off_by_one_exits_1(capsys, monkeypatch, argv):
+    _, honest = run_json(capsys, "count", *argv)
+    count_rational = census.count_rational
+    monkeypatch.setattr(
+        census, "count_rational", lambda curve, level: count_rational(curve, level) + 1
+    )
+    code, payload = run_json(capsys, "count", *argv)
+    assert code == EXIT_CHECK_FAILED
+    assert payload == {**honest, "count": honest["count"] + 1, "maximal": False}
 
 
 def test_orders_subcommand(capsys):
@@ -214,26 +226,6 @@ def test_full_suite_names_a_skipped_check(capsys):
     assert "GF(2^20)" in payload["skipped"]["orders_non_rational"]
 
 
-def test_off_by_one_hasse_binomial_fails_full_suite(capsys, monkeypatch):
-    derivative = series.TruncatedSeries.hasse_derivative
-
-    def planted(self, i):
-        # binom(n + 1, i) mod 2 where Lucas' rule asks for binom(n, i), at
-        # orders i >= q = 4: the t = 2 order checks take D^1..D^3 only, so
-        # the identities alone see it (at lower orders frobenius_orders
-        # raises first, ending the suite before hasse_identities runs)
-        if i < 4:
-            return derivative(self, i)
-        out = [c if ((n + 1) & i) == i else 0 for n, c in enumerate(self.coeffs[i:], i)]
-        return series.TruncatedSeries(self.field, out)
-
-    monkeypatch.setattr(series.TruncatedSeries, "hasse_derivative", planted)
-    code, payload = run_json(capsys, "full-suite", "--t", "2")
-    assert code == EXIT_CHECK_FAILED
-    assert [name for name, ok in payload["checks"].items() if not ok] == ["hasse_identities"]
-    assert not payload["all_pass"]
-
-
 def test_wrong_recurrence_coefficient_fails_full_suite(capsys, monkeypatch):
     lift = series._additive_lift
 
@@ -311,6 +303,10 @@ def test_config_errors_exit_2(capsys):
     assert code == EXIT_CONFIG and "deg A = 8" in payload["error"]  # 2 deg A > deg P
     code, payload = run_json(capsys, "no-such-command")  # argparse rejects it
     assert code == EXIT_CONFIG and "invalid choice" in payload["error"] and payload["schema"] == 1
+    # a removed subcommand is refused like any unknown one
+    code, payload = run_json(capsys, "verify-maximal", "--curve", "trace", "--t", "3")
+    assert code == EXIT_CONFIG and set(payload) == {"error", "schema"} and payload["schema"] == 1
+    assert "invalid choice" in payload["error"] and "verify-maximal" in payload["error"]
 
 
 @pytest.mark.parametrize(
@@ -351,7 +347,7 @@ def test_options_are_exactly_the_run_config_fields():
         "frobenius-check", "cover-check", "full-suite"
     }
     # one settable value per (subcommand, option) pair
-    assert sum(map(len, options.values())) == 42
+    assert sum(map(len, options.values())) == 39
 
 
 def _readme_command_lines() -> list[list[str]]:

@@ -10,7 +10,6 @@ from maxcurves.curves import hermitian, trace_curve
 from maxcurves.fields import FieldElement, additive_map
 from maxcurves.orders import (
     _frobenius_residual,
-    degree_count_impossibility,
     dp_orders,
     dp_orders_at_infinity,
     frobenius_identity_check,
@@ -344,16 +343,6 @@ def test_sv_ramification_degree():
         sv_ramification_degree([0, 1, 1], g=1, n=2, d=5)
     with pytest.raises(ValueError):
         sv_ramification_degree([0, 1, 2], g=1, n=3, d=5)
-
-
-def test_degree_count_impossibility():
-    report = degree_count_impossibility()
-    assert report["sum_orders"] == 36
-    assert report["reduced_equation"] == {"coefficient": 28, "value": 10}
-    assert report["even_nonnegative_solutions"] == []
-    assert report["contradiction"]
-    assert report["generic_second_term"] == 90
-    assert report["contradiction_with_generic_term"]
 
 
 def test_m1_recovery_matches_classification():

@@ -498,6 +498,23 @@ def test_h_identities_random_suite(t):
     assert report["all_pass"]
 
 
+def test_off_by_one_hasse_binomial_fails_check_h_identities(monkeypatch):
+    derivative = TruncatedSeries.hasse_derivative
+
+    def planted(self, i):
+        # binom(n + 1, i) mod 2 where Lucas' rule asks for binom(n, i), at
+        # orders i >= q = 4 only, which no order check at t = 2 reads
+        if i < 4:
+            return derivative(self, i)
+        out = [c if ((n + 1) & i) == i else 0 for n, c in enumerate(self.coeffs[i:], i)]
+        return TruncatedSeries(self.field, out)
+
+    monkeypatch.setattr(TruncatedSeries, "hasse_derivative", planted)
+    report = check_h_identities(make_field(2), 200, random.Random(0))
+    assert report["h2"]["fail"] and report["h3"]["fail"] and report["h3prime"]["fail"]
+    assert not report["all_pass"]
+
+
 def test_derivative_facts_at_origin_q4():
     tc = trace_curve(2)
     origin = AffinePoint(tc.field.zero, tc.field.zero, 1)
