@@ -186,13 +186,19 @@ def genus_bounds(q: int, n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class CensusReport:
+    """A point count at one tower level against the L-polynomial
+    prediction.  ``maximal`` is the verdict of the level-1 count alone
+    (the Hasse-Weil bound), and None at level 2: N_2 = q^4 + 1 - 2g q^2
+    says only that every Frobenius eigenvalue over GF(q^2) is q or -q,
+    which does not decide maximality."""
+
     q: int
     family: str
     level: int
     count: int
     genus: int
     expected: int
-    maximal: bool
+    maximal: bool | None
 
     def to_json(self) -> dict:
         return {
@@ -208,7 +214,9 @@ class CensusReport:
 def census_report(curve: PlaneCurve, genus: int, level: int = 1) -> CensusReport:
     """The point count at a level against the L-polynomial prediction
     q^(2k) + 1 - 2g(-q)^k, k = level, of a maximal curve of genus g; at
-    level 1 that is the Hasse-Weil bound, which alone decides maximality."""
+    level 1 that is the Hasse-Weil bound, which alone decides maximality,
+    and at level 2 the report makes no maximality verdict (see
+    :class:`CensusReport`)."""
     if genus < 0:
         raise ValueError("genus must be non-negative")
     count = count_rational(curve, level)
@@ -221,7 +229,7 @@ def census_report(curve: PlaneCurve, genus: int, level: int = 1) -> CensusReport
         count=count,
         genus=genus,
         expected=expected,
-        maximal=(level == 1 and count == expected),
+        maximal=count == expected if level == 1 else None,
     )
 
 

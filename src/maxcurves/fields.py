@@ -42,18 +42,20 @@ two lists (:meth:`BinaryField.convolve`), a scalar times a list, the
 Frobenius of a list, and a sparse polynomial at every nonzero element of
 a tabled field.  On tabled fields each looks the tables up once and runs
 one loop with no call per coefficient, skipping zero entries, whose log
-is a placeholder.  The polynomial is taken in log order
+is a placeholder; a scaling visits only the nonzero entries, picked at
+C speed by ``compress``.  The polynomial is taken in log order
 (:meth:`BinaryField.values_by_log`): c x^e at x = g^i is the antilog
 entry at log c + e i, so each term is a run of strided slices of the
 antilog table, and the terms are added with one C-level XOR pass each;
 :meth:`BinaryField.values` gathers that walk into mask order through the
 log table.  The tower multiplies through ``mul_int`` per nonzero entry,
-but squares through its own two square tables inline, in ``frob_int``
-and ``frob_row``: squaring is GF(2)-linear, so 0 needs no test.  A
-scalar 1 copies the list.
+but squares through its own two square tables inline, in ``frob_int``,
+``frob_row`` and the squarings of ``pow_int``; ``frob_row`` skips zero
+entries, as the tabled kernels do.  A scalar 1 copies the list.
 
 :meth:`BinaryField.part_at` evaluates a sparse polynomial at one
-point, and :func:`additive_map` reduces an additive one as a GF(2)-linear
+point (on the tower, v^(2^k) is k table squarings and one product by 1),
+and :func:`additive_map` reduces an additive one as a GF(2)-linear
 map; the census, the maximality criterion of ``normalize`` and the
 Artin-Schreier solver share that one reduction.  Each field holds the
 reduction of u -> u^2 + u, made after its tables or tower, so solving
@@ -63,7 +65,7 @@ u^2 + u = c is one coset lookup.
 from __future__ import annotations
 
 from importlib import resources
-from itertools import repeat
+from itertools import compress, repeat
 from operator import xor
 from string import hexdigits
 from typing import Iterator, NamedTuple, Sequence
@@ -286,14 +288,16 @@ class BinaryField:
         return out
 
     def scale_row(self, a: int, row: Sequence[int]) -> list[int]:
-        """a times every entry of row."""
+        """a times every entry of row, one step per nonzero entry."""
         if a == 1:
             return list(row)
-        if not a:
-            return [0] * len(row)
-        log, exp = self._log, self._exp
-        la = log[a]
-        return [exp[la + log[b]] if b else 0 for b in row]
+        out = [0] * len(row)
+        if a:
+            log, exp = self._log, self._exp
+            la = log[a]
+            for j in compress(range(len(row)), row):
+                out[j] = exp[la + log[row[j]]]
+        return out
 
     def frob_row(self, row: Sequence[int], k: int) -> list[int]:
         """Every entry of row raised to the power 2^k."""
@@ -495,12 +499,14 @@ class TowerField(BinaryField):
     def pow_int(self, a: int, e: int) -> int:
         if e < 0:
             raise ValueError("negative exponent; use inv_int first")
+        h, low, _, _, _, _, _, _, _, sq_lo, sq_hi, _ = self._tower
         r = 1
         while e:
             if e & 1:
                 r = self.mul_int(r, a)
-            a = self.mul_int(a, a)
             e >>= 1
+            if e:
+                a = sq_lo[a & low] ^ sq_hi[a >> h]  # squaring is GF(2)-linear
         return r
 
     def inv_int(self, a: int) -> int:
@@ -541,13 +547,17 @@ class TowerField(BinaryField):
     def scale_row(self, a: int, row: Sequence[int]) -> list[int]:
         if a == 1:
             return list(row)
-        return [self.mul_int(a, b) if b else 0 for b in row]
+        out = [0] * len(row)
+        mul = self.mul_int
+        for j in compress(range(len(row)), row):
+            out[j] = mul(a, row[j])
+        return out
 
     def frob_row(self, row: Sequence[int], k: int) -> list[int]:
         h, low, _, _, _, _, _, _, _, sq_lo, sq_hi, _ = self._tower
         out = list(row)
         for _ in range(k % self.m):
-            out = [sq_lo[a & low] ^ sq_hi[a >> h] for a in out]
+            out = [sq_lo[a & low] ^ sq_hi[a >> h] if a else 0 for a in out]
         return out
 
 

@@ -21,13 +21,14 @@ order sequence (0, 1, q), and the degree of a system's ramification
 divisor.  Below tau^(q^2) the twists x^(q^2) and y^(q^2) are the
 constants x0^(q^2) and y0^(q^2), so the residual is Dy and D^2 y scaled
 by c1 = x0 + x0^(q^2) and c1^2 and shifted by tau and tau^2, summed
-into one list with ys: no series products.
+into one list with ys in one pass over ys's nonzero terms: no series
+products and no derivative series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import xor
+from itertools import compress
 from typing import Sequence
 
 from .census import AffinePoint, is_rational, sample_points
@@ -63,7 +64,7 @@ def dp_orders(curve: PlaneCurve, point: AffinePoint, n: int | None = None) -> Or
     if n < q + 3:
         raise ValueError(f"precision {n} too small; need at least q+3 = {q + 3}")
     coeffs = expand_y_at(curve, point, n).coeffs
-    j = next((e for e in range(3, n) if coeffs[e]), None)
+    j = next(compress(range(3, n), coeffs[3:]), None)
     if j is None:
         raise PrecisionError(f"only 3 orders visible below precision {n}; increase precision")
     tag = "rational" if is_rational(curve, point) else "non-rational"
@@ -109,25 +110,34 @@ def _frobenius_residual(curve: PlaneCurve, point: AffinePoint, ys: TruncatedSeri
 
     With c1 = x0 + x0^(q^2), x + x^(q^2) is c1 + tau and x^2 + x^(2q^2) is
     c1^2 + tau^2, so the residual is ys + y0^(q^2) + c1 Dy + tau Dy +
-    c1^2 D^2 y + tau^2 D^2 y: two scalings and two shifts into one list.
+    c1^2 D^2 y + tau^2 D^2 y.  It is read off ys's nonzero terms in one
+    pass: by Lucas' rule c_e tau^e puts c_e at tau^(e-1) of Dy when e is
+    odd and at tau^(e-2) of D^2 y when e has bit 2 set, so each c_e adds
+    c_e at tau^e, c1 c_e at tau^(e-1) and c1^2 c_e at tau^(e-2) as it
+    has those bits.
     """
     fld, n = ys.field, ys.prec
+    mul = fld.mul_int
     k = 2 * curve.t  # the GF(q^2)-Frobenius is the 2^(2t)-power
     c1 = (point.x + point.x.frobenius(k)).bits
-    dy = ys.hasse_derivative(1).coeffs
-    d2y = ys.hasse_derivative(2).coeffs
-
+    c1_sq = fld.sqr_int(c1)
+    coeffs = ys.coeffs
+    acc = [0] * n
+    acc[0] = point.y.frobenius(k).bits
+    for e in compress(range(n), coeffs):
+        c = coeffs[e]
+        acc[e] ^= c  # from ys itself
+        if e & 1:  # c1 Dy + tau Dy
+            acc[e - 1] ^= mul(c1, c)
+            acc[e] ^= c
+        if e & 2:  # c1^2 D^2 y + tau^2 D^2 y
+            acc[e - 2] ^= mul(c1_sq, c)
+            acc[e] ^= c
     # known mod tau^(n-2), the precision of D^2 y
     m = n - 2
-    acc = list(ys.coeffs[:m])
-    acc[0] ^= point.y.frobenius(k).bits
-    acc[:] = map(xor, acc, fld.scale_row(c1, dy[:m]))
-    acc[1:] = map(xor, acc[1:], dy[: m - 1])
-    acc[:] = map(xor, acc, fld.scale_row(fld.sqr_int(c1), d2y))
-    acc[2:] = map(xor, acc[2:], d2y[: m - 2])
     return {
         "point": (point.x.hex(), point.y.hex()),
-        "residual_zero": not any(acc),
+        "residual_zero": not any(acc[:m]),
         "precision": m,
     }
 

@@ -13,32 +13,44 @@ precision kept: ``pow2k(k, prec)`` raises only the ceil(prec / 2^k)
 coefficients that land below tau^prec, where ``pow2k(k)`` would build
 prec * 2^k entries to be cut.
 
-Expansions of y along the curve are computed coefficient by coefficient.
-Every curve is held as its additive model A(y) = P(x) + c (A is a
-linearized polynomial in y; :class:`curves.AdditiveModel`), so
+Expansions of y along the curve cost their nonzero terms, not their
+precision.  Every curve is held as its additive model A(y) = P(x) + c
+(A is a linearized polynomial in y; :class:`curves.AdditiveModel`), so
 y = y(P) + eta with A(eta) = P(x(P) + tau) + P(x(P)), and the
-coefficient of tau^r in eta depends only on those at r / 2^k: one
-pass over r gives the unique Hensel lift (dF/dy is a nonzero constant, so
-every affine point is a simple root in y); the right side walks only the
-submasks r of each x exponent i, the r with binom(i, r) odd.  Each
-expansion is then checked, independently of that right side, by the
-residual A(y) + P(x) + c as one list: a y^(2^k) term is the 2^k-th power
-of the coefficients below tau^(n / 2^k), laid in with stride 2^k; an x^i
-term is the product of (x0 + tau)^(2^k) over the set bits 2^k of i; c
-lands at tau^0.  Precisions above ``PRECISION_LIMIT`` are refused.
+coefficient of tau^r in eta depends only on those at r / 2^k, of the
+same odd part as r (dF/dy is a nonzero constant, so every affine point
+is a simple root in y and the lift is unique).  The right side walks
+only the submasks r of each x exponent i, the r with binom(i, r) odd,
+and a chain o, 2o, 4o, ... whose right side vanishes stays 0, so the
+lift walks only the chains of the odd parts that carry a right-side
+entry: for P = x^(q+1) the chains of 1 and q + 1, about 2 log2(n) steps
+where a walk over every r would take n.  Each expansion is then checked,
+independently of that right side, by the residual A(y) + P(x) + c at
+all n coefficients, read off y's nonzero terms: a y^(2^k) term puts
+c_e^(2^k) at tau^(e 2^k), an x^i term is the product of the two-term
+factors x0^(2^k) + tau^(2^k) over the set bits 2^k of i, multiplied
+out, and c lands at tau^0.  Dense lists appear only where C fills them
+(a zero list, ``compress`` picking the nonzero exponents, tuple
+equality), so the interpreter's steps follow the support.  Precisions
+above ``PRECISION_LIMIT`` are refused.
 
 Hasse derivatives act coefficientwise through binomials mod 2, evaluated
 by Lucas' rule inline: binom(n, i) is odd iff (n & i) == i, that is, iff
-the bits of i are a subset of the bits of n.  So D^i y = 0 for every i
-in a range iff no nonzero coefficient c_e has a submask i in it, and
-the middle-derivative test of :func:`verify_derivative_facts` is one
-scan of the coefficients (:meth:`TruncatedSeries.derivatives_vanish`),
-not one derivative series per order.
+the bits of i are a subset of the bits of n.  D^i is one strided slice
+per residue mod 2^L (L the bit length of i) whose bits hold those of i,
+so Dy and D^2 y are one and two slices.  D^i y = 0 for every i in a
+range iff no nonzero coefficient c_e has a submask i in it, so the
+middle-derivative test of :func:`verify_derivative_facts` is one walk
+over the nonzero coefficients (:meth:`TruncatedSeries.derivatives_vanish`),
+not one derivative series per order, and series are compared by tuple
+equality.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from operator import xor
 
 from .curves import PlaneCurve
@@ -130,8 +142,10 @@ class TruncatedSeries:
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
         self._check(other)
-        out = [a ^ b for a, b in zip(self.coeffs, other.coeffs)]
-        return TruncatedSeries(self.field, tuple(out))
+        # a list, not tuple(map(...)): a tuple built from an iterator is
+        # resized after it is filled, and so is freed into another size's
+        # free list, which grows to its cap and raises peak memory
+        return TruncatedSeries(self.field, list(map(xor, self.coeffs, other.coeffs)))
 
     __sub__ = __add__
 
@@ -179,14 +193,31 @@ class TruncatedSeries:
         return result
 
     def hasse_derivative(self, i: int) -> TruncatedSeries:
-        """Coefficientwise binom(n, i) shift; precision drops by i."""
+        """Coefficientwise binom(n, i) shift; precision drops by i.
+
+        c_e survives, at tau^(e-i), iff e is a supermask of i.  Modulo
+        2^L, L = i.bit_length(), those e fill the residues i | s over the
+        submasks s of the free bits (2^L - 1) ^ i, so the derivative is one
+        strided slice per residue below the precision, copied at C speed:
+        one or two for Dy and D^2 y, whatever the precision.
+        """
         if i < 0:
             raise ValueError("derivative order must be non-negative")
         if i == 0:
             return self
-        if self.prec <= i:
-            raise PrecisionError(f"order-{i} derivative exhausts precision {self.prec}")
-        out = [c if (n & i) == i else 0 for n, c in enumerate(self.coeffs[i:], i)]
+        n = self.prec
+        if n <= i:
+            raise PrecisionError(f"order-{i} derivative exhausts precision {n}")
+        coeffs = self.coeffs
+        out = [0] * (n - i)
+        step = 1 << i.bit_length()
+        free = (step - 1) ^ i
+        s = 0
+        while (r := i | s) < n:  # the submasks s of the free bits, ascending
+            out[r - i :: step] = coeffs[r::step]
+            if s == free:
+                break
+            s = (s - free) & free
         return TruncatedSeries(self.field, out)
 
     def derivatives_vanish(self, lo: int, hi: int) -> bool:
@@ -200,19 +231,20 @@ class TruncatedSeries:
             raise PrecisionError(f"order-{hi} derivative exhausts precision {self.prec}")
         if lo > hi:
             return True
-        for e, c in enumerate(self.coeffs):
-            if c:
-                s = e
-                while s >= lo:  # the submasks of e, in descending order
-                    if s <= hi:
-                        return False
-                    s = (s - 1) & e  # reaching 0 ends the walk: 0 < lo, or 0 <= hi returned
+        for e in compress(range(self.prec), self.coeffs):
+            s = e
+            while s >= lo:  # the submasks of e, in descending order
+                if s <= hi:
+                    return False
+                s = (s - 1) & e  # reaching 0 ends the walk: 0 < lo, or 0 <= hi returned
         return True
 
 
 def series_equal_mod(a: TruncatedSeries, b: TruncatedSeries) -> bool:
     """True iff a and b agree to their shared precision."""
-    return (a + b).is_zero_mod()
+    a._check(b)
+    p = min(a.prec, b.prec)
+    return a.coeffs[:p] == b.coeffs[:p]
 
 
 def _additive_residual(
@@ -225,24 +257,40 @@ def _additive_residual(
     """Coefficients of A(y) + P(x) + c mod tau^n at x = xs, y = ys (both of
     precision n), for ypart = {2^k: a}, xpart = {i: b} and the constant c.
 
-    a y^(2^k) lands with stride 2^k: only its ceil(n / 2^k) coefficients
-    below tau^n are raised.  b x^i is the product of xs^(2^k) over the set
-    bits 2^k of i, built from the series, not from binomials.
+    ys is read off its nonzero terms: a y^(2^k) puts a c^(2^k) at
+    tau^(e 2^k) for each nonzero c_e, raised for all the terms below
+    tau^(n / 2^k) by one row kernel, from the powers of the previous k.
+    xs must be x0 + tau, and b x^i is b times the product of the two-term
+    factors x0^(2^k) + tau^(2^k) over the set bits 2^k of i, multiplied
+    out, not taken from binomials.
     """
     fld, n = ys.field, ys.prec
+    x0 = xs.coeffs[0]
+    if xs.prec != n or xs.coeffs[1] != 1 or any(xs.coeffs[2:]):
+        raise ValueError("the residual takes x = x0 + tau at the precision of y")
     acc = [0] * n
     acc[0] = const
-    for j, a in ypart.items():
+    exps = list(compress(range(n), ys.coeffs))  # the nonzero terms, picked at C speed
+    values = [ys.coeffs[e] for e in exps]
+    done = 0  # values holds c^(2^done) for the terms with e 2^done < n
+    for j, a in sorted(ypart.items()):
         k = j.bit_length() - 1
-        term = fld.scale_row(a, fld.frob_row(ys.coeffs[: -(-n // j)], k))
-        acc[::j] = map(xor, acc[::j], term)
+        values = values[: bisect_left(exps, -(-n // j))]
+        if k > done:
+            values = fld.frob_row(values, k - done)
+            done = k
+        for e, c in zip(exps, values if a == 1 else fld.scale_row(a, values)):
+            acc[e * j] ^= c
     for i, b in xpart.items():
-        power = None
+        terms = [(0, b)]  # b times the factors so far: distinct exponents, no collisions
         for k in range(i.bit_length()):
             if i >> k & 1:
-                factor = xs.pow2k(k, n)
-                power = factor if power is None else power * factor
-        acc[:] = map(xor, acc, fld.scale_row(b, power.coeffs))
+                j, x0_k = 1 << k, fld.frob_int(x0, k)
+                terms = [(e, fld.mul_int(c, x0_k)) for e, c in terms] + [
+                    (e + j, c) for e, c in terms if e + j < n
+                ]
+        for e, c in terms:
+            acc[e] ^= c
     return acc
 
 
@@ -256,20 +304,25 @@ def _additive_lift(
     The right side has coefficient sum_i b_i binom(i, r) x0^(i-r) at tau^r
     (binom(i, r) odd iff r is a submask of i); eta^(2^k) contributes
     eta_{r/2^k}^(2^k) at tau^r when 2^k divides r, so solving for eta_r
-    needs only coefficients already found.
+    needs only coefficients already found, all of the same odd part as r.
+    A chain o, 2o, 4o, ... of odd part o whose right side is 0 throughout
+    is therefore 0 throughout, and only the chains of the odd parts of
+    the nonzero right-side entries are walked, in ascending order.
     """
-    rhs = [0] * n
+    rhs: dict[int, int] = {}
     for i, b in xpart.items():
         r = i
         while r:  # the nonzero submasks of i, in descending order
             if r < n:
-                rhs[r] ^= fld.mul_int(b, fld.pow_int(x0, i - r))
+                rhs[r] = rhs.get(r, 0) ^ fld.mul_int(b, fld.pow_int(x0, i - r))
             r = (r - 1) & i
+    odd = {r // (r & -r) for r, v in rhs.items() if v}
+    chains = sorted(o << k for o in odd for k in range(((n - 1) // o).bit_length()))
     cinv = fld.inv_int(ypart[1])
     higher = sorted((j.bit_length() - 1, a) for j, a in ypart.items() if j > 1)
     eta = [0] * n
-    for r in range(1, n):
-        acc = rhs[r]
+    for r in chains:
+        acc = rhs.get(r, 0)
         for k, a in higher:
             if r & ((1 << k) - 1):
                 break  # 2^k does not divide r, nor does any higher power
@@ -330,7 +383,7 @@ def check_h_identities(field: BinaryField, count: int, rng) -> dict:
     prec = H_IDENTITY_PRECISION
 
     def random_series() -> TruncatedSeries:
-        return TruncatedSeries(field, tuple(rng.randrange(field.order) for _ in range(prec)))
+        return TruncatedSeries(field, [rng.randrange(field.order) for _ in range(prec)])
 
     report = {name: {"pass": 0, "fail": 0} for name in ("h1", "h2", "h3", "h3prime")}
 

@@ -713,15 +713,22 @@ def test_part_at_and_additive_map_match_shift_and_reduce(fld):
     for x in xs:
         v = fld.part_at(part, x)
         assert a_map.in_image(v) and x in a_map.coset(v)
+    # single terms: e = 0 gives c, and 2^m wraps round to x itself
+    for e in [0, 1, fld.q + 1] + [1 << k for k in range(1, fld.m + 1)]:
+        c = rng.randrange(1, fld.order)
+        for x in xs[:8]:
+            assert fld.part_at({e: c}, x) == ref_mul(c, ref_pow(x, e, mod), mod), (e, hex(x))
 
 
 def test_tower_frob_row_matches_shift_and_reduce_for_every_k():
     rng = random.Random(19)
     row = kernel_row(GF2_20, rng, 11)
-    for k in range(GF2_20.m):
-        expected = [ref_pow(a, 1 << k, GF2_20.modulus) for a in row]
-        assert GF2_20.frob_row(row, k) == expected, k
-        assert [GF2_20.frob_int(a, k) for a in row] == expected, k
+    # zeros are skipped, so an all-zero row and a tuple row go through too
+    for r in (row, tuple(row), [0] * 5):
+        for k in range(2 * GF2_20.m + 1):
+            expected = [ref_pow(a, 1 << k, GF2_20.modulus) for a in r]
+            assert GF2_20.frob_row(r, k) == expected, (r, k)
+            assert [GF2_20.frob_int(a, k) for a in r] == expected, (r, k)
     assert GF2_20.frob_row([], 7) == []
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -351,6 +352,32 @@ def test_expansion_matches_newton_at_every_rational_point(t):
             assert list(expand_y_at(curve, p, n).coeffs) == newton_reference(curve, p, n)
 
 
+def moved_extended_curve(t, rng):
+    """A trace-form-extended curve with a nonzero constant: x-linear terms
+    and c != 0 both reach the right side of the lift."""
+    for _ in range(100):  # bounded, so a draw that keeps c = 0 fails, not hangs
+        curve = random_extended_curve(t, rng)
+        if curve.model(1).const:
+            return curve
+    pytest.fail("no draw gave an extended curve with a nonzero constant")
+
+
+def level2_points(curve, count, rng, xs=()):
+    """Level-2 points over the given x, then over seeded random x, solved
+    from A(y) = P(x) + c, which is GF(2)-linear in y."""
+    fld = curve.level_field(2)
+    model = curve.model(2)
+    a_map = additive_map(fld, model.ypart)
+    points = []
+    xs = list(xs)
+    while len(points) < count:
+        x = xs.pop(0) if xs else rng.randrange(fld.order)
+        ys = a_map.coset(fld.part_at(model.xpart, x) ^ model.const)
+        if ys:
+            points.append(AffinePoint(fld.element(x), fld.element(rng.choice(ys)), 2))
+    return points
+
+
 @pytest.mark.parametrize("t", [4, 5])
 def test_expansion_matches_newton_at_quartic_points(t):
     # level-2 points solved from random x: S(y) = x^(q+1) is GF(2)-linear in y
@@ -367,6 +394,140 @@ def test_expansion_matches_newton_at_quartic_points(t):
             points.append(AffinePoint(x, fld.element(rng.choice(ys)), 2))
     for p in points:
         assert list(expand_y_at(curve, p, n).coeffs) == newton_reference(curve, p, n)
+    # a moved curve: x-linear terms and a nonzero constant, at x0 = 0 too
+    moved = moved_extended_curve(t, random.Random(45 + t))
+    for p in level2_points(moved, 2, random.Random(46 + t), xs=[0]):
+        assert list(expand_y_at(moved, p, n).coeffs) == newton_reference(moved, p, n)
+
+
+def dense_lift(fld, x0, xpart, ypart, n):
+    """The one-pass recurrence over every r < n, with a dense right side:
+    the reference for the chain walk of series._additive_lift."""
+    rhs = [0] * n
+    for i, b in xpart.items():
+        for r in range(1, min(i, n - 1) + 1):
+            if r & i == r:  # binom(i, r) odd
+                rhs[r] ^= fld.mul_int(b, fld.pow_int(x0, i - r))
+    cinv = fld.inv_int(ypart[1])
+    eta = [0] * n
+    for r in range(1, n):
+        acc = rhs[r]
+        for j, a in ypart.items():
+            if j > 1 and r % j == 0:
+                acc ^= fld.mul_int(a, fld.frob_int(eta[r // j], j.bit_length() - 1))
+        eta[r] = fld.mul_int(cinv, acc)
+    return eta
+
+
+def chain_lift_cases():
+    """(curve, point) on moved extended curves: every affine level-1 point
+    for t <= 3, and seeded level-2 points at t = 4, one of them at x0 = 0."""
+    rng = random.Random(50)
+    for t in (1, 2, 3):
+        curve = moved_extended_curve(t, rng)
+        for p in enumerate_points(curve, 1)[:-1]:
+            yield curve, p
+    curve = moved_extended_curve(4, rng)
+    for p in level2_points(curve, 6, rng, xs=[0]):
+        yield curve, p
+
+
+def test_chain_lift_equals_the_dense_recurrence():
+    cases = x0_zero = 0
+    for curve, p in chain_lift_cases():
+        model = curve.model(p.level)
+        assert model.const and any(i < curve.q for i in model.xpart)
+        for n in (2 * curve.q + 8, 5 * curve.q + 3):
+            args = (p.x.field, p.x.bits, model.xpart, model.ypart, n)
+            assert series._additive_lift(*args) == dense_lift(*args), (p, n)
+        cases += 1
+        x0_zero += not p.x.bits
+    assert cases > 100 and x0_zero >= 4  # x0 = 0 at each t
+
+
+def zero_the_chain_of(odd, lift):
+    """A lift that zeroes eta at odd * 2^k for every k."""
+
+    def planted(fld, x0, xpart, ypart, n):
+        coeffs = lift(fld, x0, xpart, ypart, n)
+        r = odd
+        while r < n:
+            coeffs[r] = 0
+            r <<= 1
+        return coeffs
+
+    return planted
+
+
+@pytest.mark.parametrize("t,level", [(3, 1), (5, 2)])
+def test_a_lift_missing_the_chain_of_q_plus_1_is_caught(monkeypatch, t, level):
+    curve = trace_curve(t)
+    q, n = curve.q, 2 * curve.q + 8
+    if level == 1:
+        p = sample_points(curve, 1, 1, random.Random(t))[0]
+    else:
+        p = level2_points(curve, 1, random.Random(t))[0]
+    honest = expand_y_at(curve, p, n)
+    assert honest.coeffs[q + 1]  # eta_(q+1) = b / a_t: the chain is never empty
+    monkeypatch.setattr(series, "_additive_lift", zero_the_chain_of(q + 1, series._additive_lift))
+    with pytest.raises(CheckFailed):
+        expand_y_at(curve, p, n)
+
+
+def count_lines(functions, call):
+    """Line events executed in the given functions (and the comprehensions
+    inside them) while call() runs."""
+    codes = set()
+    pending = [f.__code__ for f in functions]
+    while pending:
+        code = pending.pop()
+        codes.add(code)
+        pending += [c for c in code.co_consts if hasattr(c, "co_code")]
+    events = 0
+
+    def local(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code in codes else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return events
+
+
+def test_expansion_cost_follows_the_support_not_the_precision():
+    # at t = 5, level 2, y has 7 nonzero coefficients below tau^72 and 11
+    # below tau^4096; a walk over every coefficient would grow 57-fold
+    curve = trace_curve(5)
+    p = level2_points(curve, 1, random.Random(5))[0]
+    steps = {
+        n: count_lines(
+            (series._additive_lift, series._additive_residual),
+            lambda n=n: expand_y_at(curve, p, n),
+        )
+        for n in (72, PRECISION_LIMIT)
+    }
+    assert steps[72] > 0
+    assert steps[PRECISION_LIMIT] <= 5 * steps[72], steps
+
+
+def test_hasse_derivative_matches_lucas_on_dense_and_sparse_series():
+    # one strided slice per residue that holds the bits of i; the
+    # precisions cut residues short, and off above n
+    rng = random.Random(12)
+    for n, density in ((14, 1.0), (40, 0.3), (80, 0.05)):
+        coeffs = tuple(rng.randrange(1, 64) if rng.random() < density else 0 for _ in range(n))
+        s = TruncatedSeries(GF64, coeffs)
+        for i in range(1, n):
+            expected = [c if e & i == i else 0 for e, c in enumerate(coeffs[i:], i)]
+            assert list(s.hasse_derivative(i).coeffs) == expected, (n, i)
 
 
 def test_planted_recurrence_defect_is_caught(monkeypatch):
@@ -467,6 +628,24 @@ def test_additive_residual_equals_the_term_by_term_reference():
         assert any(residual), (p, e)
         cases += 1
     assert cases > 900
+
+
+def test_additive_residual_takes_only_x0_plus_tau_at_the_precision_of_y():
+    # the residual multiplies out x0 + tau itself, so any other x is refused
+    tc = trace_curve(2)
+    p = enumerate_points(tc, 1)[1]
+    model = tc.model(1)
+    parts = (model.xpart, model.ypart, model.const)
+    ys = expand_y_at(tc, p, 16)
+    xs = TruncatedSeries.local_parameter_shifted(p.x, 16)
+    wrong = [
+        TruncatedSeries.local_parameter_shifted(p.x, 15),
+        TruncatedSeries(tc.field, xs.coeffs[:2] + (1,) + xs.coeffs[3:]),
+        TruncatedSeries(tc.field, (xs.coeffs[0], 3) + xs.coeffs[2:]),
+    ]
+    for x in wrong:
+        with pytest.raises(ValueError, match="x = x0 [+] tau"):
+            series._additive_residual(x, ys, *parts)
 
 
 def test_precision_over_the_limit_is_refused_before_it_is_allocated():
