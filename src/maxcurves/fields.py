@@ -38,12 +38,12 @@ tower and the embedding, and is not used after.  The shipped moduli are
 certified irreducible by Rabin's test on every field creation.
 
 Row kernels work on whole coefficient lists: the truncated product of
-two lists (:meth:`BinaryField.convolve`), a scalar times a list, the
-Frobenius of a list, and a sparse polynomial at every nonzero element of
-a tabled field.  On tabled fields each looks the tables up once and runs
-one loop with no call per coefficient, skipping zero entries, whose log
-is a placeholder; a scaling visits only the nonzero entries, picked at
-C speed by ``compress``.  The polynomial is taken in log order
+two lists (:meth:`BinaryField.convolve`), the Frobenius of a list, and a
+sparse polynomial at every nonzero element of a tabled field.  On tabled
+fields each looks the tables up once and runs one loop with no call per
+coefficient, skipping zero entries, whose log is a placeholder.  There
+is no scaling kernel: the series layer scales only y's few nonzero
+terms, one ``mul_int`` each.  The polynomial is taken in log order
 (:meth:`BinaryField.values_by_log`): c x^e at x = g^i is the antilog
 entry at log c + e i, so each term is a run of strided slices of the
 antilog table, and the terms are added with one C-level XOR pass each;
@@ -51,7 +51,7 @@ antilog table, and the terms are added with one C-level XOR pass each;
 log table.  The tower multiplies through ``mul_int`` per nonzero entry,
 but squares through its own two square tables inline, in ``frob_int``,
 ``frob_row`` and the squarings of ``pow_int``; ``frob_row`` skips zero
-entries, as the tabled kernels do.  A scalar 1 copies the list.
+entries, as the tabled kernels do.
 
 :meth:`BinaryField.part_at` evaluates a sparse polynomial at one
 point (on the tower, v^(2^k) is k table squarings and one product by 1),
@@ -65,7 +65,7 @@ u^2 + u = c is one coset lookup.
 from __future__ import annotations
 
 from importlib import resources
-from itertools import compress, repeat
+from itertools import repeat
 from operator import xor
 from string import hexdigits
 from typing import Iterator, NamedTuple, Sequence
@@ -285,18 +285,6 @@ class BinaryField:
                     if j >= room:
                         break
                     out[i + j] ^= exp[la + lb]
-        return out
-
-    def scale_row(self, a: int, row: Sequence[int]) -> list[int]:
-        """a times every entry of row, one step per nonzero entry."""
-        if a == 1:
-            return list(row)
-        out = [0] * len(row)
-        if a:
-            log, exp = self._log, self._exp
-            la = log[a]
-            for j in compress(range(len(row)), row):
-                out[j] = exp[la + log[row[j]]]
         return out
 
     def frob_row(self, row: Sequence[int], k: int) -> list[int]:
@@ -542,15 +530,6 @@ class TowerField(BinaryField):
                     if j >= room:
                         break
                     out[i + j] ^= mul(a, b)
-        return out
-
-    def scale_row(self, a: int, row: Sequence[int]) -> list[int]:
-        if a == 1:
-            return list(row)
-        out = [0] * len(row)
-        mul = self.mul_int
-        for j in compress(range(len(row)), row):
-            out[j] = mul(a, row[j])
         return out
 
     def frob_row(self, row: Sequence[int], k: int) -> list[int]:

@@ -21,8 +21,9 @@ order sequence (0, 1, q), and the degree of a system's ramification
 divisor.  Below tau^(q^2) the twists x^(q^2) and y^(q^2) are the
 constants x0^(q^2) and y0^(q^2), so the residual is Dy and D^2 y scaled
 by c1 = x0 + x0^(q^2) and c1^2 and shifted by tau and tau^2, summed
-into one list with ys in one pass over ys's nonzero terms: no series
-products and no derivative series.
+into one list with ys over the nonzero terms of Dy and D^2 y: no series
+products.  Dy and D^2 y come from :meth:`series.TruncatedSeries.hasse_derivative`,
+the one place that lays y's coefficients out by Lucas' rule.
 """
 
 from __future__ import annotations
@@ -110,29 +111,20 @@ def _frobenius_residual(curve: PlaneCurve, point: AffinePoint, ys: TruncatedSeri
 
     With c1 = x0 + x0^(q^2), x + x^(q^2) is c1 + tau and x^2 + x^(2q^2) is
     c1^2 + tau^2, so the residual is ys + y0^(q^2) + c1 Dy + tau Dy +
-    c1^2 D^2 y + tau^2 D^2 y.  It is read off ys's nonzero terms in one
-    pass: by Lucas' rule c_e tau^e puts c_e at tau^(e-1) of Dy when e is
-    odd and at tau^(e-2) of D^2 y when e has bit 2 set, so each c_e adds
-    c_e at tau^e, c1 c_e at tau^(e-1) and c1^2 c_e at tau^(e-2) as it
-    has those bits.
+    c1^2 D^2 y + tau^2 D^2 y: each nonzero coefficient d_e of D = Dy or
+    D^2 y adds c d_e at tau^e and d_e at tau^(e+s), for c = c1 or c1^2
+    and s = 1 or 2.  Terms at tau^(n-2) and above are not known.
     """
     fld, n = ys.field, ys.prec
-    mul = fld.mul_int
     k = 2 * curve.t  # the GF(q^2)-Frobenius is the 2^(2t)-power
     c1 = (point.x + point.x.frobenius(k)).bits
-    c1_sq = fld.sqr_int(c1)
-    coeffs = ys.coeffs
-    acc = [0] * n
-    acc[0] = point.y.frobenius(k).bits
-    for e in compress(range(n), coeffs):
-        c = coeffs[e]
-        acc[e] ^= c  # from ys itself
-        if e & 1:  # c1 Dy + tau Dy
-            acc[e - 1] ^= mul(c1, c)
-            acc[e] ^= c
-        if e & 2:  # c1^2 D^2 y + tau^2 D^2 y
-            acc[e - 2] ^= mul(c1_sq, c)
-            acc[e] ^= c
+    acc = list(ys.coeffs)
+    acc[0] ^= point.y.frobenius(k).bits
+    for c, s in ((c1, 1), (fld.sqr_int(c1), 2)):
+        d = ys.hasse_derivative(s).coeffs
+        for e in compress(range(n - s), d):  # e + s < n: acc holds every term
+            acc[e] ^= fld.mul_int(c, d[e])
+            acc[e + s] ^= d[e]
     # known mod tau^(n-2), the precision of D^2 y
     m = n - 2
     return {
@@ -147,9 +139,10 @@ def frobenius_orders(
 ) -> tuple[tuple[int, int, int], list[dict]]:
     """The Frobenius order sequence (0, 1, q) of a genus-g_2 model
     (deg A = q/2), with a sampled evidence log: at each point,
-    D^i y = 0 for 3 <= i <= q-1 (no orders strictly between 2 and q) and
-    the Frobenius-collinearity residual vanishes (the order 2 drops).
-    Raises if any check fails."""
+    a_t Dy = x^q, a_t^3 D^2 y = a_{t-1} x^(2q), D^i y = 0 for
+    3 <= i <= q-1 (no orders strictly between 2 and q) and the
+    Frobenius-collinearity residual vanishes (the order 2 drops).
+    Raises ArithmeticError if any of the four checks fails."""
     if max(curve.model(1).ypart, default=0) != curve.q // 2:
         raise ValueError("Frobenius orders are computed for the models with deg A = q/2")
     if sample_size < 1:
@@ -171,7 +164,7 @@ def frobenius_orders(
             "frobenius_residual_zero": frob["residual_zero"],
         }
         evidence.append(entry)
-        if not (facts.middle_vanish and frob["residual_zero"]):
+        if not (facts.ok() and frob["residual_zero"]):
             raise ArithmeticError(f"Frobenius-order evidence failed at {entry['point']}")
     return (0, 1, q), evidence
 

@@ -5,13 +5,10 @@ tau = x - x(P).  Every series starts at tau^0 (no point at infinity gets
 one), so its precision is N, the number of stored coefficients; the
 smaller precision survives addition and multiplication.  Asking beyond
 it raises :class:`PrecisionError` rather than guessing: "insufficient
-precision" is always distinct from "identity fails".  Products, scalar
-multiples and 2^k-th powers hand the whole coefficient tuple to one row
-kernel of the field (:meth:`fields.BinaryField.convolve`, ``scale_row``,
-``frob_row``), not one field call per coefficient.  Work is sized by the
-precision kept: ``pow2k(k, prec)`` raises only the ceil(prec / 2^k)
-coefficients that land below tau^prec, where ``pow2k(k)`` would build
-prec * 2^k entries to be cut.
+precision" is always distinct from "identity fails".  Products and 2^k-th
+powers hand the whole coefficient tuple to one row kernel of the field
+(:meth:`fields.BinaryField.convolve`, ``frob_row``), not one field call
+per coefficient; ``pow2k(k)`` keeps its full precision prec * 2^k.
 
 Expansions of y along the curve cost their nonzero terms, not their
 precision.  Every curve is held as its additive model A(y) = P(x) + c
@@ -38,12 +35,16 @@ Hasse derivatives act coefficientwise through binomials mod 2, evaluated
 by Lucas' rule inline: binom(n, i) is odd iff (n & i) == i, that is, iff
 the bits of i are a subset of the bits of n.  D^i is one strided slice
 per residue mod 2^L (L the bit length of i) whose bits hold those of i,
-so Dy and D^2 y are one and two slices.  D^i y = 0 for every i in a
+so Dy and D^2 y are one and two slices.  :meth:`TruncatedSeries.hasse_derivative`
+is the one place that lays y's coefficients out into D^i: the derivative
+facts and the Frobenius residual of :mod:`orders` both read Dy and D^2 y
+from it.  The facts compare them, by tuple equality, with their right
+sides a_t^-1 (x0^q + tau^q) and a_{t-1} a_t^-3 (x0^(2q) + tau^(2q)),
+which have at most two nonzero terms each.  D^i y = 0 for every i in a
 range iff no nonzero coefficient c_e has a submask i in it, so the
 middle-derivative test of :func:`verify_derivative_facts` is one walk
 over the nonzero coefficients (:meth:`TruncatedSeries.derivatives_vanish`),
-not one derivative series per order, and series are compared by tuple
-equality.
+not one derivative series per order.
 """
 
 from __future__ import annotations
@@ -86,13 +87,6 @@ class TruncatedSeries:
             raise PrecisionError("a constant needs precision at least 1")
         return cls(value.field, (value.bits,) + (0,) * (prec - 1))
 
-    @classmethod
-    def local_parameter_shifted(cls, x0: FieldElement, prec: int) -> TruncatedSeries:
-        """The series x0 + tau (the x-coordinate function near x = x0)."""
-        if prec < 2:
-            raise PrecisionError("x0 + tau needs precision at least 2")
-        return cls(x0.field, (x0.bits, 1) + (0,) * (prec - 2))
-
     # -- bookkeeping -----------------------------------------------------------
 
     @property
@@ -107,13 +101,6 @@ class TruncatedSeries:
             if c:
                 return k
         return None
-
-    def coefficient(self, exponent: int) -> FieldElement:
-        if exponent >= self.prec:
-            raise PrecisionError(f"coefficient of tau^{exponent} beyond precision {self.prec}")
-        if exponent < 0:  # a bare index would wrap to the top coefficient
-            return FieldElement(0, self.field)
-        return FieldElement(self.coeffs[exponent], self.field)
 
     def truncate(self, prec: int) -> TruncatedSeries:
         if prec > self.prec:
@@ -154,27 +141,12 @@ class TruncatedSeries:
         n = min(self.prec, other.prec)
         return TruncatedSeries(self.field, self.field.convolve(self.coeffs, other.coeffs, n))
 
-    def scale(self, c: FieldElement) -> TruncatedSeries:
-        if c.field is not self.field:
-            raise ValueError("scalar lives over a different field")
-        return TruncatedSeries(self.field, self.field.scale_row(c.bits, self.coeffs))
-
-    def pow2k(self, k: int, prec: int | None = None) -> TruncatedSeries:
-        """The 2^k-th power; exact in characteristic 2, spreading exponents.
-
-        With prec, the power mod tau^prec, equal to ``pow2k(k).truncate(prec)``:
-        only the coefficients below ceil(prec / 2^k) are raised.
-        """
+    def pow2k(self, k: int) -> TruncatedSeries:
+        """The 2^k-th power; exact in characteristic 2, spreading exponents."""
         step = 1 << k
         # (S + O(tau^p))^(2^k) = S^(2^k) + O(tau^(p * 2^k))
-        full = self.prec * step
-        if prec is None:
-            prec = full
-        elif prec > full:
-            raise PrecisionError(f"cannot extend precision {full} to {prec}")
-        prec = max(prec, 0)
-        out = [0] * prec
-        out[::step] = self.field.frob_row(self.coeffs[: -(-prec // step)], k)
+        out = [0] * (self.prec * step)
+        out[::step] = self.field.frob_row(self.coeffs, k)
         return TruncatedSeries(self.field, out)
 
     def __pow__(self, e: int) -> TruncatedSeries:
@@ -248,26 +220,24 @@ def series_equal_mod(a: TruncatedSeries, b: TruncatedSeries) -> bool:
 
 
 def _additive_residual(
-    xs: TruncatedSeries,
+    x0: int,
     ys: TruncatedSeries,
     xpart: dict[int, int],
     ypart: dict[int, int],
     const: int,
 ) -> list[int]:
-    """Coefficients of A(y) + P(x) + c mod tau^n at x = xs, y = ys (both of
-    precision n), for ypart = {2^k: a}, xpart = {i: b} and the constant c.
+    """Coefficients of A(y) + P(x) + c mod tau^n at x = x0 + tau, y = ys
+    (of precision n), for the mask x0, ypart = {2^k: a}, xpart = {i: b}
+    and the constant c.
 
     ys is read off its nonzero terms: a y^(2^k) puts a c^(2^k) at
     tau^(e 2^k) for each nonzero c_e, raised for all the terms below
     tau^(n / 2^k) by one row kernel, from the powers of the previous k.
-    xs must be x0 + tau, and b x^i is b times the product of the two-term
-    factors x0^(2^k) + tau^(2^k) over the set bits 2^k of i, multiplied
-    out, not taken from binomials.
+    b x^i is b times the product of the two-term factors
+    x0^(2^k) + tau^(2^k) over the set bits 2^k of i, multiplied out, not
+    taken from binomials.
     """
     fld, n = ys.field, ys.prec
-    x0 = xs.coeffs[0]
-    if xs.prec != n or xs.coeffs[1] != 1 or any(xs.coeffs[2:]):
-        raise ValueError("the residual takes x = x0 + tau at the precision of y")
     acc = [0] * n
     acc[0] = const
     exps = list(compress(range(n), ys.coeffs))  # the nonzero terms, picked at C speed
@@ -279,7 +249,7 @@ def _additive_residual(
         if k > done:
             values = fld.frob_row(values, k - done)
             done = k
-        for e, c in zip(exps, values if a == 1 else fld.scale_row(a, values)):
+        for e, c in zip(exps, values if a == 1 else [fld.mul_int(a, c) for c in values]):
             acc[e * j] ^= c
     for i, b in xpart.items():
         terms = [(0, b)]  # b times the factors so far: distinct exponents, no collisions
@@ -360,8 +330,7 @@ def expand_y_at(curve: PlaneCurve, point, n: int) -> TruncatedSeries:
     coeffs = _additive_lift(fld, x0.bits, model.xpart, model.ypart, n)
     coeffs[0] = y0.bits
     ys = TruncatedSeries(fld, tuple(coeffs))
-    xs = TruncatedSeries.local_parameter_shifted(x0, n)
-    if any(_additive_residual(xs, ys, model.xpart, model.ypart, model.const)):
+    if any(_additive_residual(x0.bits, ys, model.xpart, model.ypart, model.const)):
         raise CheckFailed(
             f"expansion at ({x0.hex()}, {y0.hex()}) leaves a nonzero residual mod tau^{n}"
         )
@@ -416,7 +385,7 @@ def check_h_identities(field: BinaryField, count: int, rng) -> dict:
 
         qprime = 1 << rng.randrange(1, 4)
         i = rng.randrange(0, 2 * qprime + 1)
-        lhs = z.pow2k(qprime.bit_length() - 1, qprime * prec).hasse_derivative(i)
+        lhs = z.pow2k(qprime.bit_length() - 1).hasse_derivative(i)
         if i % qprime == 0:
             rhs = z.hasse_derivative(i // qprime).pow2k(qprime.bit_length() - 1)
             tally("h3prime", series_equal_mod(lhs, rhs))
@@ -437,7 +406,6 @@ class DerivativeFactsReport:
     d2y_is_x2q: bool
     middle_range: tuple[int, int]
     middle_vanish: bool
-    dy_valuation_at_infinity: int
 
     def ok(self) -> bool:
         return self.dy_is_xq and self.d2y_is_x2q and self.middle_vanish
@@ -465,35 +433,35 @@ def derivative_facts_gate(curve: PlaneCurve, n: int) -> None:
 
 def derivative_facts(curve: PlaneCurve, point, ys: TruncatedSeries) -> DerivativeFactsReport:
     """The facts of :func:`verify_derivative_facts`, read off the
-    expansion ys of y at the point; its precision is the n checked."""
+    expansion ys of y at the point; its precision is the n checked.
+
+    In characteristic 2, x^q = x0^q + tau^q and x^(2q) = x0^(2q) + tau^(2q),
+    so each right side has at most two nonzero coefficients, both from one
+    x0^q, and Dy and D^2 y are compared with them by tuple equality.
+    """
     t, q, n = curve.t, curve.q, ys.prec
     fld = point.x.field
     model = curve.model(1 if fld is curve.field else 2)
     inv = fld.inv_int(model.ypart[1])  # 1 / a_t; a_{t-1} is the coefficient of y^2
+    x0q = fld.frob_int(point.x.bits, t)
+
+    def two_terms(c: int, x0_j: int, j: int, m: int) -> tuple[int, ...]:
+        """c (x0^j + tau^j) mod tau^m, given x0^j as the mask x0_j."""
+        out = [0] * m
+        out[0] = fld.mul_int(c, x0_j)
+        if j < m:
+            out[j] = c
+        return tuple(out)
+
+    dy_ok = ys.hasse_derivative(1).coeffs == two_terms(inv, x0q, q, n - 1)
     d2y_scale = fld.mul_int(model.ypart.get(2, 0), fld.pow_int(inv, 3))
-
-    xs = TruncatedSeries.local_parameter_shifted(point.x, n)
-
-    dy = ys.hasse_derivative(1)
-    rhs1 = xs.pow2k(t, n - 1).scale(FieldElement(inv, fld))
-    dy_ok = series_equal_mod(dy, rhs1)
-
-    d2y = ys.hasse_derivative(2)
-    rhs2 = xs.pow2k(t + 1, n - 2).scale(FieldElement(d2y_scale, fld))
-    d2y_ok = series_equal_mod(d2y, rhs2)
-
+    d2y_ok = ys.hasse_derivative(2).coeffs == two_terms(d2y_scale, fld.sqr_int(x0q), 2 * q, n - 2)
     hi = min(q - 1, n - 1)
-    middle_ok = ys.derivatives_vanish(3, hi)
-
-    # At the infinite point, Dy = a_t^{-1} x^q and the pole order deg A
-    # of x give v(Dy) = -q * deg A without any series there.
-    dy_val_inf = -q * model.pole_orders[0]
     return DerivativeFactsReport(
         q=q,
         point=(point.x.hex(), point.y.hex()),
         dy_is_xq=dy_ok,
         d2y_is_x2q=d2y_ok,
         middle_range=(3, hi),
-        middle_vanish=middle_ok,
-        dy_valuation_at_infinity=dy_val_inf,
+        middle_vanish=ys.derivatives_vanish(3, hi),
     )

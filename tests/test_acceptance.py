@@ -146,7 +146,7 @@ def test_criterion_6_hasse_properties():
     for n in range(64):
         tau_n = series.TruncatedSeries(fld, tuple(int(i == n) for i in range(64)))
         for k in range(n + 1):
-            coefficient = tau_n.hasse_derivative(k).coefficient(n - k).bits
+            coefficient = tau_n.hasse_derivative(k).coeffs[n - k]
             assert coefficient == row[k] % 2 == math.comb(n, k) % 2
         row = [1] + [row[k - 1] + row[k] for k in range(1, n + 1)] + [1]
 

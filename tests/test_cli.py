@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from maxcurves import census, covering, curves, fields, series
+from maxcurves import census, covering, curves, fields, orders, series
 from maxcurves.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, RunConfig, build_parser, main
 
 README = Path(__file__).parents[1] / "README.md"
@@ -226,6 +226,22 @@ def test_full_suite_names_a_skipped_check(capsys):
     assert code == EXIT_OK
     assert "orders_non_rational" not in payload["checks"]
     assert "GF(2^20)" in payload["skipped"]["orders_non_rational"]
+
+
+@pytest.mark.parametrize("fact", ["dy_is_xq", "d2y_is_x2q"])
+@pytest.mark.parametrize("command", ["frobenius-check", "full-suite"])
+def test_a_failed_derivative_fact_exits_1(capsys, monkeypatch, command, fact):
+    # Dy or D^2 y off its right side at every sampled point, the middle
+    # derivatives and the Frobenius residual left as they are
+    derivative_facts = orders.derivative_facts
+    monkeypatch.setattr(
+        orders,
+        "derivative_facts",
+        lambda *args: dataclasses.replace(derivative_facts(*args), **{fact: False}),
+    )
+    code, payload = run_json(capsys, command, "--t", "3")
+    assert code == EXIT_CHECK_FAILED
+    assert "Frobenius-order evidence failed" in payload["error"]
 
 
 def test_wrong_recurrence_coefficient_fails_full_suite(capsys, monkeypatch):

@@ -647,8 +647,6 @@ def test_row_kernels_match_shift_and_reduce(fld):
             full[i + j] ^= ref_mul(a, b, mod)
     for n in range(len(full) + 1):
         assert fld.convolve(u, v, n) == fld.convolve(v, u, n) == full[:n], n
-    for a in (0, 1, rng.randrange(2, fld.order)):
-        assert fld.scale_row(a, u) == [ref_mul(a, b, mod) for b in u]
     for k in (0, 1, fld.m - 1, fld.m, fld.m + 3):
         expected = [ref_pow(a, 1 << (k % fld.m), mod) for a in u]
         assert fld.frob_row(u, k) == [fld.frob_int(a, k) for a in u] == expected
@@ -730,13 +728,6 @@ def test_tower_frob_row_matches_shift_and_reduce_for_every_k():
             assert GF2_20.frob_row(r, k) == expected, (r, k)
             assert [GF2_20.frob_int(a, k) for a in r] == expected, (r, k)
     assert GF2_20.frob_row([], 7) == []
-
-
-@pytest.mark.parametrize("fld", SHIPPED_FIELDS, ids=lambda f: f"m={f.m}-{f.level}")
-def test_scaling_by_one_returns_a_copy(fld):
-    row = kernel_row(fld, random.Random(fld.m), 6)
-    out = fld.scale_row(1, row)
-    assert out == row and out is not row
 
 
 @pytest.mark.parametrize("fld", SHIPPED_FIELDS, ids=lambda f: f"m={f.m}-{f.level}")

@@ -48,8 +48,13 @@ def oracle_basis(point, ys):
     as series to the precision of y's expansion ys."""
     n = ys.prec
     one = TruncatedSeries.constant(point.x.field.one, n)
-    xs = TruncatedSeries.local_parameter_shifted(point.x, n)
+    xs = x0_plus_tau(point.x, n)
     return [one, xs, (xs * xs).truncate(n), ys]
+
+
+def x0_plus_tau(x0, prec):
+    """The series x0 + tau, the x-coordinate near x = x0."""
+    return TruncatedSeries(x0.field, (x0.bits, 1) + (0,) * (prec - 2))
 
 
 def test_dp_orders_at_origin_q4():
@@ -106,7 +111,7 @@ def test_dp_orders_hermitian_with_valuation_oracle():
         combo = TruncatedSeries(fld, (0,) * n)
         for c, s in zip(coeffs, basis):
             if c:
-                combo = combo + s.scale(fld.element(c))
+                combo = combo + TruncatedSeries.constant(fld.element(c), n) * s
         val = combo.valuation()
         if val is not None:
             seen.add(val)
@@ -124,7 +129,7 @@ def test_dp_orders_hermitian_with_valuation_oracle():
             combo = TruncatedSeries(fld, (0,) * n)
             for c, s in zip(coeffs, basis):
                 if c:
-                    combo = combo + s.scale(fld.element(c))
+                    combo = combo + TruncatedSeries.constant(fld.element(c), n) * s
             val = combo.valuation()
             if val is not None:
                 assert val in orders
@@ -252,7 +257,7 @@ def test_frobenius_identity_negative_control():
     n = 16
     k = 2 * tc.t
     ys = expand_y_at(tc, origin, n)
-    xs = TruncatedSeries.local_parameter_shifted(origin.x, n)
+    xs = x0_plus_tau(origin.x, n)
     dy = ys.hasse_derivative(1)
     d2y = ys.hasse_derivative(2) + TruncatedSeries.constant(fld.one, n - 2)
     y_frob = TruncatedSeries.constant(origin.y.frobenius(k), n)
@@ -266,7 +271,7 @@ def dense_frobenius_residual(curve, point, ys):
     """Reference residual y + y^(q^2) + (x + x^(q^2)) Dy + (x^2 + x^(2q^2)) D^2 y
     by generic series sums and products, mod tau^(n-2)."""
     n, k = ys.prec, 2 * curve.t
-    xs = TruncatedSeries.local_parameter_shifted(point.x, n)
+    xs = x0_plus_tau(point.x, n)
     x_twist = point.x.frobenius(k)
     y_frob = TruncatedSeries.constant(point.y.frobenius(k), n)
     x_frob = TruncatedSeries.constant(x_twist, n)
@@ -287,30 +292,39 @@ def frobenius_test_points(curve, level, count, rng):
 @pytest.mark.parametrize("t", [2, 3, 4, 5])
 def test_planted_coefficient_makes_the_frobenius_residual_nonzero(t, level):
     curve = trace_curve(t)
+    q = curve.q
     rng = random.Random(80 + 10 * t + level)
-    n = min(2 * curve.q + 8, curve.q * curve.q)
-    for p in frobenius_test_points(curve, level, 3, rng):
-        ys = expand_y_at(curve, p, n)
-        assert _frobenius_residual(curve, p, ys)["residual_zero"]
-        assert dense_frobenius_residual(curve, p, ys).is_zero_mod()
-        flips = set()
-        for e in range(n - 2):
-            coeffs = list(ys.coeffs)
-            coeffs[e] ^= rng.randrange(1, p.x.field.order)
-            planted = TruncatedSeries(ys.field, tuple(coeffs))
-            report = _frobenius_residual(curve, p, planted)
-            assert report["precision"] == n - 2
-            dense = dense_frobenius_residual(curve, p, planted)
-            assert report["residual_zero"] is dense.is_zero_mod()
-            if not report["residual_zero"]:
-                flips.add(e)
-        # tau^e, and tau^(e-1) times c1 for odd e, tau^(e-2) times c1^2 when
-        # e & 2: at level 1 c1 = x0 + x0^(q^2) = 0 and only e = 0, 3 mod 4
-        # leave a residual
-        if level == 1:
-            assert flips == {e for e in range(n - 2) if e % 4 in (0, 3)}
-        else:
-            assert flips == set(range(n - 2))
+    points = frobenius_test_points(curve, level, 3, rng)
+    # the least precision, q + 3, the default and q^2, where tau^(q^2) is cut
+    for n in sorted({4, q + 3, min(2 * q + 8, q * q), q * q}):
+        m = n - 2  # the residual is known below tau^m
+        for p in points:
+            ys = expand_y_at(curve, p, n)
+            assert _frobenius_residual(curve, p, ys)["residual_zero"]
+            assert dense_frobenius_residual(curve, p, ys).is_zero_mod(m)
+            flips = set()
+            # every e, also the two whose own term lies at or above tau^m
+            for e in range(n):
+                coeffs = list(ys.coeffs)
+                coeffs[e] ^= rng.randrange(1, p.x.field.order)
+                planted = TruncatedSeries(ys.field, tuple(coeffs))
+                report = _frobenius_residual(curve, p, planted)
+                assert report["precision"] == m
+                dense = dense_frobenius_residual(curve, p, planted)
+                assert report["residual_zero"] is dense.is_zero_mod(m), (n, e)
+                if not report["residual_zero"]:
+                    flips.add(e)
+            # c_e lands at tau^e from y, tau Dy (odd e) and tau^2 D^2 y (e & 2),
+            # so it cancels there when e = 1, 2 mod 4; at level 1
+            # c1 = x0 + x0^(q^2) = 0 and nothing else is left.  At level 2
+            # c1 != 0, and c1 c_e at tau^(e-1) for odd e and c1^2 c_e at
+            # tau^(e-2) when e & 2 are seen when they lie below tau^m
+            if level == 1:
+                assert flips == {e for e in range(m) if e % 4 in (0, 3)}, n
+            else:
+                assert flips == {
+                    e for e in range(n) if e < m or (e & 1 and e <= m) or (e & 2 and e <= m + 1)
+                }, n
 
 
 def test_frobenius_identity_precision_guard():
