@@ -66,14 +66,17 @@ class AdditiveModel:
         return dict(sorted(terms.items()))
 
     def embed_into(self, target: BinaryField) -> AdditiveModel:
-        def embed(c: int) -> int:
-            return target.embed(FieldElement(c, self.field)).bits
-
+        """The same model over ``target``, the quartic field above this
+        model's field: each coefficient is one entry of the quartic
+        field's embedding table, with no element made for it."""
+        if target is self.field or target.base is not self.field:
+            raise ValueError(f"cannot embed {self.field!r} into {target!r}")
+        table = target._from_base
         return AdditiveModel(
             target,
-            {i: embed(c) for i, c in self.xpart.items()},
-            {j: embed(c) for j, c in self.ypart.items()},
-            embed(self.const),
+            {i: table[c] for i, c in self.xpart.items()},
+            {j: table[c] for j, c in self.ypart.items()},
+            table[self.const],
         )
 
     @property

@@ -491,7 +491,7 @@ class TowerField(BinaryField):
         r = 1
         while e:
             if e & 1:
-                r = self.mul_int(r, a)
+                r = a if r == 1 else self.mul_int(r, a)  # the first factor is not multiplied by 1
             e >>= 1
             if e:
                 a = sq_lo[a & low] ^ sq_hi[a >> h]  # squaring is GF(2)-linear

@@ -21,15 +21,18 @@ only the submasks r of each x exponent i, the r with binom(i, r) odd,
 and a chain o, 2o, 4o, ... whose right side vanishes stays 0, so the
 lift walks only the chains of the odd parts that carry a right-side
 entry: for P = x^(q+1) the chains of 1 and q + 1, about 2 log2(n) steps
-where a walk over every r would take n.  Each expansion is then checked,
-independently of that right side, by the residual A(y) + P(x) + c at
-all n coefficients, read off y's nonzero terms: a y^(2^k) term puts
-c_e^(2^k) at tau^(e 2^k), an x^i term is the product of the two-term
-factors x0^(2^k) + tau^(2^k) over the set bits 2^k of i, multiplied
-out, and c lands at tau^0.  Dense lists appear only where C fills them
-(a zero list, ``compress`` picking the nonzero exponents, tuple
-equality), so the interpreter's steps follow the support.  Precisions
-above ``PRECISION_LIMIT`` are refused.
+where a walk over every r would take n; a coefficient equal to 1 costs
+no field call.  Each expansion is then checked, independently of that
+right side, by the residual A(y) + P(x) + c at all n coefficients, read
+off y's nonzero terms: a y^(2^k) term puts c_e^(2^k) at tau^(e 2^k), an
+x^i term is the product of the two-term factors x0^(2^k) + tau^(2^k)
+over the set bits 2^k of i, multiplied out, and c lands at tau^0.  The
+residual's tau^0 term is F(x(P), y(P)), which the lift never reads, so
+it is also the test that P lies on the curve: no separate evaluation is
+made.  Dense lists appear only where C fills them (a zero list,
+``compress`` picking the nonzero exponents, tuple equality), so the
+interpreter's steps follow the support.  Precisions above
+``PRECISION_LIMIT`` are refused.
 
 Hasse derivatives act coefficientwise through binomials mod 2, evaluated
 by Lucas' rule inline: binom(n, i) is odd iff (n & i) == i, that is, iff
@@ -235,7 +238,8 @@ def _additive_residual(
     tau^(n / 2^k) by one row kernel, from the powers of the previous k.
     b x^i is b times the product of the two-term factors
     x0^(2^k) + tau^(2^k) over the set bits 2^k of i, multiplied out, not
-    taken from binomials.
+    taken from binomials.  The tau^0 coefficient is A(y0) + P(x0) + c,
+    that is, F at the point (x0, y0), y0 the tau^0 coefficient of ys.
     """
     fld, n = ys.field, ys.prec
     acc = [0] * n
@@ -256,7 +260,7 @@ def _additive_residual(
         for k in range(i.bit_length()):
             if i >> k & 1:
                 j, x0_k = 1 << k, fld.frob_int(x0, k)
-                terms = [(e, fld.mul_int(c, x0_k)) for e, c in terms] + [
+                terms = [(e, x0_k if c == 1 else fld.mul_int(c, x0_k)) for e, c in terms] + [
                     (e + j, c) for e, c in terms if e + j < n
                 ]
         for e, c in terms:
@@ -277,18 +281,22 @@ def _additive_lift(
     needs only coefficients already found, all of the same odd part as r.
     A chain o, 2o, 4o, ... of odd part o whose right side is 0 throughout
     is therefore 0 throughout, and only the chains of the odd parts of
-    the nonzero right-side entries are walked, in ascending order.
+    the nonzero right-side entries are walked, in ascending order.  A
+    coefficient a_k or b_i equal to 1 is not multiplied in, and a_t = 1 is
+    not inverted, so the standard curves' lift makes no field call by 1.
     """
     rhs: dict[int, int] = {}
     for i, b in xpart.items():
         r = i
         while r:  # the nonzero submasks of i, in descending order
             if r < n:
-                rhs[r] = rhs.get(r, 0) ^ fld.mul_int(b, fld.pow_int(x0, i - r))
+                v = fld.pow_int(x0, i - r)
+                rhs[r] = rhs.get(r, 0) ^ (v if b == 1 else fld.mul_int(b, v))
             r = (r - 1) & i
     odd = {r // (r & -r) for r, v in rhs.items() if v}
     chains = sorted(o << k for o in odd for k in range(((n - 1) // o).bit_length()))
-    cinv = fld.inv_int(ypart[1])
+    a_t = ypart[1]
+    cinv = 1 if a_t == 1 else fld.inv_int(a_t)
     higher = sorted((j.bit_length() - 1, a) for j, a in ypart.items() if j > 1)
     eta = [0] * n
     for r in chains:
@@ -297,9 +305,10 @@ def _additive_lift(
             if r & ((1 << k) - 1):
                 break  # 2^k does not divide r, nor does any higher power
             if eta[r >> k]:
-                acc ^= fld.mul_int(a, fld.frob_int(eta[r >> k], k))
+                v = fld.frob_int(eta[r >> k], k)
+                acc ^= v if a == 1 else fld.mul_int(a, v)
         if acc:
-            eta[r] = fld.mul_int(cinv, acc)
+            eta[r] = acc if cinv == 1 else fld.mul_int(cinv, acc)
     return eta
 
 
@@ -310,8 +319,13 @@ def expand_y_at(curve: PlaneCurve, point, n: int) -> TruncatedSeries:
     The curve's model reads A(y) = P(x) + c with A additive; the coefficients
     come from the one-pass recurrence of :func:`_additive_lift`, and the
     series is checked against F by :func:`_additive_residual` before it
-    is returned (raising :class:`CheckFailed` if the residual is nonzero).
-    Precisions above :data:`PRECISION_LIMIT` are refused before any work.
+    is returned.  The residual's tau^0 coefficient is F(x0, y0), and the
+    lift never reads y0, so it is the on-curve test: a nonzero one raises
+    ValueError (the input is not a curve point), and any other nonzero
+    coefficient raises :class:`CheckFailed` (the lift is wrong).  A point
+    whose coordinates live in different fields, or in neither tower field
+    of the curve, and precisions above :data:`PRECISION_LIMIT` are
+    refused before any work.
     """
     if n < 2:
         raise ValueError("precision must be at least 2: the expansion uses x0 + tau")
@@ -319,18 +333,25 @@ def expand_y_at(curve: PlaneCurve, point, n: int) -> TruncatedSeries:
         raise ValueError(f"precision {n} exceeds the limit {PRECISION_LIMIT}")
     x0, y0 = point.x, point.y
     fld = x0.field
-    level = 1 if fld is curve.field else 2
-    if curve.evaluate(x0, y0):
-        raise ValueError("point does not lie on the curve")
+    if y0.field is not fld:
+        raise ValueError("x and y live in different fields")
+    if fld is curve.field:
+        model = curve.model(1)
+    elif fld is curve.level_field(2):
+        model = curve.model(2)
+    else:
+        raise ValueError("point field matches neither tower level of the curve")
     # dF/dy of the additive model is a_t, the coefficient of y
-    model = curve.model(level)
     if not model.ypart.get(1):
         raise ValueError("singular point: dF/dy vanishes")
 
     coeffs = _additive_lift(fld, x0.bits, model.xpart, model.ypart, n)
     coeffs[0] = y0.bits
     ys = TruncatedSeries(fld, tuple(coeffs))
-    if any(_additive_residual(x0.bits, ys, model.xpart, model.ypart, model.const)):
+    residual = _additive_residual(x0.bits, ys, model.xpart, model.ypart, model.const)
+    if residual[0]:
+        raise ValueError("point does not lie on the curve")
+    if any(residual):
         raise CheckFailed(
             f"expansion at ({x0.hex()}, {y0.hex()}) leaves a nonzero residual mod tau^{n}"
         )
@@ -442,19 +463,20 @@ def derivative_facts(curve: PlaneCurve, point, ys: TruncatedSeries) -> Derivativ
     t, q, n = curve.t, curve.q, ys.prec
     fld = point.x.field
     model = curve.model(1 if fld is curve.field else 2)
-    inv = fld.inv_int(model.ypart[1])  # 1 / a_t; a_{t-1} is the coefficient of y^2
+    a_t, a_t1 = model.ypart[1], model.ypart.get(2, 0)  # the coefficients of y and y^2
+    inv = 1 if a_t == 1 else fld.inv_int(a_t)
     x0q = fld.frob_int(point.x.bits, t)
 
     def two_terms(c: int, x0_j: int, j: int, m: int) -> tuple[int, ...]:
         """c (x0^j + tau^j) mod tau^m, given x0^j as the mask x0_j."""
         out = [0] * m
-        out[0] = fld.mul_int(c, x0_j)
+        out[0] = x0_j if c == 1 else fld.mul_int(c, x0_j)
         if j < m:
             out[j] = c
         return tuple(out)
 
     dy_ok = ys.hasse_derivative(1).coeffs == two_terms(inv, x0q, q, n - 1)
-    d2y_scale = fld.mul_int(model.ypart.get(2, 0), fld.pow_int(inv, 3))
+    d2y_scale = a_t1 if inv == 1 else fld.mul_int(a_t1, fld.pow_int(inv, 3))
     d2y_ok = ys.hasse_derivative(2).coeffs == two_terms(d2y_scale, fld.sqr_int(x0q), 2 * q, n - 2)
     hi = min(q - 1, n - 1)
     return DerivativeFactsReport(

@@ -88,6 +88,21 @@ def test_expand_subcommand(capsys):
     assert [i for i, c in enumerate(payload["coefficients"]) if c != "0"] == [5, 10, 20]
 
 
+@pytest.mark.parametrize("command", ["expand", "orders"])
+def test_an_off_curve_point_in_the_tower_exits_2(capsys, command):
+    # f2921,e1c2b lies on the trace curve over GF(2^20); flipping one bit of
+    # y moves it off, and the expansion's residual refuses it as bad input
+    argv = (command, "--t", "5", "--level", "2", "--curve", "trace", "--point")
+    code, payload = run_json(capsys, *argv, "f2921,e1c2b")
+    assert code == EXIT_OK
+    fld = fields.make_field(5, "quartic")
+    x, y = fld.from_hex("f2921"), fld.from_hex("e1c2a")
+    assert curves.trace_curve(5).evaluate(x, y)
+    code, payload = run_json(capsys, *argv, "f2921,e1c2a")
+    assert code == EXIT_CONFIG
+    assert payload == {"error": "point does not lie on the curve", "schema": 1}
+
+
 def test_semigroup_subcommand(capsys):
     code, payload = run_json(capsys, "semigroup", "--generators", "4,9")
     assert code == EXIT_OK

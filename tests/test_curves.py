@@ -21,7 +21,7 @@ from maxcurves.curves import (
     trace_form,
     trace_form_extended,
 )
-from maxcurves.fields import make_field
+from maxcurves.fields import FieldElement, make_field
 
 
 def random_record(fld, rng, length=None):
@@ -464,3 +464,48 @@ def test_evaluate_matches_term_by_term_at_seeded_level_2_pairs(t):
         for _ in range(40):
             x, y = fld.element(rng.randrange(fld.order)), fld.element(rng.randrange(fld.order))
             assert curve.evaluate(x, y) == reference_evaluate(curve, x, y), (curve, x, y)
+
+
+def moved_extended(t, rng):
+    """The trace curve moved by a shear, a y-scaling and a y-translation."""
+    fld = make_field(t)
+    record = [
+        CoordinateChange("shear", fld.element(rng.randrange(1, fld.order))),
+        CoordinateChange("scale-y", fld.element(rng.randrange(1, fld.order))),
+        CoordinateChange("translate-y", fld.element(rng.randrange(fld.order))),
+    ]
+    return apply_record(trace_curve(t), record)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+def test_level_2_model_embeds_each_coefficient_like_embed(t):
+    # model(2) reads the quartic field's embedding table directly; the
+    # reference embeds one FieldElement per coefficient
+    quartic = make_field(t, "quartic")
+    rng = random.Random(160 + t)
+    moved = [moved_extended(t, rng) for _ in range(3)]
+    assert {c.family for c in moved} == {"trace-form-extended"}
+    assert any(c.model(1).const and c.model(1).ypart[1] != 1 for c in moved)
+    for curve in [hermitian(t), trace_curve(t), *moved]:
+        model = curve.model(1)
+
+        def embed(c):
+            return quartic.embed(FieldElement(c, model.field)).bits
+
+        expected = AdditiveModel(
+            quartic,
+            {i: embed(c) for i, c in model.xpart.items()},
+            {j: embed(c) for j, c in model.ypart.items()},
+            embed(model.const),
+        )
+        assert curve.model(2) == expected, curve
+
+
+def test_embedding_refuses_a_field_that_is_not_the_quartic_field_above():
+    model = trace_curve(3).model(1)
+    for target in (make_field(4, "quartic"), make_field(3), make_field(2, "quartic")):
+        with pytest.raises(ValueError, match="cannot embed"):
+            model.embed_into(target)
+    # a level-2 model is not embedded again
+    with pytest.raises(ValueError, match="cannot embed"):
+        trace_curve(3).model(2).embed_into(make_field(3, "quartic"))

@@ -11,6 +11,7 @@ from maxcurves import series
 from maxcurves.census import AffinePoint, enumerate_points, sample_points
 from maxcurves.curves import (
     CoordinateChange,
+    PlaneCurve,
     apply_record,
     curve_from_json,
     hermitian,
@@ -444,6 +445,122 @@ def test_a_lift_missing_the_chain_of_q_plus_1_is_caught(monkeypatch, t, level):
     monkeypatch.setattr(series, "_additive_lift", zero_the_chain_of(q + 1, series._additive_lift))
     with pytest.raises(CheckFailed):
         expand_y_at(curve, p, n)
+
+
+def moved_curve_with_a_t_not_1(t, rng):
+    """A moved extended curve (x-linear terms, c != 0) whose y-coefficient
+    a_t is not 1, so the lift must invert it."""
+    for _ in range(100):
+        curve = moved_extended_curve(t, rng)
+        if curve.model(1).ypart[1] != 1:
+            return curve
+    pytest.fail("no draw gave an extended curve with a_t != 1")
+
+
+REFUSAL_CASES = [(2, 1), (3, 1), (4, 1), (4, 2), (5, 2)]
+
+
+def refusal_curves(t):
+    moved = moved_curve_with_a_t_not_1(t, random.Random(60 + t))
+    return [hermitian(t), trace_curve(t), moved]
+
+
+def on_curve_points(curve, level, count, rng):
+    if level == 1:
+        return sample_points(curve, 1, count, rng)
+    return level2_points(curve, count, rng)
+
+
+@pytest.mark.parametrize("t,level", REFUSAL_CASES)
+def test_an_off_curve_point_is_refused_by_the_residuals_first_term(t, level):
+    # the on-curve test is the residual's tau^0 term, F(x0, y0): a point off
+    # the curve is bad input (ValueError), never a failed check
+    rng = random.Random(70 + 10 * t + level)
+    refused = 0
+    for curve in refusal_curves(t):
+        q = curve.q
+        for p in on_curve_points(curve, level, 2, rng):
+            expand_y_at(curve, p, 2 * q + 8)  # the unflipped point expands
+            fld = p.x.field
+            for k in range(fld.m):
+                y = fld.element(p.y.bits ^ 1 << k)
+                if not curve.evaluate(p.x, y):
+                    continue  # 2^k lies in ker A: the flip stays on the curve
+                off = AffinePoint(p.x, y, level)
+                for n in (2, q + 3, 2 * q + 8):
+                    with pytest.raises(ValueError, match="^point does not lie on the curve$"):
+                        expand_y_at(curve, off, n)
+                refused += 1
+    assert refused >= 3 * 2 * (2 * t * level - t)  # ker A has dimension at most t
+
+
+@pytest.mark.parametrize("t,level", REFUSAL_CASES)
+def test_a_point_outside_the_curves_fields_is_refused(t, level):
+    rng = random.Random(80 + t)
+    other_t = 3 if t == 4 else 4
+    # t = 4 level 1 and t = 2 level 2 are both GF(2^8), but distinct fields
+    strangers = [make_field(other_t), make_field(other_t, "quartic")]
+    if t == 4:
+        strangers.append(make_field(2, "quartic"))
+    for curve in refusal_curves(t):
+        p = on_curve_points(curve, level, 1, rng)[0]
+        other = curve.level_field(3 - level)
+        mixed = [AffinePoint(p.x, other.zero, level), AffinePoint(other.zero, p.y, level)]
+        for bad in mixed:
+            with pytest.raises(ValueError, match="^x and y live in different fields$"):
+                expand_y_at(curve, bad, 2 * curve.q + 8)
+        for fld in strangers:
+            bad = AffinePoint(fld.zero, fld.zero, level)
+            with pytest.raises(ValueError, match="^point field matches neither tower level"):
+                expand_y_at(curve, bad, 2 * curve.q + 8)
+
+
+def field_calls(monkeypatch, fld):
+    """Record every mul_int, inv_int and part_at of the field fld and every
+    PlaneCurve.evaluate, as (name, arguments)."""
+    calls = []
+    cls = type(fld)
+    for name in ("mul_int", "inv_int", "part_at"):
+        method = getattr(cls, name)
+
+        def wrapper(self, *args, name=name, method=method):
+            if self is fld:
+                calls.append((name, args))
+            return method(self, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+    evaluate = PlaneCurve.evaluate
+
+    def evaluate_wrapper(self, *args):
+        calls.append(("evaluate", args))
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(PlaneCurve, "evaluate", evaluate_wrapper)
+    return calls
+
+
+def test_an_expansion_makes_no_field_call_by_1(monkeypatch):
+    # the trace curve at the CI point: every coefficient is 1, so the lift
+    # inverts nothing and multiplies by nothing, and no evaluation is made
+    curve = trace_curve(5)
+    fld = curve.level_field(2)
+    p = AffinePoint(fld.from_hex("f2921"), fld.from_hex("e1c2b"), 2)
+    calls = field_calls(monkeypatch, fld)
+    ys = expand_y_at(curve, p, 2 * curve.q + 8)
+    assert ys.coeffs[1] == fld.frob_int(p.x.bits, 5)  # eta_1 = x0^q / a_t, a_t = 1
+    assert calls, "the residual multiplies x0 by x0^q"
+    assert {name for name, _ in calls} == {"mul_int"}, calls
+    assert not [args for _, args in calls if 1 in args], calls
+    # on a moved curve a_t != 1: the skip follows the value, not the family
+    moved = moved_curve_with_a_t_not_1(5, random.Random(65))
+    p = level2_points(moved, 1, random.Random(66))[0]
+    a_t = moved.model(2).ypart[1]
+    del calls[:]
+    expand_y_at(moved, p, 2 * moved.q + 8)
+    monkeypatch.undo()
+    cinv = fld.inv_int(a_t)
+    assert ("inv_int", (a_t,)) in calls
+    assert any(name == "mul_int" and cinv in args for name, args in calls), calls
 
 
 def count_lines(functions, call):
