@@ -44,8 +44,6 @@ class RunConfig:
     seed: int = 0
     fmt: str = "json"
     point: str | None = None
-    generators: str | None = None
-    dims: str | None = None
     file: str | None = None
     exhaustive: bool = False
 
@@ -126,21 +124,26 @@ def _cmd_frobenius_check(config: RunConfig):
 
 
 def _cmd_semigroup(config: RunConfig):
-    if not config.generators:
-        raise ValueError("--generators a,b,... is required")
-    gens = [int(x) for x in config.generators.split(",")]
-    s = semigroups.NumericalSemigroup(gens)
+    """The curve model's semigroup <deg A, deg P> at the point at infinity,
+    with dim |kP| at k = q + 1 and 2q + 2.
+
+    Fails unless the sieve's gap count is the closed-form genus
+    (deg A - 1)(deg P - 1)/2 and the conductor is twice it, as in every
+    two-generator (so symmetric) semigroup.  A wrong pole order moves both
+    sides of these checks alike; ``full-suite``'s ``semigroup_genus``
+    catches it against the point census.
+    """
+    model = config.curve_obj().model(1)
+    s = model.semigroup()
+    q = 1 << config.t
     payload = {
         "generators": list(s.generators),
         "gaps": list(s.gaps),
         "genus": s.genus,
         "conductor": s.conductor,
+        "dims": {str(k): semigroups.dim_from_semigroup(s, k) for k in (q + 1, 2 * q + 2)},
     }
-    if config.dims:
-        payload["dims"] = {
-            d: semigroups.dim_from_semigroup(s, int(d)) for d in config.dims.split(",")
-        }
-    return payload, True
+    return payload, s.genus == model.genus and s.conductor == 2 * model.genus
 
 
 def _cmd_normalize(config: RunConfig):
@@ -268,7 +271,7 @@ _COMMANDS = {
     "expand": (_cmd_expand, "series of y at an affine point", "t curve point level precision"),
     "orders": (_cmd_orders, "orders of the degree-(q+1) system", "t curve point level precision"),
     "frobenius-check": (_cmd_frobenius_check, "Frobenius orders", "t seed samples precision"),
-    "semigroup": (_cmd_semigroup, "gaps, genus and dimensions of a semigroup", "generators dims"),
+    "semigroup": (_cmd_semigroup, "the curve's Weierstrass semigroup at infinity", "t curve"),
     "normalize": (_cmd_normalize, "reduce a trace-form curve (JSON) to the standard one", "file"),
     "cover-check": (_cmd_cover_check, "degree-2 cover checks", "t seed level exhaustive samples"),
     "full-suite": (_cmd_full_suite, "run every check for one t", "t seed samples"),
@@ -284,8 +287,6 @@ _OPTIONS = {
     "point": ("--point", {"required": True, "help": "HEX,HEX, or 'inf' for orders"}),
     "precision": ("--precision", {"type": int}),
     "samples": ("--samples", {"type": int}),
-    "generators": ("--generators", {"required": True, "help": "comma-separated generators"}),
-    "dims": ("--dims", {"help": "comma-separated degrees to report dim |dP| for"}),
     "file": ("--file", {"help": "curve JSON file (default: stdin)"}),
     "exhaustive": ("--exhaustive", {"action": "store_true"}),
 }

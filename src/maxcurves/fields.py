@@ -54,7 +54,7 @@ but squares through its own two square tables inline, in ``frob_int``,
 entries, as the tabled kernels do.
 
 :meth:`BinaryField.part_at` evaluates a sparse polynomial at one
-point (on the tower, v^(2^k) is k table squarings and one product by 1),
+point (on the tower, v^(2^k) is k table squarings and no product),
 and :func:`additive_map` reduces an additive one as a GF(2)-linear
 map; the census, the maximality criterion of ``normalize`` and the
 Artin-Schreier solver share that one reduction.  Each field holds the

@@ -1,11 +1,12 @@
 """Numerical semigroups: membership sieve, gaps, genus, system dimensions.
 
 A semigroup is generated by positive integers with gcd 1 and stored as a
-membership table up to the bound 2 max(gens)^2, safely past the
-conductor.  A bound above ``SIEVE_LIMIT`` is refused before the table is
-allocated.  The genus is the gap count; the projective dimension of the
+membership table, sieved up to the first run of min(gens) consecutive
+members.  Adding min(gens) to that run reaches every larger integer, so
+the run starts at the conductor and the table ends min(gens) - 1 past
+it.  The genus is the gap count; the projective dimension of the
 one-point system |dP| is the number of non-gaps up to d, minus one,
-where every integer past the bound is a non-gap.
+where every integer past the table is a non-gap.
 
 At infinity, a model A(y) = P(x) + c has the semigroup <deg A, deg P>:
 <q/2, q+1> on the trace curve, whose genus q(q-2)/4 closes the loop with
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 from math import gcd
 from typing import Iterable, Sequence
-
-SIEVE_LIMIT = 1 << 20  # largest bound a sieve may use; beyond it the input is refused
 
 
 class NumericalSemigroup:
@@ -32,28 +31,22 @@ class NumericalSemigroup:
             g = gcd(g, x)
         if g != 1:
             raise ValueError(f"gcd of generators is {g} != 1: infinitely many gaps")
-        bound = 2 * gens[-1] ** 2
-        if bound > SIEVE_LIMIT:
-            raise ValueError(f"a sieve up to {bound} exceeds the limit {SIEVE_LIMIT}")
         self.generators = tuple(gens)
-        self.bound = bound
-        member = [False] * (bound + 1)
-        member[0] = True
-        for value in range(1, bound + 1):
+        # sieve until the last gens[0] values are all members
+        member, run = [True], 1
+        while run < gens[0]:
+            value = len(member)
+            member.append(False)
             for g in gens:
                 if g > value:
                     break
                 if member[value - g]:
                     member[value] = True
                     break
+            run = run + 1 if member[value] else 0
         self._member = member
-        # stability: a full run of min(gens) consecutive members proves the
-        # table extends to all larger integers
-        run = self.generators[0]
-        if not all(member[bound - k] for k in range(run)):
-            raise ValueError(f"bound {bound} too small: membership not yet stable")
-        self.frobenius_number = max((i for i in range(bound + 1) if not member[i]), default=-1)
-        self.conductor = self.frobenius_number + 1
+        self.bound = len(member) - 1  # the last value sieved
+        self.conductor = self.bound - gens[0] + 1
         self.gaps = tuple(i for i in range(self.conductor) if not member[i])
 
     def __repr__(self) -> str:
@@ -64,7 +57,7 @@ class NumericalSemigroup:
         if value < 0:
             return False
         if value > self.bound:
-            return True  # beyond the (verified stable) conductor
+            return True  # past the sieve's closing run, which starts at the conductor
         return self._member[value]
 
     @property

@@ -71,9 +71,7 @@ def test_criterion_3_semigroup_loop(capsys):
         assert s.genus == g == q * (q - 2) // 4
         assert semigroups.dim_from_semigroup(s, q + 1) == 3
         assert semigroups.dim_from_semigroup(s, 2 * q + 2) == 8
-    code, payload = cli_json(
-        capsys, "semigroup", "--generators", "16,33", "--dims", "33,66"
-    )
+    code, payload = cli_json(capsys, "semigroup", "--t", "5", "--curve", "trace")
     assert code == 0
     assert payload["genus"] == 240 and payload["dims"] == {"33": 3, "66": 8}
 

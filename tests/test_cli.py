@@ -104,20 +104,27 @@ def test_an_off_curve_point_in_the_tower_exits_2(capsys, command):
 
 
 def test_semigroup_subcommand(capsys):
-    code, payload = run_json(capsys, "semigroup", "--generators", "4,9")
-    assert code == EXIT_OK
-    assert payload["genus"] == 12
-    code, payload = run_json(
-        capsys, "semigroup", "--generators", "2,5", "--dims", "5,10"
-    )
-    assert payload["dims"] == {"5": 3, "10": 8}
+    # the model's semigroup at infinity: <q, q+1> (Hermitian), <q/2, q+1> (trace)
+    for t in range(1, 6):
+        q = 1 << t
+        for curve, genus in (("hermitian", q * (q - 1) // 2), ("trace", q * (q - 2) // 4)):
+            model = (curves.hermitian if curve == "hermitian" else curves.trace_curve)(t).model(1)
+            code, payload = run_json(capsys, "semigroup", "--t", str(t), "--curve", curve)
+            assert code == EXIT_OK
+            assert tuple(payload["generators"]) == model.pole_orders
+            assert payload["genus"] == len(payload["gaps"]) == genus
+            assert payload["conductor"] == 2 * genus
+            # dim |(q+1)P| and dim |(2q+2)P|; the trace curve at t = 1 is <1, 3>
+            dims = (2, 5) if curve == "hermitian" else (3, 8) if t >= 2 else (3, 6)
+            assert payload["dims"] == {str(q + 1): dims[0], str(2 * q + 2): dims[1]}
 
 
-def test_semigroup_dims_past_the_sieve_bound(capsys):
-    # <4, 9> sieves to 2 * 9^2 = 162; every integer above it is a member
-    code, payload = run_json(capsys, "semigroup", "--generators", "4,9", "--dims", "200")
-    members = {4 * i + 9 * j for i in range(51) for j in range(23)}
-    assert code == EXIT_OK and payload["dims"] == {"200": sum(d in members for d in range(201)) - 1}
+def test_a_closed_form_genus_off_by_one_fails_semigroup(capsys, monkeypatch):
+    genus = curves.AdditiveModel.genus
+    monkeypatch.setattr(curves.AdditiveModel, "genus", property(lambda m: genus.fget(m) + 1))
+    for curve in ("hermitian", "trace"):
+        code, payload = run_json(capsys, "semigroup", "--t", "3", "--curve", curve)
+        assert code == EXIT_CHECK_FAILED and payload["genus"] == {"hermitian": 28, "trace": 12}[curve]
 
 
 def test_frobenius_check(capsys):
@@ -347,13 +354,14 @@ def test_config_errors_exit_2(capsys):
     [
         (("count", "--t", "x"), "argument --t: invalid int value: 'x'"),
         (("count", "--bogus"), "unrecognized arguments: --bogus"),
-        (("semigroup", "--generators", "4,9", "--bound", "400"),
-         "unrecognized arguments: --bound 400"),
+        (("semigroup", "--t", "3", "--bound", "400"), "unrecognized arguments: --bound 400"),
         # a subcommand takes only the options it reads
         (("count", "--seed", "1"), "unrecognized arguments: --seed 1"),
-        (("semigroup", "--generators", "4,9", "--t", "3"), "unrecognized arguments: --t 3"),
+        (("semigroup", "--t", "3", "--seed", "1"), "unrecognized arguments: --seed 1"),
         (("normalize", "--t", "2"), "unrecognized arguments: --t 2"),
         (("frobenius-check", "--curve", "trace"), "unrecognized arguments: --curve trace"),
+        # the generic semigroup calculator is gone
+        (("semigroup", "--generators", "4,9"), "unrecognized arguments: --generators 4,9"),
     ],
 )
 def test_a_refused_command_line_exits_2_with_a_json_error(capsys, argv, error):
@@ -374,7 +382,7 @@ def test_options_are_exactly_the_run_config_fields():
     options = _subcommand_options()
     fields_ = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
     assert set().union(*options.values()) == fields_
-    assert options["semigroup"] == {"fmt", "generators", "dims"}
+    assert options["semigroup"] == {"fmt", "t", "curve"}
     assert options["normalize"] == {"fmt", "file"}
     assert {name for name, dests in options.items() if "seed" in dests} == {
         "frobenius-check", "cover-check", "full-suite"
@@ -403,11 +411,6 @@ def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--help"])
     assert exc.value.code == 0 and "usage: maxcurves count" in capsys.readouterr().out
-
-
-def test_oversized_semigroup_sieve_exits_2(capsys):
-    code, payload = run_json(capsys, "semigroup", "--generators", "100000,100001")
-    assert code == EXIT_CONFIG and "exceeds the limit" in payload["error"]
 
 
 @pytest.mark.parametrize(
@@ -477,6 +480,6 @@ def test_same_seed_byte_identical(capsys):
 
 
 def test_table_format(capsys):
-    code, out = run_cli(capsys, "semigroup", "--generators", "2,5", "--format", "table")
+    code, out = run_cli(capsys, "semigroup", "--t", "2", "--curve", "trace", "--format", "table")
     assert code == EXIT_OK
     assert "genus\t2" in out

@@ -2,7 +2,6 @@
 
 import math
 import random
-import tracemalloc
 
 import pytest
 
@@ -11,7 +10,6 @@ from maxcurves.curves import trace_curve
 from maxcurves.orders import dp_orders, dp_orders_at_infinity
 from maxcurves.census import enumerate_points, AffinePoint
 from maxcurves.semigroups import (
-    SIEVE_LIMIT,
     NumericalSemigroup,
     dim_from_semigroup,
     infinity_semigroup,
@@ -66,7 +64,10 @@ def test_classical_genus_identity_for_all_coprime_pairs():
     for a in range(2, 21):
         for b in range(a + 1, 21):
             if math.gcd(a, b) == 1:
-                assert NumericalSemigroup([a, b]).genus == (a - 1) * (b - 1) // 2
+                s = NumericalSemigroup([a, b])
+                assert s.genus == (a - 1) * (b - 1) // 2
+                # the sieve stops a - 1 past the conductor, at the first run of a members
+                assert s.conductor == (a - 1) * (b - 1) and s.bound == s.conductor + a - 1
 
 
 @pytest.mark.parametrize("q,expected", [(4, 2), (8, 12), (16, 56), (32, 240)])
@@ -102,22 +103,7 @@ def test_constructor_guards():
     with pytest.raises(ValueError):
         NumericalSemigroup([3])  # gcd 3
     s = NumericalSemigroup([2, 5])
-    assert s.genus == 2 and s.bound == 2 * 25
-
-
-def test_sieve_over_the_limit_is_refused_before_it_is_allocated():
-    tracemalloc.start()
-    try:
-        # 2 * 725^2 = 1051250 is just over the limit of 2^20 cells
-        for gens in ((100000, 100001), (724, 725)):
-            with pytest.raises(ValueError, match="exceeds the limit"):
-                NumericalSemigroup(gens)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 16  # a sieve at the limit alone would take 8 MiB
-    # the largest semigroup in use, <q/2, q+1> at q = 32, stays far below it
-    assert infinity_semigroup(32).bound <= SIEVE_LIMIT
+    assert s.genus == 2 and s.bound == 5
 
 
 def test_classification_check_on_sampled_orders():
