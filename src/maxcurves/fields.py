@@ -49,12 +49,17 @@ entry at log c + e i, so each term is a run of strided slices of the
 antilog table, and the terms are added with one C-level XOR pass each;
 :meth:`BinaryField.values` gathers that walk into mask order through the
 log table.  The tower multiplies through ``mul_int`` per nonzero entry,
-but squares through its own two square tables inline, in ``frob_int``,
-``frob_row`` and the squarings of ``pow_int``; ``frob_row`` skips zero
-entries, as the tabled kernels do.
+and squares through its own two square tables inline in ``pow_int``.
+It raises to 2^k, in ``frob_int`` and ``frob_row``, by table lookup for
+any k: a -> a^(2^k) is GF(2)-linear, so the constructor spans the images
+of the basis, per k = 1..m-1, over four 5-bit chunks of the mask, and
+a^(2^k) is the XOR of four lookups in 32-entry tables (19 x 4 x 32
+entries in all, about 0.1 MiB, built in well under a millisecond), not
+k squarings.  These tables belong to the field, as the
+embedding table does: nothing is kept between calls.
 
 :meth:`BinaryField.part_at` evaluates a sparse polynomial at one
-point (on the tower, v^(2^k) is k table squarings and no product),
+point (on the tower, v^(2^k) is one Frobenius lookup and no product),
 and :func:`additive_map` reduces an additive one as a GF(2)-linear
 map; the census, the maximality criterion of ``normalize`` and the
 Artin-Schreier solver share that one reduction.  Each field holds the
@@ -432,7 +437,8 @@ class TowerField(BinaryField):
         The columns beta^i and w beta^i then form a GF(2)-basis, and a
         mask a + b w of the tower is the pair (a, b) of K masks packed as
         a | b << h.  Squaring, being GF(2)-linear, gets two 2^h-entry
-        tables of its own.
+        tables of its own, and so does a -> a^(2^k) for each k = 1..m-1:
+        four tables of 2^(m/4) entries, one per chunk of the mask.
         """
         base = self.base
         h = base.m
@@ -458,11 +464,21 @@ class TowerField(BinaryField):
         from_b = _span_table(w_images)
         back_ac = [from_a[k] ^ from_b[k] for k in range(base.order)]
         back_bd = [from_a[base.mul_int(nu, k)] for k in range(base.order)]
+        sq_lo, sq_hi = _span_table(squares[:h]), _span_table(squares[h:])
         self._tower = (
             h, period, _span_table(coords[:h]), _span_table(coords[h:]),
-            log, exp, back_ac, back_bd, from_b,
-            _span_table(squares[:h]), _span_table(squares[h:]), nu,
+            log, exp, back_ac, back_bd, from_b, sq_lo, sq_hi, nu,
         )
+        # a^(2^k) for k = 1..m-1: the basis images, squared once more per k
+        # (period = 2^h - 1 is also the mask of a low half), spanned over
+        # four chunks of ``width`` bits
+        width = -(-self.m // 4)
+        columns = [1 << j for j in range(self.m)]
+        frob = [None]
+        for _ in range(1, self.m):
+            columns = [sq_lo[v & period] ^ sq_hi[v >> h] for v in columns]
+            frob.append(tuple(_span_table(columns[i : i + width]) for i in range(0, self.m, width)))
+        self._frob = (width, (1 << width) - 1, frob)
 
     def mul_int(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -487,6 +503,8 @@ class TowerField(BinaryField):
     def pow_int(self, a: int, e: int) -> int:
         if e < 0:
             raise ValueError("negative exponent; use inv_int first")
+        if e and not e & (e - 1):  # a^(2^k) is one Frobenius lookup
+            return self.frob_int(a, e.bit_length() - 1)
         h, low, _, _, _, _, _, _, _, sq_lo, sq_hi, _ = self._tower
         r = 1
         while e:
@@ -511,11 +529,13 @@ class TowerField(BinaryField):
         return back_ac[c] ^ back_s[c] ^ back_s[b]
 
     def frob_int(self, a: int, k: int) -> int:
-        """a^(2^k), the k-fold binary Frobenius."""
-        h, low, _, _, _, _, _, _, _, sq_lo, sq_hi, _ = self._tower
-        for _ in range(k % self.m):
-            a = sq_lo[a & low] ^ sq_hi[a >> h]  # squaring is GF(2)-linear
-        return a
+        """a^(2^k), the k-fold binary Frobenius: one lookup per chunk of a."""
+        k %= self.m
+        if not k:
+            return a
+        w, low, frob = self._frob
+        t0, t1, t2, t3 = frob[k]
+        return t0[a & low] ^ t1[a >> w & low] ^ t2[a >> 2 * w & low] ^ t3[a >> 3 * w]
 
     # -- row kernels: a call per zero entry would cost more than the product
 
@@ -533,11 +553,12 @@ class TowerField(BinaryField):
         return out
 
     def frob_row(self, row: Sequence[int], k: int) -> list[int]:
-        h, low, _, _, _, _, _, _, _, sq_lo, sq_hi, _ = self._tower
-        out = list(row)
-        for _ in range(k % self.m):
-            out = [sq_lo[a & low] ^ sq_hi[a >> h] if a else 0 for a in out]
-        return out
+        k %= self.m
+        if not k:
+            return list(row)
+        w, low, frob = self._frob
+        t0, t1, t2, t3 = frob[k]
+        return [t0[a & low] ^ t1[a >> w & low] ^ t2[a >> 2 * w & low] ^ t3[a >> 3 * w] for a in row]
 
 
 class FieldElement:

@@ -117,9 +117,10 @@ def _frobenius_residual(curve: PlaneCurve, point: AffinePoint, ys: TruncatedSeri
     """
     fld, n = ys.field, ys.prec
     k = 2 * curve.t  # the GF(q^2)-Frobenius is the 2^(2t)-power
-    c1 = (point.x + point.x.frobenius(k)).bits
+    x0 = point.x.bits
+    c1 = x0 ^ fld.frob_int(x0, k)
     acc = list(ys.coeffs)
-    acc[0] ^= point.y.frobenius(k).bits
+    acc[0] ^= fld.frob_int(point.y.bits, k)
     for c, s in ((c1, 1), (fld.sqr_int(c1), 2)):
         d = ys.hasse_derivative(s).coeffs
         for e in compress(range(n - s), d):  # e + s < n: acc holds every term

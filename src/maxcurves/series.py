@@ -20,13 +20,17 @@ is a simple root in y and the lift is unique).  The right side walks
 only the submasks r of each x exponent i, the r with binom(i, r) odd,
 and a chain o, 2o, 4o, ... whose right side vanishes stays 0, so the
 lift walks only the chains of the odd parts that carry a right-side
-entry: for P = x^(q+1) the chains of 1 and q + 1, about 2 log2(n) steps
-where a walk over every r would take n; a coefficient equal to 1 costs
-no field call.  Each expansion is then checked, independently of that
-right side, by the residual A(y) + P(x) + c at all n coefficients, read
-off y's nonzero terms: a y^(2^k) term puts c_e^(2^k) at tau^(e 2^k), an
-x^i term is the product of the two-term factors x0^(2^k) + tau^(2^k)
-over the set bits 2^k of i, multiplied out, and c lands at tau^0.  The
+entry, one chain at a time, each step reading only the steps before it
+on its own chain: for P = x^(q+1) the chains of 1 and q + 1, about
+2 log2(n) steps where a walk over every r would take n; a coefficient
+equal to 1 costs no field call.  Each expansion is then checked,
+independently of that right side and of the lift's own values, by the
+residual A(y) + P(x) + c at all n coefficients, read off y's nonzero
+terms: a y^(2^k) term puts c_e^(2^k) at tau^(e 2^k), one ``frob_int``
+call per nonzero c_e and y-term up to the first e 2^k >= n (a table
+lookup for any k, in the tower too), an x^i term is the product of the
+two-term factors x0^(2^k) + tau^(2^k) over the set bits 2^k of i,
+multiplied out, and c lands at tau^0.  The
 residual's tau^0 term is F(x(P), y(P)), which the lift never reads, so
 it is also the test that P lies on the curve: no separate evaluation is
 made.  Dense lists appear only where C fills them (a zero list,
@@ -52,7 +56,6 @@ not one derivative series per order.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from operator import xor
@@ -233,34 +236,34 @@ def _additive_residual(
     (of precision n), for the mask x0, ypart = {2^k: a}, xpart = {i: b}
     and the constant c.
 
-    ys is read off its nonzero terms: a y^(2^k) puts a c^(2^k) at
-    tau^(e 2^k) for each nonzero c_e, raised for all the terms below
-    tau^(n / 2^k) by one row kernel, from the powers of the previous k.
+    ys is read off its nonzero terms, in ascending order: a y^(2^k) term
+    puts a c_e^(2^k) at tau^(e 2^k) for each nonzero c_e, one ``frob_int``
+    call each, up to the first e 2^k >= n.  Only y's coefficients are
+    read, never the lift's, so this is an independent check of them.
     b x^i is b times the product of the two-term factors
     x0^(2^k) + tau^(2^k) over the set bits 2^k of i, multiplied out, not
     taken from binomials.  The tau^0 coefficient is A(y0) + P(x0) + c,
     that is, F at the point (x0, y0), y0 the tau^0 coefficient of ys.
     """
-    fld, n = ys.field, ys.prec
+    fld, coeffs, n = ys.field, ys.coeffs, ys.prec
+    frob, mul = fld.frob_int, fld.mul_int
     acc = [0] * n
     acc[0] = const
-    exps = list(compress(range(n), ys.coeffs))  # the nonzero terms, picked at C speed
-    values = [ys.coeffs[e] for e in exps]
-    done = 0  # values holds c^(2^done) for the terms with e 2^done < n
-    for j, a in sorted(ypart.items()):
+    exps = list(compress(range(n), coeffs))  # the nonzero terms, picked at C speed
+    for j, a in ypart.items():
         k = j.bit_length() - 1
-        values = values[: bisect_left(exps, -(-n // j))]
-        if k > done:
-            values = fld.frob_row(values, k - done)
-            done = k
-        for e, c in zip(exps, values if a == 1 else [fld.mul_int(a, c) for c in values]):
-            acc[e * j] ^= c
+        for e in exps:
+            r = e * j
+            if r >= n:
+                break
+            c = frob(coeffs[e], k) if k else coeffs[e]
+            acc[r] ^= c if a == 1 else mul(a, c)
     for i, b in xpart.items():
         terms = [(0, b)]  # b times the factors so far: distinct exponents, no collisions
         for k in range(i.bit_length()):
             if i >> k & 1:
-                j, x0_k = 1 << k, fld.frob_int(x0, k)
-                terms = [(e, x0_k if c == 1 else fld.mul_int(c, x0_k)) for e, c in terms] + [
+                j, x0_k = 1 << k, frob(x0, k)
+                terms = [(e, x0_k if c == 1 else mul(c, x0_k)) for e, c in terms] + [
                     (e + j, c) for e, c in terms if e + j < n
                 ]
         for e, c in terms:
@@ -277,38 +280,41 @@ def _additive_lift(
 
     The right side has coefficient sum_i b_i binom(i, r) x0^(i-r) at tau^r
     (binom(i, r) odd iff r is a submask of i); eta^(2^k) contributes
-    eta_{r/2^k}^(2^k) at tau^r when 2^k divides r, so solving for eta_r
-    needs only coefficients already found, all of the same odd part as r.
-    A chain o, 2o, 4o, ... of odd part o whose right side is 0 throughout
-    is therefore 0 throughout, and only the chains of the odd parts of
-    the nonzero right-side entries are walked, in ascending order.  A
-    coefficient a_k or b_i equal to 1 is not multiplied in, and a_t = 1 is
-    not inverted, so the standard curves' lift makes no field call by 1.
+    eta_{r/2^k}^(2^k) at tau^r when 2^k divides r, so eta_r needs only
+    the coefficients before it on its chain o, 2o, 4o, ... of odd part o.
+    A chain whose right side is 0 throughout is therefore 0 throughout,
+    and each chain of an odd part of a nonzero right-side entry is walked
+    on its own, from o up to the last o 2^s < n, step s reading steps
+    s - k <= s - 1 of the same chain.  A coefficient a_k or b_i equal to 1 is not multiplied in, and
+    a_t = 1 is not inverted, so the standard curves' lift makes no field
+    call by 1.
     """
+    frob, mul = fld.frob_int, fld.mul_int
     rhs: dict[int, int] = {}
     for i, b in xpart.items():
         r = i
         while r:  # the nonzero submasks of i, in descending order
             if r < n:
                 v = fld.pow_int(x0, i - r)
-                rhs[r] = rhs.get(r, 0) ^ (v if b == 1 else fld.mul_int(b, v))
+                rhs[r] = rhs.get(r, 0) ^ (v if b == 1 else mul(b, v))
             r = (r - 1) & i
-    odd = {r // (r & -r) for r, v in rhs.items() if v}
-    chains = sorted(o << k for o in odd for k in range(((n - 1) // o).bit_length()))
     a_t = ypart[1]
     cinv = 1 if a_t == 1 else fld.inv_int(a_t)
     higher = sorted((j.bit_length() - 1, a) for j, a in ypart.items() if j > 1)
     eta = [0] * n
-    for r in chains:
-        acc = rhs.get(r, 0)
-        for k, a in higher:
-            if r & ((1 << k) - 1):
-                break  # 2^k does not divide r, nor does any higher power
-            if eta[r >> k]:
-                v = fld.frob_int(eta[r >> k], k)
-                acc ^= v if a == 1 else fld.mul_int(a, v)
-        if acc:
-            eta[r] = acc if cinv == 1 else fld.mul_int(cinv, acc)
+    for o in {r // (r & -r) for r, v in rhs.items() if v}:
+        r, s = o, 0  # r = o 2^s, step s of the chain of o
+        while r < n:
+            acc = rhs.get(r, 0)
+            for k, a in higher:
+                if k > s:
+                    break  # 2^k does not divide r, nor does any higher power
+                if v := eta[r >> k]:
+                    v = frob(v, k)
+                    acc ^= v if a == 1 else mul(a, v)
+            if acc:
+                eta[r] = acc if cinv == 1 else mul(cinv, acc)
+            r, s = r << 1, s + 1
     return eta
 
 

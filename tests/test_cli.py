@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import io
 import json
 import shlex
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from maxcurves import census, covering, curves, fields, orders, series
+from maxcurves import census, covering, curves, fields, orders, semigroups, series
 from maxcurves.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, RunConfig, build_parser, main
 
 README = Path(__file__).parents[1] / "README.md"
@@ -296,6 +297,33 @@ def test_pole_order_off_by_one_fails_full_suite(capsys, monkeypatch):
     assert not payload["all_pass"]
 
 
+def test_swapped_pole_orders_fail_semigroup_genus(capsys, monkeypatch):
+    # (deg P, deg A) keeps the genus and the sorted semigroup <q/2, q+1>:
+    # only comparing the pole orders themselves with <q/2, q+1> sees it
+    pole_orders = curves.AdditiveModel.pole_orders
+    monkeypatch.setattr(
+        curves.AdditiveModel, "pole_orders", property(lambda m: pole_orders.fget(m)[::-1])
+    )
+    code, payload = run_json(capsys, "full-suite", "--t", "3")
+    assert code == EXIT_CHECK_FAILED
+    assert payload["checks"]["semigroup_genus"] is False
+    assert not payload["all_pass"]
+
+
+def test_full_suite_sieves_one_semigroup(capsys, monkeypatch):
+    sieved = []
+    init = semigroups.NumericalSemigroup.__init__
+
+    def counted(self, generators):
+        sieved.append(tuple(generators))
+        init(self, generators)
+
+    monkeypatch.setattr(semigroups.NumericalSemigroup, "__init__", counted)
+    code, payload = run_json(capsys, "full-suite", "--t", "5")
+    assert code == EXIT_OK and payload["checks"]["semigroup_genus"] is True
+    assert sieved == [(16, 33)]
+
+
 @pytest.mark.parametrize("m", [4, 8])
 def test_reducible_reduction_polynomial_fails_full_suite(capsys, monkeypatch, m):
     # z^m + 1 = (z + 1)^m in characteristic 2: planted into the moduli table
@@ -425,6 +453,25 @@ def test_help_still_exits_0(capsys):
 def test_oversized_precision_exits_2(capsys, argv):
     code, payload = run_json(capsys, *argv)
     assert code == EXIT_CONFIG and "exceeds the limit" in payload["error"]
+
+
+# sha256 of `expand --curve trace --precision 4096` stdout: the longest chain
+# walks, in the tabled GF(2^16) and GF(2^10) and in the GF(2^20) tower
+EXPANSIONS_AT_THE_LIMIT = [
+    ("5", "2", "f2921,e1c2b", "d3bcb77080d654772ddb5b70d89610b170f99fbff44184a3ddb1e6627171e40b"),
+    ("5", "2", "1eedb,1384b", "e7c5cba04bd7a0e6df09470058790048f0b4241bf884d6384fde5cb4dfbaafae"),
+    ("4", "2", "88ac,a6d2", "06c6a7f10dab3a71398999de8134fb8a44319e1d9c818533df4d22c1a4bb60ce"),
+    ("4", "2", "ac73,4992", "7604f54236a43a3f9680fab0488945e828a6a23ac518892fd1f67cb69c1ae8d2"),
+    ("5", "1", "113,053", "ce61129fd882b2f3e86cb87f381cddaea184cfa8e0c64fe6448ca26aa9f2e915"),
+]
+
+
+@pytest.mark.parametrize("t,level,point,digest", EXPANSIONS_AT_THE_LIMIT)
+def test_expansions_at_the_precision_limit_are_pinned(capsys, t, level, point, digest):
+    argv = ("expand", "--t", t, "--level", level, "--curve", "trace", "--point", point)
+    code, out = run_cli(capsys, *argv, "--precision", str(series.PRECISION_LIMIT))
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -730,6 +730,18 @@ def test_tower_frob_row_matches_shift_and_reduce_for_every_k():
     assert GF2_20.frob_row([], 7) == []
 
 
+def test_tower_frobenius_reads_every_table_entry_right():
+    # a mask with one nonzero chunk reads one entry of that chunk's table
+    # and entry 0 of the others, so this visits every entry for every k
+    width = -(-GF2_20.m // 4)
+    for shift in range(0, GF2_20.m, width):
+        for v in range(1 << width):
+            a = expected = v << shift
+            for k in range(1, GF2_20.m):
+                expected = ref_mul(expected, expected, GF2_20.modulus)
+                assert GF2_20.frob_int(a, k) == GF2_20.pow_int(a, 1 << k) == expected, (a, k)
+
+
 @pytest.mark.parametrize("fld", SHIPPED_FIELDS, ids=lambda f: f"m={f.m}-{f.level}")
 def test_elements_and_fields_survive_copy_and_pickle(fld):
     a = fld.element(fld.order - 2)
