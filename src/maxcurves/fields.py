@@ -69,11 +69,12 @@ u^2 + u = c is one coset lookup.
 
 from __future__ import annotations
 
+from collections import deque
 from importlib import resources
 from itertools import repeat
 from operator import xor
 from string import hexdigits
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 MAX_T = 5
 LEVELS = ("base-square", "quartic")
@@ -361,9 +362,15 @@ class BinaryField:
     def one(self) -> FieldElement:
         return FieldElement(1, self)
 
-    def elements(self) -> Iterator[FieldElement]:
-        for bits in range(self.order):
-            yield FieldElement(bits, self)
+    def elements(self, masks: Sequence[int]) -> list[FieldElement]:
+        """One element per mask, in order, as ``FieldElement(bits, self)``
+        would make it (no range check either), but in bulk: ``object.__new__``
+        and each slot's setter, bound once below :class:`FieldElement`, are
+        mapped over the whole list, three C-level passes in all."""
+        out = list(map(object.__new__, repeat(FieldElement, len(masks))))
+        deque(map(_set_bits, out, masks), maxlen=0)
+        deque(map(_set_field, out, repeat(self, len(out))), maxlen=0)
+        return out
 
     def from_hex(self, text: str) -> FieldElement:
         """The element of a mask written in hex digits alone: int(text, 16)
@@ -566,8 +573,9 @@ class FieldElement:
 
     ``__init__`` sets the two slots through their member descriptors,
     bound once below the class, which costs less than
-    ``object.__setattr__`` by name; ``__setattr__`` refuses every other
-    assignment.
+    ``object.__setattr__`` by name; :meth:`BinaryField.elements` maps
+    the same setters over a list of elements.  ``__setattr__`` refuses
+    every other assignment.
     """
 
     __slots__ = ("bits", "field")

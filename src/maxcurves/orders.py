@@ -29,7 +29,6 @@ the one place that lays y's coefficients out by Lucas' rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Sequence
 
 from .census import AffinePoint, is_rational, sample_points
@@ -37,6 +36,7 @@ from .curves import PlaneCurve
 from .series import (
     PrecisionError,
     TruncatedSeries,
+    _support,
     default_precision,
     derivative_facts,
     derivative_facts_gate,
@@ -65,7 +65,7 @@ def dp_orders(curve: PlaneCurve, point: AffinePoint, n: int | None = None) -> Or
     if n < q + 3:
         raise ValueError(f"precision {n} too small; need at least q+3 = {q + 3}")
     coeffs = expand_y_at(curve, point, n).coeffs
-    j = next(compress(range(3, n), coeffs[3:]), None)
+    j = next((e for e in _support(coeffs) if e >= 3), None)
     if j is None:
         raise PrecisionError(f"only 3 orders visible below precision {n}; increase precision")
     tag = "rational" if is_rational(curve, point) else "non-rational"
@@ -123,7 +123,7 @@ def _frobenius_residual(curve: PlaneCurve, point: AffinePoint, ys: TruncatedSeri
     acc[0] ^= fld.frob_int(point.y.bits, k)
     for c, s in ((c1, 1), (fld.sqr_int(c1), 2)):
         d = ys.hasse_derivative(s).coeffs
-        for e in compress(range(n - s), d):  # e + s < n: acc holds every term
+        for e in _support(d):  # e + s < n, as D has precision n - s: acc holds every term
             acc[e] ^= fld.mul_int(c, d[e])
             acc[e + s] ^= d[e]
     # known mod tau^(n-2), the precision of D^2 y

@@ -34,9 +34,9 @@ multiplied out, and c lands at tau^0.  The
 residual's tau^0 term is F(x(P), y(P)), which the lift never reads, so
 it is also the test that P lies on the curve: no separate evaluation is
 made.  Dense lists appear only where C fills them (a zero list,
-``compress`` picking the nonzero exponents, tuple equality), so the
-interpreter's steps follow the support.  Precisions above
-``PRECISION_LIMIT`` are refused.
+``compress`` picking the nonzero exponents out of one list of ints made
+at import, tuple equality), so the interpreter's steps follow the
+support.  Precisions above ``PRECISION_LIMIT`` are refused.
 
 Hasse derivatives act coefficientwise through binomials mod 2, evaluated
 by Lucas' rule inline: binom(n, i) is odd iff (n & i) == i, that is, iff
@@ -59,12 +59,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import xor
+from typing import Iterator, Sequence
 
 from .curves import PlaneCurve
 from .fields import BinaryField, CheckFailed, FieldElement
 
 
 PRECISION_LIMIT = 4096  # largest precision an expansion may use; beyond it the input is refused
+_EXPONENTS = list(range(PRECISION_LIMIT))  # made once, read by every support scan
+
+
+def _support(coeffs: Sequence[int]) -> Iterator[int]:
+    """The exponents of the nonzero coefficients, ascending, picked at C
+    speed by ``compress`` from :data:`_EXPONENTS`, whose ints already
+    exist: ``range`` would make one per exponent.  A list longer than
+    ``PRECISION_LIMIT`` (a ``pow2k`` can make one) is read through ``range``."""
+    return compress(_EXPONENTS if len(coeffs) <= PRECISION_LIMIT else range(len(coeffs)), coeffs)
 
 
 def default_precision(q: int) -> int:
@@ -209,7 +219,7 @@ class TruncatedSeries:
             raise PrecisionError(f"order-{hi} derivative exhausts precision {self.prec}")
         if lo > hi:
             return True
-        for e in compress(range(self.prec), self.coeffs):
+        for e in _support(self.coeffs):
             s = e
             while s >= lo:  # the submasks of e, in descending order
                 if s <= hi:
@@ -249,7 +259,7 @@ def _additive_residual(
     frob, mul = fld.frob_int, fld.mul_int
     acc = [0] * n
     acc[0] = const
-    exps = list(compress(range(n), coeffs))  # the nonzero terms, picked at C speed
+    exps = list(_support(coeffs))  # the nonzero terms, picked at C speed
     for j, a in ypart.items():
         k = j.bit_length() - 1
         for e in exps:

@@ -7,10 +7,11 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
-from maxcurves import census, cli
+from maxcurves import census, cli, fields
 from maxcurves.census import (
     AffinePoint,
     CensusLimitError,
@@ -34,7 +35,7 @@ from maxcurves.curves import (
     trace_form,
     trace_form_extended,
 )
-from maxcurves.fields import make_field, reduce_gf2
+from maxcurves.fields import GF2Reduction, make_field, reduce_gf2
 from maxcurves.orders import dp_orders_at_infinity
 
 
@@ -102,13 +103,18 @@ def test_level2_counts_cross_checked_small():
             assert affine == brute_force_affine(curve, 2)
 
 
+def assert_enumerated_points_satisfy_the_equation(curve, level):
+    points = enumerate_points(curve, level)
+    assert points[-1] == InfinitePoint()
+    for p in points[:-1]:
+        assert not curve.evaluate(p.x, p.y)
+        assert p.level == level
+
+
 def test_enumerated_points_satisfy_the_equation():
-    for level in (1, 2):
-        curve = trace_curve(2)
-        for p in enumerate_points(curve, level):
-            if isinstance(p, AffinePoint):
-                assert not curve.evaluate(p.x, p.y)
-                assert p.level == level
+    for curve in (trace_curve(2), hermitian(2), constant_trace_form(2), moved_trace_curve(2)):
+        for level in (1, 2):
+            assert_enumerated_points_satisfy_the_equation(curve, level)
 
 
 def test_hermitian_counts_are_q_cubed_plus_one():
@@ -296,6 +302,56 @@ CONSTRUCTED = [
     for level, ts in ((1, (1, 2, 3)), (2, (1, 2)))
     for t in ts
 ]
+
+
+@pytest.mark.parametrize("ctor", [trace_curve, hermitian, constant_trace_form, moved_trace_curve])
+@pytest.mark.parametrize("level", [1, 2])
+def test_planted_lift_off_the_kernel_fails_the_equation_test(monkeypatch, ctor, level):
+    # one value's lift moved by a nonzero mask outside ker A: every y over
+    # the x with that P(x) then has A(y) != P(x) + c
+    curve = ctor(2)
+    lift = GF2Reduction.lift
+    planted = []
+
+    def lift_one_value_off_the_kernel(self, v):
+        y = lift(self, v)
+        if not planted:
+            planted.append(v)
+            y ^= next(d for d in count(1) if d not in self.kernel)
+        return y
+
+    monkeypatch.setattr(GF2Reduction, "lift", lift_one_value_off_the_kernel)
+    with pytest.raises(AssertionError):
+        assert_enumerated_points_satisfy_the_equation(curve, level)
+    assert len(planted) == 1
+
+
+def passing_values(curve, level):
+    """The distinct P(x) over the x with a nonempty fibre, found by the
+    parity checks of im A at every x, not by the census's table."""
+    model = curve.model(level)
+    fld = model.field
+    a_map = fields.additive_map(fld, model.ypart)
+    values = (fld.part_at(model.xpart, x) for x in range(fld.order))
+    return {v for v in values if a_map.in_image(v ^ model.const)}
+
+
+@pytest.mark.parametrize(
+    "curve,level,distinct",
+    [(hermitian(4), 1, 16), (trace_curve(3), 2, 72), (constant_trace_form(3), 1, 4)],
+)
+def test_enumeration_lifts_once_per_distinct_value_of_p(monkeypatch, curve, level, distinct):
+    lift = GF2Reduction.lift
+    lifted = []
+
+    def counted_lift(self, v):
+        lifted.append(v)
+        return lift(self, v)
+
+    monkeypatch.setattr(GF2Reduction, "lift", counted_lift)
+    enumerate_points(curve, level)
+    values = passing_values(curve, level)
+    assert len(lifted) == len(set(lifted)) == len(values) == distinct
 
 
 @pytest.mark.parametrize("ctor,t,level", CONSTRUCTED)

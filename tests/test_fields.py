@@ -254,13 +254,13 @@ def test_subfield_membership_counts():
         for d in range(1, fld.m + 1):
             if fld.m % d == 0:
                 assert fld.zero.in_subfield(d) and fld.one.in_subfield(d)
-    assert sum(1 for a in GF16.elements() if a.in_subfield(2)) == 4
-    assert sum(1 for a in GF256.elements() if a.in_subfield(4)) == 16
+    assert sum(1 for a in GF16.elements(range(GF16.order)) if a.in_subfield(2)) == 4
+    assert sum(1 for a in GF256.elements(range(GF256.order)) if a.in_subfield(4)) == 16
     # full enumeration over every divisor for m <= 16
     for fld in (GF4, GF16, GF64, GF256, make_field(3, "quartic"), make_field(4, "quartic")):
         for d in range(1, fld.m + 1):
             if fld.m % d == 0:
-                count = sum(1 for a in fld.elements() if a.in_subfield(d))
+                count = sum(1 for a in fld.elements(range(fld.order)) if a.in_subfield(d))
                 assert count == 1 << d, (fld, d)
 
 
@@ -278,7 +278,7 @@ def test_artin_schreier_zero_gives_prime_field():
 def test_artin_schreier_against_brute_force(fld):
     for bits in range(fld.order):
         c = fld.element(bits)
-        expected = sorted(u.bits for u in fld.elements() if (u.square() + u) == c)
+        expected = sorted(u.bits for u in fld.elements(range(fld.order)) if (u.square() + u) == c)
         got = [s.bits for s in solve_artin_schreier(c)]
         assert got == expected
         assert len(got) in (0, 2)
@@ -305,9 +305,9 @@ def test_linearized_solve_trace_one_target_empty():
     # brute force over all 16 candidates for each target
     for bits in range(16):
         b = GF16.element(bits)
-        expected = sorted(a.bits for a in GF16.elements() if a.square() + a == b)
+        expected = sorted(a.bits for a in GF16.elements(range(GF16.order)) if a.square() + a == b)
         assert a_map.coset(bits) == expected
-    bad = next(c for c in GF16.elements() if c.absolute_trace() == 1)
+    bad = next(c for c in GF16.elements(range(GF16.order)) if c.absolute_trace() == 1)
     assert a_map.coset(bad.bits) == []
 
 
@@ -315,7 +315,9 @@ def test_linearized_solve_q8_kernel_by_brute_force():
     # the standard y-part y^4 + y^2 + y over GF(64): its kernel has q/2 elements
     got = additive_map(GF64, {4: 1, 2: 1, 1: 1}).kernel
     expected = [
-        a.bits for a in GF64.elements() if a.frobenius(2) + a.square() + a == GF64.zero
+        a.bits
+        for a in GF64.elements(range(GF64.order))
+        if a.frobenius(2) + a.square() + a == GF64.zero
     ]
     assert got == sorted(expected) and len(got) == 4
 
@@ -329,7 +331,7 @@ def test_linearized_solve_substitution_property():
         for _ in range(4):
             coeffs = [fld.element(rng.randrange(1, fld.order)) for _ in range(t)]
             fibres = {}
-            for alpha in fld.elements():
+            for alpha in fld.elements(range(fld.order)):
                 acc = fld.zero
                 for i, c in enumerate(coeffs, start=1):
                     acc = acc + c * alpha.frobenius(t - i)
@@ -391,7 +393,7 @@ def test_embedding_is_field_homomorphism():
             assert quart.embed(a * b) == quart.embed(a) * quart.embed(b)
             assert quart.embed(a).in_subfield(2 * t)
     # injective on GF(16)
-    images = {make_field(2, "quartic").embed(a).bits for a in GF16.elements()}
+    images = {make_field(2, "quartic").embed(a).bits for a in GF16.elements(range(GF16.order))}
     assert len(images) == 16
 
 
@@ -751,3 +753,24 @@ def test_elements_and_fields_survive_copy_and_pickle(fld):
             copied.bits = 0
     # a field comes back as the interned one, so identity checks still hold
     assert copy.deepcopy(fld) is fld and pickle.loads(pickle.dumps(fld)) is fld
+
+
+@pytest.mark.parametrize("fld", SHIPPED_FIELDS, ids=lambda f: f"m={f.m}-{f.level}")
+def test_elements_in_bulk_equal_elements_made_one_by_one(fld):
+    masks = [0, 1, fld.order - 1, 3, 3, fld.order // 2]
+    made = fld.elements(masks)
+    reference = [fields.FieldElement(b, fld) for b in masks]
+    assert made == reference and [a.bits for a in made] == masks
+    assert list(map(hash, made)) == list(map(hash, reference))
+    assert list(map(repr, made)) == list(map(repr, reference))
+    assert all(type(a) is fields.FieldElement and a.field is fld for a in made)
+    assert made[3] is not made[4]  # one object per entry, as FieldElement makes them
+    for a in made:
+        with pytest.raises(AttributeError):
+            a.bits = 2
+        with pytest.raises(AttributeError):
+            a.field = GF16
+        assert not hasattr(a, "__dict__")
+    back = pickle.loads(pickle.dumps(made))
+    assert back == made and all(a.field is fld for a in back)
+    assert fld.elements([]) == []

@@ -147,6 +147,18 @@ def test_one_pass_middle_test_matches_the_derivative_loop_on_sparse_series():
         TruncatedSeries(GF16, (0,) * 5).derivatives_vanish(-1, 2)
 
 
+def test_middle_test_reads_terms_beyond_the_precision_limit():
+    # a pow2k can make a series longer than PRECISION_LIMIT: its support
+    # scan must still reach the terms past the limit
+    n = series.PRECISION_LIMIT + 8
+    coeffs = [0] * n
+    coeffs[series.PRECISION_LIMIT + 4] = 1  # submasks 0, 4, 4096 and 4100
+    s = TruncatedSeries(GF16, tuple(coeffs))
+    assert s.derivatives_vanish(5, 4095)
+    assert not s.derivatives_vanish(4, 4) and not s.derivatives_vanish(4097, n - 1)
+    assert s.derivatives_vanish(4, 4) == middle_oracle(s, 4, 4)
+
+
 def middle_test_points(curve, t):
     """Every affine level-1 point for t <= 3; seeded level-2 points solved
     from random x for t = 4, 5 (S(y) = x^(q+1) is GF(2)-linear in y)."""
