@@ -23,7 +23,7 @@ from .census import (
     hasse_weil_max,
     is_maximal,
 )
-from .covering import CoveringMap, apply_cover, covering_census_check, covering_map, fiber
+from .covering import CoveringMap, covering_census_check, covering_map, fiber
 from .curves import (
     CoordinateChange,
     NormalizationError,

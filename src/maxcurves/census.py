@@ -251,9 +251,8 @@ def sample_points(
     count: int,
     rng,
     rational: bool | None = None,
-    exclude_infinity: bool = True,
-) -> list[CurvePoint]:
-    """Deterministic sample of enumerated points, filtered by rationality.
+) -> list[AffinePoint]:
+    """Deterministic sample of enumerated affine points, filtered by rationality.
 
     With rational=None all points qualify; True keeps GF(q^2)-rational
     ones; False keeps the rest.  Sampling is without replacement; if
@@ -262,8 +261,7 @@ def sample_points(
     :class:`fields.CheckFailed` for one the census should not have listed.
     """
     pool = enumerate_points(curve, level)
-    if exclude_infinity:
-        pool.pop()  # the point at infinity, always listed last
+    pool.pop()  # the point at infinity, always listed last
     if rational is not None:
         pool = [p for p in pool if is_rational(curve, p) == rational]
     drawn = pool if count >= len(pool) else rng.sample(pool, count)

@@ -3,25 +3,22 @@
 The affine map is (v, u) -> (v, u^2 + u): on exponent level the additive
 polynomial S(y) = sum y^(q/2^i) telescopes to S(u^2 + u) = u^q + u, so
 Hermitian points (u^q + u = v^(q+1)) land on the trace curve
-(S(y) = x^(q+1)).  The deck involution is u -> u + 1, fixed-point free
-on affine points; fibers are its orbits {u, u+1}, computed by solving
-u^2 + u = y at the requested tower level.
+(S(y) = x^(q+1)).  The fibre over an affine point is {(x, u) : u^2 + u = y},
+computed by solving that equation at the requested tower level; it is
+{(x, u), (x, u + 1)} or empty.  ``fiber_histogram`` walks the fibres over
+every rational affine point of the trace curve and checks each fibre point
+against the Hermitian equation.  The Hermitian curve has q^3 + 1 points
+over GF(q^2) and over GF(q^4) alike, so at either level that walk reaches
+all q^3 of its affine points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .census import (
-    AffinePoint,
-    CurvePoint,
-    InfinitePoint,
-    count_rational,
-    enumerate_points,
-    sample_points,
-)
+from .census import AffinePoint, CurvePoint, InfinitePoint, count_rational, enumerate_points
 from .curves import PlaneCurve, hermitian, trace_curve
-from .fields import MAX_T, CheckFailed, FieldElement, solve_artin_schreier
+from .fields import MAX_T, CheckFailed, solve_artin_schreier
 
 
 @dataclass(frozen=True)
@@ -48,27 +45,6 @@ def symbolic_additive_identity(t: int) -> bool:
         e = q >> i
         exponents ^= {2 * e, e}  # (u^2 + u)^e for e a power of two
     return exponents == {q, 1}
-
-
-def apply_cover(cm: CoveringMap, point: CurvePoint) -> CurvePoint:
-    """Image of a Hermitian point; raises :class:`fields.CheckFailed`
-    unless the image satisfies the target equation exactly."""
-    if isinstance(point, InfinitePoint):
-        return InfinitePoint()
-    if cm.source.evaluate(point.x, point.y):
-        raise ValueError("point does not lie on the Hermitian model")
-    image = AffinePoint(point.x, point.y.square() + point.y, point.level)
-    if cm.target.evaluate(image.x, image.y):
-        raise CheckFailed(f"the cover image {image!r} of {point!r} left the target curve")
-    return image
-
-
-def involution(cm: CoveringMap, point: CurvePoint) -> CurvePoint:
-    """The deck transformation (v, u) -> (v, u + 1)."""
-    if isinstance(point, InfinitePoint):
-        return point
-    one = FieldElement(1, point.y.field)
-    return AffinePoint(point.x, point.y + one, point.level)
 
 
 def fiber(cm: CoveringMap, target_point: AffinePoint, level: int) -> list[CurvePoint]:
@@ -106,44 +82,17 @@ def covering_census_check(t: int) -> dict:
     }
 
 
-def _membership_report(cm: CoveringMap, points, level: int, mode: str) -> dict:
-    involution_commutes = 0
-    for p in points:
-        image = apply_cover(cm, p)  # raises unless the image is on the target
-        if apply_cover(cm, involution(cm, p)) == image:
-            involution_commutes += 1
-    return {
-        "q": cm.q,
-        "level": level,
-        "mode": mode,
-        "source_points": len(points),
-        "images_on_target": len(points),
-        "involution_commutes": involution_commutes,
-        "all_commute": involution_commutes == len(points),
-    }
-
-
-def image_membership_check(t: int, level: int = 1) -> dict:
-    """Exhaustively map every enumerated Hermitian point through the
-    cover and record involution compatibility pi o tau = pi."""
-    cm = covering_map(t)
-    return _membership_report(cm, enumerate_points(cm.source, level), level, "exhaustive")
-
-
-def image_membership_sample(t: int, count: int, rng) -> dict:
-    """Sampled membership/involution check over level-1 Hermitian points,
-    for sizes where the exhaustive sweep is unwanted."""
-    cm = covering_map(t)
-    points = sample_points(cm.source, 1, count, rng, exclude_infinity=False)
-    return _membership_report(cm, points, 1, "sampled")
-
-
 def fiber_histogram(cm: CoveringMap, level: int) -> dict:
-    """Fiber sizes over every rational affine target point, at a level."""
+    """Fiber sizes over every rational affine target point, at a level;
+    raises :class:`fields.CheckFailed` on a fibre point off the Hermitian
+    curve."""
     histogram: dict[int, int] = {}
     for p in enumerate_points(cm.target, 1):
         if isinstance(p, InfinitePoint):
             continue
-        size = len(fiber(cm, p, level))
-        histogram[size] = histogram.get(size, 0) + 1
+        points = fiber(cm, p, level)
+        for s in points:
+            if cm.source.evaluate(s.x, s.y):
+                raise CheckFailed(f"the fibre point {s!r} over {p!r} is off the Hermitian curve")
+        histogram[len(points)] = histogram.get(len(points), 0) + 1
     return {str(k): v for k, v in sorted(histogram.items())}

@@ -618,10 +618,6 @@ class FieldElement:
     def __hash__(self) -> int:
         return hash((self.bits, id(self.field)))
 
-    def __lt__(self, other: FieldElement) -> bool:
-        self._check(other)
-        return self.bits < other.bits
-
     def __bool__(self) -> bool:
         return self.bits != 0
 

@@ -341,7 +341,7 @@ def test_reducible_reduction_polynomial_fails_full_suite(capsys, monkeypatch, m)
     "argv",
     [
         ("full-suite", "--t", "1", "--samples", "0"),  # would pass with no point checked
-        ("cover-check", "--t", "3", "--samples", "0"),  # would commute over 0 points
+        ("frobenius-check", "--t", "2", "--samples", "0"),  # would log no evidence
         ("full-suite", "--t", "2", "--samples", "-3"),  # would fail inside random.sample
     ],
 )
@@ -390,6 +390,10 @@ def test_config_errors_exit_2(capsys):
         (("frobenius-check", "--curve", "trace"), "unrecognized arguments: --curve trace"),
         # the generic semigroup calculator is gone
         (("semigroup", "--generators", "4,9"), "unrecognized arguments: --generators 4,9"),
+        # cover-check walks every fibre point and samples nothing
+        (("cover-check", "--t", "3", "--samples", "0"), "unrecognized arguments: --samples 0"),
+        (("cover-check", "--t", "3", "--exhaustive"), "unrecognized arguments: --exhaustive"),
+        (("cover-check", "--t", "3", "--seed", "1"), "unrecognized arguments: --seed 1"),
     ],
 )
 def test_a_refused_command_line_exits_2_with_a_json_error(capsys, argv, error):
@@ -412,11 +416,12 @@ def test_options_are_exactly_the_run_config_fields():
     assert set().union(*options.values()) == fields_
     assert options["semigroup"] == {"fmt", "t", "curve"}
     assert options["normalize"] == {"fmt", "file"}
+    assert options["cover-check"] == {"fmt", "t", "level"}
     assert {name for name, dests in options.items() if "seed" in dests} == {
-        "frobenius-check", "cover-check", "full-suite"
+        "frobenius-check", "full-suite"
     }
     # one settable value per (subcommand, option) pair
-    assert sum(map(len, options.values())) == 39
+    assert sum(map(len, options.values())) == 36
 
 
 def _readme_command_lines() -> list[list[str]]:
@@ -501,11 +506,30 @@ def test_normalization_landing_elsewhere_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_cover_image_off_the_target_exits_1(capsys, monkeypatch):
-    # the cover's target is planted as the Hermitian curve, which images miss
+    # the cover's target is planted as the Hermitian curve, so some points of
+    # the fibres over it miss the Hermitian source
     monkeypatch.setattr(covering, "trace_curve", curves.hermitian)
-    code, payload = run_json(capsys, "cover-check", "--t", "2", "--samples", "5")
+    code, payload = run_json(capsys, "cover-check", "--t", "2")
     assert code == EXIT_CHECK_FAILED
-    assert "left the target curve" in payload["error"]
+    assert "off the Hermitian curve" in payload["error"]
+
+
+@pytest.mark.parametrize("level", ["1", "2"])
+def test_a_fibre_point_off_the_hermitian_curve_exits_1(capsys, monkeypatch, level):
+    # the planted solver returns u^2 in place of each root u of u^2 + u = y
+    solve = covering.solve_artin_schreier
+    monkeypatch.setattr(covering, "solve_artin_schreier", lambda y: [u.square() for u in solve(y)])
+    code, payload = run_json(capsys, "cover-check", "--t", "3", "--level", level)
+    assert code == EXIT_CHECK_FAILED and set(payload) == {"error", "schema"}
+    assert "the fibre point" in payload["error"] and "off the Hermitian curve" in payload["error"]
+
+
+@pytest.mark.parametrize("level", ["1", "2"])
+def test_an_empty_fibre_exits_1(capsys, monkeypatch, level):
+    # the planted solver finds no root, so the walk checks no Hermitian point
+    monkeypatch.setattr(covering, "solve_artin_schreier", lambda y: [])
+    code, payload = run_json(capsys, "cover-check", "--t", "3", "--level", level)
+    assert code == EXIT_CHECK_FAILED and payload["fiber_histogram"] == {"0": 256}
 
 
 def test_a_bug_is_not_reported_as_a_failed_check(monkeypatch):
