@@ -27,6 +27,51 @@ def test_numeric_additive_identity_q4():
             assert y.square() + y == u.frobenius(2) + u
 
 
+def _image(p: AffinePoint) -> AffinePoint:
+    # the cover (v, u) -> (v, u^2 + u)
+    return AffinePoint(p.x, p.y.square() + p.y, p.level)
+
+
+def _tau(p: AffinePoint) -> AffinePoint:
+    # the deck involution (v, u) -> (v, u + 1)
+    return AffinePoint(p.x, p.y + p.x.field.one, p.level)
+
+
+def _assert_images_on_trace_curve(cm, level):
+    # every affine Hermitian point maps onto the trace curve, into the fibre
+    # that `fiber` solves for, and pi o tau = pi
+    points = enumerate_points(cm.source, level)
+    assert len(points) == cm.q**3 + 1  # no new points over GF(q^4)
+    for p in points:
+        if isinstance(p, InfinitePoint):
+            continue
+        image = _image(p)
+        assert not cm.target.evaluate(image.x, image.y)
+        assert p in fiber(cm, image, level)
+        assert _image(_tau(p)) == image
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_exhaustive_image_membership(t):
+    _assert_images_on_trace_curve(covering_map(t), 1)
+
+
+def test_exhaustive_image_membership_level2_q8():
+    _assert_images_on_trace_curve(covering_map(3), 2)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_involution_properties(t):
+    cm = covering_map(t)
+    points = [p for p in enumerate_points(cm.source, 1) if isinstance(p, AffinePoint)]
+    on_curve = set(points)
+    for p in points:
+        tau_p = _tau(p)
+        assert tau_p != p  # no affine fixed points in characteristic 2
+        assert tau_p in on_curve
+        assert _tau(tau_p) == p
+
+
 def test_fiber_at_origin():
     cm = covering_map(2)
     fld = cm.target.field
