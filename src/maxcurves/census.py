@@ -5,15 +5,21 @@ Every curve is held as its additive model A(y) = P(x) + c
 is empty or a coset of ker A.  One Gaussian elimination on the images
 A(1 << j) (:func:`fields.additive_map`) gives ker A, a reduced basis of
 im A and a linear section of it.  A table over the masks, a list of 0/1
-ints set on the 2^rank images spanned from the basis, each shifted by c,
-marks the coset im A + c: the values of P alone that pass, so the
+ints set on the 2^rank points spanned from c by the basis, marks the
+coset im A + c: the values of P alone that pass, so the
 constant is never added to 2^m values.  Counting adds 2^(dim ker A) for
-each x that passes.  It reads the values at x != 0 in log order
-(:meth:`fields.BinaryField.values_by_log`), as strided slices of the
-antilog table, and P(0) = 0, since every exponent of P is positive; a
-count does not depend on the order of the x.  Enumeration takes the
-values in mask order (:meth:`fields.BinaryField.values`) and picks the x
-that pass in one C-level pass.  The section is GF(2)-linear and its y is
+each x that passes.  P(0) = 0, since every exponent of P is positive,
+and the values at x = g^i != 0 are read in log order as one period of
+the walk (:meth:`fields.BinaryField.values_by_log`), strided slices of
+the antilog table: P(g^i) depends on i mod p/d only, where p = 2^m - 1
+and d = gcd(p, the exponents of P), so a count adds d for each passing
+entry of the period.  The census's x^(q+1) has d = q + 1 at both levels,
+so at q = 16 a level-2 count reads 3855 values, not 65535; x-linear
+terms, as on a sheared or extended curve, make d = 1 and the walk whole.
+Enumeration takes the passing residues i < p/d of the same period, and
+the x with log x = i mod p/d are one strided slice of the antilog
+table; the x are sorted, and each reads its P(x) at entry log x mod p/d.
+No list over all 2^m masks is made.  The section is GF(2)-linear and its y is
 the least of its coset, so the fibre over x is lift(P(x) + c) + ker A in
 ascending order, and it depends on P(x) alone.  P(x) takes few values:
 at level 1, x^(q+1) lies in GF(q), so at q = 16 the Hermitian curve's
@@ -29,7 +35,7 @@ are made bare and then filled column by column, one C-level pass of a
 slot's setter over the whole list per slot, without the generated
 ``__init__`` and its ``object.__setattr__`` per field.  Those passes are
 most of an enumeration: about 1.1 of 1.3 ms for the 4096 Hermitian
-points at q = 16, and 12 of 22 ms for the 36864 level-2 trace-curve
+points at q = 16, and 9 of 15 ms for the 36864 level-2 trace-curve
 points (timeit minima on a shared 2-core x86-64 machine).  Every level-1
 point is GF(q^2)-rational without a Frobenius test.  As deg A and deg P
 are coprime, one point lies over x = infinity, and it is rational: each
@@ -117,9 +123,15 @@ def enumerate_points(curve: PlaneCurve, level: int) -> list[CurvePoint]:
     """All points at the given tower level, affine ones in lexicographic
     order of serialized (x, y), then the point at infinity."""
     fld, model, in_image, a_map = _census_setup(curve, level)
-    rhs = fld.values(model.xpart)  # P(x) in mask order
-    xs = list(compress(range(fld.order), map(in_image.__getitem__, rhs)))
-    x_rhs = list(map(rhs.__getitem__, xs))
+    walk = fld.values_by_log(model.xpart)  # P(g^i) = walk[i % n]
+    n, period, exp, log = len(walk), fld.order - 1, fld._exp, fld._log
+    # the x with log x = i mod n are the strided slice exp[i : p : n]
+    residues = compress(range(n), map(in_image.__getitem__, walk))
+    xs = sorted(chain.from_iterable(map(exp.__getitem__, map(slice, residues, repeat(period), repeat(n)))))
+    x_rhs = [walk[log[x] % n] for x in xs]
+    if in_image[0]:  # P(0) = 0, and 0 is the least mask
+        xs.insert(0, 0)
+        x_rhs.insert(0, 0)
     kernel = a_map.kernel
     fibres = {}  # P(x) -> the y over x, lift(P(x) + c) + ker A, ascending
     for v in set(x_rhs):
@@ -137,11 +149,13 @@ def enumerate_points(curve: PlaneCurve, level: int) -> list[CurvePoint]:
 def count_rational(curve: PlaneCurve, level: int = 1) -> int:
     """Number of points at the given level: |ker A| for each x whose
     P(x) + c lies in im A, plus the point at infinity.  Every exponent of
-    P is positive, so x = 0 gives P(0) = 0; the other x are taken in log
-    order, which a count does not see."""
+    P is positive, so x = 0 gives P(0) = 0; the nonzero x are read from
+    one period of the walk in log order, each of its values taken by
+    (2^m - 1)/len(walk) of them."""
     fld, model, in_image, a_map = _census_setup(curve, level)
-    rhs = fld.values_by_log(model.xpart)
-    return (in_image[0] + sum(map(in_image.__getitem__, rhs))) * len(a_map.kernel) + 1
+    walk = fld.values_by_log(model.xpart)
+    nonzero = (fld.order - 1) // len(walk) * sum(map(in_image.__getitem__, walk))
+    return (in_image[0] + nonzero) * len(a_map.kernel) + 1
 
 
 def is_rational(curve: PlaneCurve, point: CurvePoint) -> bool:
@@ -255,14 +269,18 @@ def sample_points(
     """Deterministic sample of enumerated affine points, filtered by rationality.
 
     With rational=None all points qualify; True keeps GF(q^2)-rational
-    ones; False keeps the rest.  Sampling is without replacement; if
-    fewer points qualify than requested the full list is returned.  Each
-    point returned is checked against the curve's equation, raising
-    :class:`fields.CheckFailed` for one the census should not have listed.
+    ones; False keeps the rest.  At level 1 every point is rational, so
+    the pool is kept whole or emptied without a test per point.  Sampling
+    is without replacement; if fewer points qualify than requested the
+    full list is returned.  Each point returned is checked against the
+    curve's equation, raising :class:`fields.CheckFailed` for one the
+    census should not have listed.
     """
     pool = enumerate_points(curve, level)
     pool.pop()  # the point at infinity, always listed last
-    if rational is not None:
+    if rational is not None and level == 1:
+        pool = pool if rational else []
+    elif rational is not None:
         pool = [p for p in pool if is_rational(curve, p) == rational]
     drawn = pool if count >= len(pool) else rng.sample(pool, count)
     for p in drawn:

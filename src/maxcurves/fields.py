@@ -38,17 +38,20 @@ tower and the embedding, and is not used after.  The shipped moduli are
 certified irreducible by Rabin's test on every field creation.
 
 Row kernels work on whole coefficient lists: the truncated product of
-two lists (:meth:`BinaryField.convolve`), the Frobenius of a list, and a
-sparse polynomial at every nonzero element of a tabled field.  On tabled
+two lists (:meth:`BinaryField.convolve`), the Frobenius of a list, and
+one period of a sparse polynomial over the nonzero elements of a tabled
+field.  On tabled
 fields each looks the tables up once and runs one loop with no call per
 coefficient, skipping zero entries, whose log is a placeholder.  There
 is no scaling kernel: the series layer scales only y's few nonzero
 terms, one ``mul_int`` each.  The polynomial is taken in log order
 (:meth:`BinaryField.values_by_log`): c x^e at x = g^i is the antilog
 entry at log c + e i, so each term is a run of strided slices of the
-antilog table, and the terms are added with one C-level XOR pass each;
-:meth:`BinaryField.values` gathers that walk into mask order through the
-log table.  The tower multiplies through ``mul_int`` per nonzero entry,
+antilog table, and the terms are added with one C-level XOR pass each.
+The walk repeats with period p/d, p = 2^m - 1 and d the gcd of p and
+the exponents, and one period is all it returns: x -> x^d is d-to-1 on
+the nonzero elements.  The value at a mask x != 0 is entry log x mod p/d.
+The tower multiplies through ``mul_int`` per nonzero entry,
 and squares through its own two square tables inline in ``pow_int``.
 It raises to 2^k, in ``frob_int`` and ``frob_row``, by table lookup for
 any k: a -> a^(2^k) is GF(2)-linear, so the constructor spans the images
@@ -72,6 +75,7 @@ from __future__ import annotations
 from collections import deque
 from importlib import resources
 from itertools import repeat
+from math import gcd
 from operator import xor
 from string import hexdigits
 from typing import NamedTuple, Sequence
@@ -302,50 +306,48 @@ class BinaryField:
         e = (1 << k % self.m) % period
         return [exp[log[a] * e % period] if a else 0 for a in row]
 
-    def values(self, part: dict[int, int]) -> list[int]:
-        """sum of c x^e over part = {e: c}, at every mask x in ascending order
-        (x^0 = 1, also at x = 0): the walk of :meth:`values_by_log`,
-        gathered into mask order through the log table."""
-        cyc = self.values_by_log(part)
-        return [part.get(0, 0)] + list(map(cyc.__getitem__, self._log[1:]))
-
     def values_by_log(self, part: dict[int, int]) -> list[int]:
-        """sum of c x^e over part = {e: c} at x = g^i for i = 0 .. p - 1,
-        with g = exp[1] the table generator and p = 2^m - 1.
+        """One period of sum c x^e over part = {e: c} at x = g^i, with
+        g = exp[1] the table generator: the values at i = 0 .. p/d - 1,
+        where p = 2^m - 1 and d = gcd(p, every exponent with a nonzero
+        coefficient, reduced mod p), and d = p when the part is constant.
 
         x^p = 1 for x != 0, so exponents count mod p, and a term with
-        e = 0 mod p adds c everywhere.  Any other term is the walk
-        exp[log c + e i mod p], read as the strided slices exp[j : 2p : e]
-        of the antilog table, which repeats with period p up to index 2p:
-        about e/2 slices per term, each copied at C speed.  Terms are
-        combined with one ``map(xor, ...)`` each, and the constant is added
-        once.  The census's exponents are q + 1 and powers of 2 up to q/2,
-        a few slices each.  A large reduced exponent takes up to about p/2
-        slices: at m = 16 the walk for e = p - 1 costs some 20 times that
-        for e = 17, about as much as evaluating the term at every mask one
-        by one.
+        e = 0 mod p adds c everywhere.  Every other e is a multiple of d, so
+        (g^(i + p/d))^e = (g^i)^e and the walk repeats with period p/d: the
+        value at g^i is entry i mod p/d, and each value is taken by d
+        nonzero x.  A term is the walk exp[log c + e i mod p], read as the
+        strided slices exp[j : 2p : e] of the antilog table, which repeats
+        with period p up to index 2p.  Each slice but the last spans at
+        least p of the e p/d indices, so a term takes at most e/d + 1
+        slices, each copied at C speed.  Terms are combined with one
+        ``map(xor, ...)`` each, and the constant is added once.  The
+        census's x^(q+1) has d = q + 1 at both levels: one slice of
+        p/(q + 1) values.  A term in x^(2^k) makes d = 1 and the walk p
+        long.  A large exponent prime to p takes up to about e slices: at
+        m = 16 the walk for e = p - 1 costs about as much as evaluating the
+        term at every mask one by one.
         """
         period = self.order - 1
         log, exp = self._log, self._exp
+        terms = [(e % period, c) for e, c in part.items() if c]
+        n = period // gcd(period, *(e for e, _ in terms))
         const = 0
         out = None
-        for e, c in part.items():
-            e %= period
-            if not c:
-                continue
+        for e, c in terms:
             if not e:
                 const ^= c
                 continue
             walk: list[int] = []
             j = log[c]
-            while len(walk) < period:
-                chunk = exp[j : min(2 * period, j + e * (period - len(walk))) : e]
+            while len(walk) < n:
+                chunk = exp[j : min(2 * period, j + e * (n - len(walk))) : e]
                 walk += chunk
                 j = (j + e * len(chunk)) % period
             out = walk if out is None else list(map(xor, out, walk))
         if out is None:
-            return [const] * period
-        return list(map(xor, out, repeat(const, period))) if const else out
+            return [const] * n
+        return list(map(xor, out, repeat(const, n))) if const else out
 
     # -- elements ------------------------------------------------------------
 
@@ -676,10 +678,10 @@ def _tower_constant(base: BinaryField) -> int:
     return next(nu for nu in range(1, base.order) if FieldElement(nu, base).absolute_trace())
 
 
-def _span_table(columns: Sequence[int]) -> list[int]:
+def _span_table(columns: Sequence[int], start: int = 0) -> list[int]:
     """The image of every mask below 2^len(columns) under the GF(2)-linear
-    map with A(1 << j) = columns[j]."""
-    table = [0]
+    map with A(1 << j) = columns[j], each plus start."""
+    table = [start]
     for c in columns:
         table += [v ^ c for v in table]
     return table
@@ -726,13 +728,17 @@ class GF2Reduction(NamedTuple):
     def image_table(self, order: int, const: int) -> list[int]:
         """A list of 0/1 ints over the masks below order, 1 exactly on the
         coset im A + const: entry u says whether u + const = A(y) for
-        some y.  Only the 2^rank images are visited, spanned from the
-        basis.  A list, not a bytearray: a ``bytearray``'s
-        ``__getitem__`` is a slot wrapper, and mapping it over 2^16
-        values costs about twice as much as a list's."""
+        some y.  Only the 2^rank points of the coset are visited, spanned
+        from const by the basis, so no XOR is spent on the constant.  A
+        list, not a bytearray: a ``bytearray``'s ``__getitem__`` is a slot
+        wrapper, and mapping it over 2^16 values costs about twice as much
+        as a list's.  For the same reason the table is filled by one
+        interpreted store per point, not by mapping the list's
+        ``__setitem__``, also a slot wrapper, which took about twice as
+        long (Python 3.11)."""
         table = [0] * order
-        for v in _span_table(self.image):
-            table[v ^ const] = 1
+        for v in _span_table(self.image, const):
+            table[v] = 1
         return table
 
     def in_image(self, v: int) -> bool:

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import math
 import pickle
 import random
 from collections import Counter
@@ -170,6 +171,61 @@ def test_counts_match_the_l_polynomial(t):
     if t == 4:
         assert count_rational(trace_curve(4), 2) == 36865
         assert count_rational(hermitian(4), 2) == 4097
+
+
+TABLED_LEVELS = [(t, 1) for t in range(1, 6)] + [(t, 2) for t in range(1, 5)]
+
+
+def full_cycle_count(curve, level):
+    """N from P(g^i) at every i < p = 2^m - 1, each term read off the
+    antilog table at log b + e i, and x = 0, against the parity checks of
+    im A: one whole cycle, with no period taken and no membership table."""
+    model = curve.model(level)
+    fld = model.field
+    period = fld.order - 1
+    exp, log = fld._exp, fld._log
+    values = [0] * period
+    for e, b in model.xpart.items():
+        if b:
+            values = [v ^ exp[(log[b] + e * i) % period] for i, v in enumerate(values)]
+    values.append(0)  # x = 0: every exponent of P is positive
+    a_map = fields.additive_map(fld, model.ypart)
+    passing = sum(n for v, n in Counter(values).items() if a_map.in_image(v ^ model.const))
+    return passing * len(a_map.kernel) + 1
+
+
+@pytest.mark.parametrize("t,level", TABLED_LEVELS)
+def test_counts_match_a_full_cycle_reference(t, level):
+    moved, with_constant, extended = moved_trace_curve(t), constant_trace_form(t), constant_trace_form_extended(t)
+    for curve in (hermitian(t), trace_curve(t), moved, with_constant, extended):
+        assert count_rational(curve, level) == full_cycle_count(curve, level), curve.family
+    # x-linear terms make the walk a whole cycle (d = 1)
+    for curve in (moved, extended):
+        model = curve.model(level)
+        assert len(model.field.values_by_log(model.xpart)) == model.field.order - 1
+    assert with_constant.model(level).const and extended.model(level).const
+
+
+def plant_half_period_walk(monkeypatch):
+    values_by_log = fields.BinaryField.values_by_log
+
+    def half(fld, part):
+        walk = values_by_log(fld, part)
+        return walk[: len(walk) // 2]
+
+    monkeypatch.setattr(fields.BinaryField, "values_by_log", half)
+
+
+def plant_double_d(monkeypatch):
+    monkeypatch.setattr(fields, "gcd", lambda *a: 2 * math.gcd(*a))
+
+
+@pytest.mark.parametrize("plant", [plant_half_period_walk, plant_double_d])
+def test_planted_walk_defects_are_caught(monkeypatch, plant):
+    plant(monkeypatch)
+    for t, level in ((2, 1), (3, 1), (2, 2), (3, 2)):
+        with pytest.raises(AssertionError):
+            test_counts_match_a_full_cycle_reference(t, level)
 
 
 def additive_map(curve, level):
@@ -383,7 +439,8 @@ def enumeration_without_the_constant_lift(curve, level):
     fld, model, in_image, a_map = census._census_setup(curve, level)
     points = [
         AffinePoint(fld.element(xb), fld.element(a_map.lift(v) ^ k), level)
-        for xb, v in enumerate(fld.values(model.xpart))
+        for xb in range(fld.order)
+        for v in [fld.part_at(model.xpart, xb)]
         if in_image[v]
         for k in a_map.kernel
     ]
@@ -538,6 +595,28 @@ def test_sample_points_filters():
     assert len(nonrational) == 10 and not any(is_rational(tc, p) for p in nonrational)
     everything = census.sample_points(tc, 1, 10 ** 6, rng)
     assert len(everything) == 32  # exhaustive when the pool is smaller
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_level1_sampling_makes_no_rationality_test(monkeypatch, t):
+    # every level-1 point is rational: rational=True draws what rational=None
+    # draws, and rational=False draws nothing, with no is_rational call and
+    # the same use of the rng
+    curve = trace_curve(t)
+    rng_none, rng_true, rng_false = random.Random(t), random.Random(t), random.Random(t)
+    unfiltered = census.sample_points(curve, 1, 25, rng_none)
+
+    def planted(curve, point):
+        raise RuntimeError("is_rational called at level 1")
+
+    monkeypatch.setattr(census, "is_rational", planted)
+    assert census.sample_points(curve, 1, 25, rng_true, rational=True) == unfiltered
+    assert rng_true.getstate() == rng_none.getstate()
+    assert census.sample_points(curve, 1, 25, rng_false, rational=False) == []
+    assert rng_false.getstate() == random.Random(t).getstate()
+    # level 2 keeps its filter
+    with pytest.raises(RuntimeError):
+        census.sample_points(curve, 2, 5, random.Random(t), rational=True)
 
 
 @pytest.mark.parametrize("t,level", [(2, 1), (2, 2), (3, 2)])

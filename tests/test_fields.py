@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import math
 import operator
 import pickle
 import random
@@ -658,36 +659,85 @@ def test_row_kernels_match_shift_and_reduce(fld):
 TABLED_SHIPPED_FIELDS = [f for f in SHIPPED_FIELDS if f.m <= 16]
 
 
+def walk_cases(fld):
+    """(part, period length of its walk) for the x-part kinds a walk meets.
+    Every shipped m is even, so 3 and q + 1 divide p = 2^m - 1; p itself
+    is odd, so no period has a factor 2."""
+    period = fld.order - 1
+    rng = random.Random(fld.m + 2)
+    coef = functools.partial(rng.randrange, 1, fld.order)
+    q1 = fld.q + 1
+    return [
+        ({q1: coef()}, period // q1),  # the census's x^(q+1): d = q + 1
+        # gcd 1: d = 1; e = 2^m + 1 reduces to 2 mod p, and e = p - 1 is
+        # walked in many slices
+        ({q1: coef(), 1: coef(), 0: coef(), fld.order + 1: coef(), period - 1: coef()}, period),
+        # common factor 3, with a constant, e = p (constant at x != 0),
+        # e = 2p + 6 (6 mod p) and a zero coefficient whose exponent would
+        # lower the gcd
+        ({3: coef(), 9: coef(), 0: coef(), period: coef(), 2 * period + 6: coef(), 1: 0}, period // 3),
+        ({0: coef(), period: coef(), 2 * period: 0}, 1),  # constant only: d = p
+        ({}, 1),
+    ]
+
+
+def ref_part_at(fld, part, x):
+    """sum of c x^e over part, by shift-and-reduce (x^0 = 1)."""
+    return functools.reduce(
+        operator.xor, (ref_mul(c, ref_pow(x, e, fld.modulus), fld.modulus) for e, c in part.items()), 0
+    )
+
+
 @pytest.mark.parametrize("fld", TABLED_SHIPPED_FIELDS, ids=lambda f: f"m={f.m}-{f.level}")
 def test_values_match_shift_and_reduce(fld):
-    mod = fld.modulus
+    # the walk read at every nonzero mask x as the census reads it, entry
+    # log x mod its length, against shift-and-reduce at x itself
     rng = random.Random(fld.m)
-    part = {0: rng.randrange(1, fld.order), 1: rng.randrange(1, fld.order), 2: 0,
-            3: rng.randrange(1, fld.order), fld.order + 1: rng.randrange(1, fld.order)}
-    values = fld.values(part)
-    assert len(values) == fld.order
-    xs = range(fld.order) if fld.order <= 256 else [0, 1, 2, fld.order - 1, *rng.sample(range(fld.order), 200)]
-    for x in xs:
-        expected = functools.reduce(operator.xor, (ref_mul(c, ref_pow(x, e, mod), mod) for e, c in part.items()))
-        assert values[x] == expected, hex(x)
-    assert fld.values({}) == [0] * fld.order
+    xs = range(1, fld.order) if fld.m <= 8 else [1, 2, fld.order - 1, *rng.sample(range(1, fld.order), 200)]
+    for part, _ in walk_cases(fld):
+        walk = fld.values_by_log(part)
+        for x in xs:
+            assert walk[fld._log[x] % len(walk)] == ref_part_at(fld, part, x), (part, hex(x))
 
 
 @pytest.mark.parametrize("fld", TABLED_SHIPPED_FIELDS, ids=lambda f: f"m={f.m}-{f.level}")
 def test_values_by_log_walks_the_antilog_table(fld):
+    # one period, p/d entries, and P(g^i) = walk[i mod p/d] at every i,
+    # with g^i made by shift-and-reduce from the table's generator
     period = fld.order - 1
-    rng = random.Random(fld.m + 2)
-    exponents = [0, 1, fld.q + 1, period, 2 * period, fld.order + 1, period - 1]
-    part = {e: rng.randrange(1, fld.order) for e in exponents}  # at m = 2, q + 1 = p
-    part[3 * period + 2] = 0  # a zero coefficient
-    cyc = fld.values_by_log(part)
-    assert len(cyc) == period
+    g = fld._exp[1]
+    rng = random.Random(fld.m + 3)
     idx = range(period) if fld.m <= 8 else [0, 1, period - 1, *rng.sample(range(period), 200)]
-    for i in idx:
-        assert cyc[i] == fld.part_at(part, fld._exp[i]), i
-    # e = 0 mod p adds its coefficient at every nonzero x
-    assert fld.values_by_log({0: 1, period: 2, 2 * period: 0}) == [3] * period
-    assert fld.values_by_log({}) == [0] * period
+    for part, length in walk_cases(fld):
+        walk = fld.values_by_log(part)
+        assert len(walk) == length and period % length == 0, part
+        for i in idx:
+            assert walk[i % length] == ref_part_at(fld, part, ref_pow(g, i, fld.modulus)), (part, i)
+    assert fld.values_by_log({}) == [0]
+    assert fld.values_by_log({0: 1, period: 2, 2 * period: 0}) == [3]
+
+
+def plant_half_period_walk(monkeypatch):
+    values_by_log = BinaryField.values_by_log
+
+    def half(fld, part):
+        walk = values_by_log(fld, part)
+        return walk[: len(walk) // 2]
+
+    monkeypatch.setattr(BinaryField, "values_by_log", half)
+
+
+def plant_double_d(monkeypatch):
+    monkeypatch.setattr(fields, "gcd", lambda *a: 2 * math.gcd(*a))
+
+
+@pytest.mark.parametrize("plant", [plant_half_period_walk, plant_double_d])
+def test_planted_walk_defects_fail_the_walk_tests(monkeypatch, plant):
+    plant(monkeypatch)
+    for fld in (make_field(2), make_field(2, "quartic")):
+        for check in (test_values_by_log_walks_the_antilog_table, test_values_match_shift_and_reduce):
+            with pytest.raises(AssertionError):
+                check(fld)
 
 
 @pytest.mark.parametrize("fld", SHIPPED_FIELDS, ids=lambda f: f"m={f.m}-{f.level}")
