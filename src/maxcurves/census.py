@@ -7,8 +7,12 @@ A(1 << j) (:func:`fields.additive_map`) gives ker A, a reduced basis of
 im A and a linear section of it.  A table over the masks, a list of 0/1
 ints set on the 2^rank points spanned from c by the basis, marks the
 coset im A + c: the values of P alone that pass, so the
-constant is never added to 2^m values.  Counting adds 2^(dim ker A) for
-each x that passes.  P(0) = 0, since every exponent of P is positive,
+constant is never added to 2^m values.  Both depend on A and c alone,
+and the model holds them (:attr:`curves.AdditiveModel.reduction` and
+``coset_table``), made on its first census.  The built-in curves are
+interned, so for them each is made once per process; every count and
+enumeration still walks P and builds its result anew.  Counting adds
+2^(dim ker A) for each x that passes.  P(0) = 0, since every exponent of P is positive,
 and the values at x = g^i != 0 are read in log order as one period of
 the walk (:meth:`fields.BinaryField.values_by_log`), strided slices of
 the antilog table: P(g^i) depends on i mod p/d only, where p = 2^m - 1
@@ -57,7 +61,7 @@ from itertools import chain, compress, repeat
 from typing import Union
 
 from .curves import AdditiveModel, PlaneCurve
-from .fields import BinaryField, CheckFailed, FieldElement, GF2Reduction, TowerField, additive_map
+from .fields import BinaryField, CheckFailed, FieldElement, GF2Reduction, TowerField
 
 
 class CensusLimitError(ValueError):
@@ -112,11 +116,10 @@ def _census_setup(
 ) -> tuple[BinaryField, AdditiveModel, list[int], GF2Reduction]:
     """The field, the model A(y) = P(x) + c, the membership table of the
     coset im A + c, which a value of P alone is looked up in, and the
-    reduced A."""
+    reduced A; the model holds the last two."""
     fld = _census_field(curve, level)
     model = curve.model(level)
-    a_map = additive_map(fld, model.ypart)
-    return fld, model, a_map.image_table(fld.order, model.const), a_map
+    return fld, model, model.coset_table, model.reduction
 
 
 def enumerate_points(curve: PlaneCurve, level: int) -> list[CurvePoint]:

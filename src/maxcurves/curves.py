@@ -10,7 +10,12 @@ Four families are supported:
 Each reads A(y) = P(x) + c with A additive, and a curve is held as that
 one :class:`AdditiveModel`: the parts A = {2^k: a} and P = {i: b} and
 the constant c, O(t) coefficients in all.  Census, series and orders
-read it; at level 2 it is the same model embedded in GF(q^4).  The model
+read it; at level 2 it is the same model embedded in GF(q^4), once per
+curve.  The model holds its reduction of A and the membership table of
+the coset im A + c, made on first use.  :func:`hermitian` and
+:func:`trace_curve` are interned, one curve per field as
+:func:`fields.make_field` interns fields, so the embedding, reductions
+and tables of the built-in curves are made once per process.  The model
 is kept canonical: the coefficient of the graded-lex leading monomial
 x^(q+1) is 1.  Coordinate changes act on the parts.  A trace form or a
 JSON document is scaled, classified and then split into them, so a term
@@ -32,10 +37,11 @@ reads off one reduction of A (see :func:`normalize`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .fields import BinaryField, CheckFailed, FieldElement, additive_map, make_field
+from .fields import BinaryField, CheckFailed, FieldElement, GF2Reduction, additive_map, make_field
 from .semigroups import NumericalSemigroup
 
 FAMILIES = ("hermitian", "trace-standard", "trace-form", "trace-form-extended")
@@ -49,7 +55,12 @@ class NormalizationError(ValueError):
 @dataclass(frozen=True)
 class AdditiveModel:
     """A(y) = P(x) + c at one tower level: ypart = {2^k: a} is A,
-    xpart = {i: b} is P and const is c, all masks of ``field``."""
+    xpart = {i: b} is P and const is c, all masks of ``field``.
+
+    The model holds what depends on A and c alone, made on first use:
+    :attr:`reduction` and :attr:`coset_table`.  It holds no count, point
+    or expansion.
+    """
 
     field: BinaryField
     xpart: dict[int, int]
@@ -64,6 +75,21 @@ class AdditiveModel:
         if self.const:
             terms[(0, 0)] = self.const
         return dict(sorted(terms.items()))
+
+    @cached_property
+    def reduction(self) -> GF2Reduction:
+        """A reduced as a GF(2)-linear map of the field
+        (:func:`fields.additive_map`): ker A, the parity checks and basis
+        of im A, and a section."""
+        return additive_map(self.field, self.ypart)
+
+    @cached_property
+    def coset_table(self) -> list[int]:
+        """The membership table of the coset im A + c over the masks of
+        the field (:meth:`fields.GF2Reduction.image_table`), which a
+        value of P alone is looked up in: 2^m entries, 512 KiB at
+        m = 16."""
+        return self.reduction.image_table(self.field.order, self.const)
 
     def embed_into(self, target: BinaryField) -> AdditiveModel:
         """The same model over ``target``, the quartic field above this
@@ -252,19 +278,33 @@ def _curve_from_terms(field: BinaryField, terms: dict[tuple[int, int], int]) -> 
     return PlaneCurve(AdditiveModel(field, xpart, ypart, terms.get((0, 0), 0)), family)
 
 
-def hermitian(t: int) -> PlaneCurve:
-    """The Hermitian curve y^q + y = x^(q+1) over GF(q^2), q = 2^t."""
+_INTERNED: dict[tuple[str, int], PlaneCurve] = {}
+
+
+def _interned(family: str, t: int, ypart: Callable[[int], dict[int, int]]) -> PlaneCurve:
+    """The curve A(y) = x^(q+1), A = ypart(q), over the interned field
+    make_field(t), made on the first call for that field object and
+    returned on every later one.  A curve over a field that is no longer
+    interned is replaced, so a fresh field gets a fresh curve."""
     field = make_field(t)
-    q = field.q
-    return PlaneCurve(AdditiveModel(field, {q + 1: 1}, {q: 1, 1: 1}, 0), "hermitian")
+    curve = _INTERNED.get((family, t))
+    if curve is None or curve.field is not field:
+        q = field.q
+        curve = _INTERNED[family, t] = PlaneCurve(AdditiveModel(field, {q + 1: 1}, ypart(q), 0), family)
+    return curve
+
+
+def hermitian(t: int) -> PlaneCurve:
+    """The Hermitian curve y^q + y = x^(q+1) over GF(q^2), q = 2^t,
+    interned: one curve per field, so its models, their embedding into
+    GF(q^4) and their held reductions are made once per process."""
+    return _interned("hermitian", t, lambda q: {q: 1, 1: 1})
 
 
 def trace_curve(t: int) -> PlaneCurve:
-    """The curve sum_{i=1..t} y^(q/2^i) = x^(q+1) over GF(q^2), q = 2^t."""
-    field = make_field(t)
-    q = field.q
-    ypart = {q >> i: 1 for i in range(1, t + 1)}
-    return PlaneCurve(AdditiveModel(field, {q + 1: 1}, ypart, 0), "trace-standard")
+    """The curve sum_{i=1..t} y^(q/2^i) = x^(q+1) over GF(q^2), q = 2^t,
+    interned like :func:`hermitian`."""
+    return _interned("trace-standard", t, lambda q: {q >> i: 1 for i in range(1, t + 1)})
 
 
 def trace_form(a: Sequence[FieldElement], b: FieldElement) -> PlaneCurve:
@@ -415,7 +455,7 @@ def normalize(curve: PlaneCurve) -> tuple[PlaneCurve, list[CoordinateChange]]:
         work = step(work, CoordinateChange("shear", bt))
 
     model = work.model(1)
-    a_map = additive_map(field, model.ypart)
+    a_map = model.reduction
     if len(a_map.kernel) != q >> 1:
         raise NormalizationError(
             f"A has {len(a_map.kernel)} roots, not q/2 = {q >> 1}: the curve is not maximal"

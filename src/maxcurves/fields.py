@@ -420,7 +420,7 @@ class BinaryField:
             for _ in range(sub_degree):
                 u = self._mul_raw(u, u)
             columns.append(u ^ (1 << j))
-        return reduce_gf2(columns).kernel
+        return list(reduce_gf2(columns).kernel)
 
     def embed(self, a: FieldElement) -> FieldElement:
         """Map an element of the base-square field of the same t into this field."""
@@ -460,7 +460,7 @@ class TowerField(BinaryField):
             raise ArithmeticError(f"no root of w^2 + w = nu in {self!r}")
         w_images = [self._mul_raw(w, b) for b in images]
         basis = reduce_gf2(images + w_images)
-        if basis.kernel != [0]:
+        if basis.kernel != (0,):
             raise ArithmeticError(f"1 and w do not span {self!r} over GF(2^{h})")
         coords = [basis.preimage(1 << j) for j in range(self.m)]
         # zero-aware logs of K: log 0 = 2(2^h - 1) - 1 sends every product
@@ -717,13 +717,15 @@ class GF2Reduction(NamedTuple):
     has even weight for every h.  ``image`` is the reduced basis of
     im A, and ``section`` pairs each pivot bit of that basis with a
     preimage of its row, so the preimages of the pivot bits set in an
-    image v sum to a y with A(y) = v.
+    image v sum to a y with A(y) = v.  All four are tuples: a field holds
+    its Artin-Schreier reduction and a curve's model its reduction of A
+    (:attr:`curves.AdditiveModel.reduction`), shared by every caller.
     """
 
-    kernel: list[int]
-    checks: list[int]
-    image: list[int]
-    section: list[tuple[int, int]]
+    kernel: tuple[int, ...]
+    checks: tuple[int, ...]
+    image: tuple[int, ...]
+    section: tuple[tuple[int, int], ...]
 
     def image_table(self, order: int, const: int) -> list[int]:
         """A list of 0/1 ints over the masks below order, 1 exactly on the
@@ -805,9 +807,9 @@ def reduce_gf2(columns: Sequence[int]) -> GF2Reduction:
                 if r_img >> f & 1:
                     h |= 1 << bit
             checks.append(h)
-    image = [img for img, _ in rows.values()]
-    section = [(bit, pre) for bit, (_, pre) in rows.items()]
-    return GF2Reduction(kernel, checks, image, section)
+    image = tuple(img for img, _ in rows.values())
+    section = tuple((bit, pre) for bit, (_, pre) in rows.items())
+    return GF2Reduction(tuple(kernel), tuple(checks), image, section)
 
 
 def additive_map(field: BinaryField, part: dict[int, int]) -> GF2Reduction:

@@ -12,7 +12,7 @@ from itertools import count
 
 import pytest
 
-from maxcurves import census, cli, fields
+from maxcurves import census, cli, curves, fields
 from maxcurves.census import (
     AffinePoint,
     CensusLimitError,
@@ -164,7 +164,16 @@ def test_census_limits():
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_counts_match_the_l_polynomial(t):
     q = 1 << t
-    for curve, genus in ((trace_curve(t), g2(q)), (hermitian(t), g1(q))):
+    fld = make_field(t)
+    # trace_form and moved curves are not interned: each reduces its own A
+    unit_form = trace_form([fld.one] * t, fld.zero)
+    assert unit_form == trace_curve(t) and unit_form is not trace_curve(t)
+    for curve, genus in (
+        (trace_curve(t), g2(q)),
+        (hermitian(t), g1(q)),
+        (unit_form, g2(q)),
+        (moved_trace_curve(t), g2(q)),
+    ):
         for level in (1, 2):
             assert count_rational(curve, level) == l_polynomial_count(q, genus, level)
     # the GF(2^16) census: N_2 = q^4 + 1 - 2gq^2
@@ -250,7 +259,7 @@ def test_elimination_matches_a_scan_of_every_y(t):
             fibres = {}
             for yb in range(fld.order):
                 fibres.setdefault(apply_a(yb), []).append(yb)
-            assert a_map.kernel == fibres[0]
+            assert a_map.kernel == tuple(fibres[0])
             for v in range(fld.order):
                 assert a_map.coset(v) == fibres.get(v, [])
                 assert in_image[v ^ model.const] == (v in fibres)
@@ -304,7 +313,17 @@ def columns_of(fld, part) -> list[int]:
     return [fld.part_at(part, 1 << j) for j in range(fld.m)]
 
 
-def test_planted_column_defect_is_caught(monkeypatch, capsys):
+@pytest.fixture
+def uninterned_curves():
+    """Drop the interned built-in curves before and after the test: a
+    reduction held from an earlier test would hide a planted one, and one
+    made under a plant must not outlive the test."""
+    curves._INTERNED.clear()
+    yield
+    curves._INTERNED.clear()
+
+
+def test_planted_column_defect_is_caught(monkeypatch, capsys, uninterned_curves):
     def planted(fld, ypart):
         images = columns_of(fld, ypart)
         # only the Hermitian y^q + y: full-suite samples trace-curve points,
@@ -313,7 +332,7 @@ def test_planted_column_defect_is_caught(monkeypatch, capsys):
             images[0] ^= 2  # A(1) = z instead of 0
         return reduce_gf2(images)
 
-    monkeypatch.setattr(census, "additive_map", planted)
+    monkeypatch.setattr(curves, "additive_map", planted)
     for t in (1, 2, 3, 4):
         q = 1 << t
         assert count_rational(hermitian(t), 1) != l_polynomial_count(q, g1(q), 1)
@@ -321,16 +340,67 @@ def test_planted_column_defect_is_caught(monkeypatch, capsys):
     assert '"hermitian_maximal": false' in capsys.readouterr().out
 
 
-def test_planted_column_defect_on_the_trace_curve_fails_full_suite(monkeypatch, capsys):
+def test_planted_column_defect_on_the_trace_curve_fails_full_suite(monkeypatch, capsys, uninterned_curves):
     def planted(fld, ypart):
         images = columns_of(fld, ypart)
         images[0] ^= 2  # A(1) = z for every curve, the trace curve included
         return reduce_gf2(images)
 
-    monkeypatch.setattr(census, "additive_map", planted)
+    monkeypatch.setattr(curves, "additive_map", planted)
     assert cli.main(["full-suite", "--t", "3"]) == cli.EXIT_CHECK_FAILED
     error = json.loads(capsys.readouterr().out)["error"]
     assert "census of the trace-standard curve" in error and "not on it" in error
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name; the returned list gets the arguments of each call."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("ctor", [hermitian, trace_curve])
+@pytest.mark.parametrize("level", [1, 2])
+def test_a_built_in_curve_is_reduced_once(monkeypatch, uninterned_curves, ctor, level):
+    # the interned curve's model holds its reduction and coset table, so a
+    # later count or enumeration makes neither; each still walks P anew
+    reductions = count_calls(monkeypatch, fields, "reduce_gf2")
+    tables = count_calls(monkeypatch, GF2Reduction, "image_table")
+    walks = count_calls(monkeypatch, fields.BinaryField, "values_by_log")
+    n, points = count_rational(ctor(3), level), enumerate_points(ctor(3), level)
+    assert (len(reductions), len(tables)) == (1, 1)
+    for _ in range(2):
+        assert count_rational(ctor(3), level) == n == len(points)
+        assert enumerate_points(ctor(3), level) == points
+    assert (len(reductions), len(tables), len(walks)) == (1, 1, 6)
+
+
+def test_callers_leave_the_held_reduction_and_table_as_made():
+    t = 3
+    fld = make_field(t)
+    # the unit trace form with a constant in im A: normalize reads the
+    # input's own model before it translates y
+    form = trace_form([fld.one] * t, fld.element(fld.part_at(trace_curve(t).model(1).ypart, 5)))
+    held = (hermitian(t), trace_curve(t), form)
+    for curve in held:
+        for level in (1, 2):
+            count_rational(curve, level)
+            enumerate_points(curve, level)
+            census.sample_points(curve, level, 5, random.Random(level), rational=True)
+    assert curves.normalize(form)[0] == trace_curve(t)
+    for curve in held:
+        for level in (1, 2):
+            model = curve.model(level)
+            fresh = fields.additive_map(model.field, model.ypart)
+            assert model.reduction == fresh
+            assert all(type(part) is tuple for part in model.reduction)
+            assert model.coset_table == fresh.image_table(model.field.order, model.const)
 
 
 def constant_trace_form(t):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from maxcurves import census, curves
+from maxcurves import census, curves, fields
 from maxcurves.curves import (
     CHANGE_KINDS,
     AdditiveModel,
@@ -83,6 +83,24 @@ def test_level_2_model_is_the_level_1_model_embedded(t):
         assert two == AdditiveModel(fld, xpart, ypart, embed(one.const))
         assert two.pole_orders == one.pole_orders
         assert curve.model(2) is two  # parsed once per curve
+
+
+@pytest.mark.parametrize("ctor,genus", [(hermitian, census.g1), (trace_curve, census.g2)])
+def test_built_in_curves_are_interned_per_field(monkeypatch, ctor, genus):
+    for t in range(1, 6):
+        assert ctor(t) is ctor(t) and ctor(t).model(2) is ctor(t).model(2)
+    old = ctor(2)
+    # a fresh field gets a fresh curve, and the census runs on it
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    fresh = ctor(2)
+    assert fresh is ctor(2) and fresh.field is make_field(2) is not old.field
+    assert fresh.model(2).field is make_field(2, "quartic") is not old.model(2).field
+    for level in (1, 2):  # N_k = q^(2k) + 1 - 2g(-q)^k
+        expected = 4 ** (2 * level) + 1 - 2 * genus(4) * (-4) ** level
+        assert census.count_rational(fresh, level) == census.count_rational(old, level) == expected
+    monkeypatch.undo()
+    back = ctor(2)
+    assert back.field is make_field(2) is old.field and back is not fresh and back is ctor(2)
 
 
 def test_model_refuses_non_coprime_degrees():
