@@ -46,7 +46,6 @@ from .orders import (
     dp_orders_at_infinity,
     frobenius_identity_check,
     frobenius_orders,
-    sv_ramification_degree,
 )
 from .semigroups import NumericalSemigroup, dim_from_semigroup
 from .series import TruncatedSeries, expand_y_at

@@ -38,13 +38,15 @@ tower and the embedding, and is not used after.  The shipped moduli are
 certified irreducible by Rabin's test on every field creation.
 
 Row kernels work on whole coefficient lists: the truncated product of
-two lists (:meth:`BinaryField.convolve`), the Frobenius of a list, and
-one period of a sparse polynomial over the nonzero elements of a tabled
-field.  On tabled
+two lists (:meth:`BinaryField.convolve`, which the Hasse-identity test
+of the series layer multiplies with) and one period of a sparse
+polynomial over the nonzero elements of a tabled field.  On tabled
 fields each looks the tables up once and runs one loop with no call per
-coefficient, skipping zero entries, whose log is a placeholder.  There
-is no scaling kernel: the series layer scales only y's few nonzero
-terms, one ``mul_int`` each.  The polynomial is taken in log order
+coefficient; the product walks only the nonzero entries of each list,
+picked by ``compress``, since the log of 0 is a placeholder.  There is
+no scaling or Frobenius kernel: the series layer scales and raises only
+y's few nonzero terms, one ``mul_int`` or ``frob_int`` each.  The
+polynomial is taken in log order
 (:meth:`BinaryField.values_by_log`): c x^e at x = g^i is the antilog
 entry at log c + e i, so each term is a run of strided slices of the
 antilog table, and the terms are added with one C-level XOR pass each.
@@ -53,8 +55,8 @@ the exponents, and one period is all it returns: x -> x^d is d-to-1 on
 the nonzero elements.  The value at a mask x != 0 is entry log x mod p/d.
 The tower multiplies through ``mul_int`` per nonzero entry,
 and squares through its own two square tables inline in ``pow_int``.
-It raises to 2^k, in ``frob_int`` and ``frob_row``, by table lookup for
-any k: a -> a^(2^k) is GF(2)-linear, so the constructor spans the images
+It raises to 2^k, in ``frob_int``, by table lookup for any k:
+a -> a^(2^k) is GF(2)-linear, so the constructor spans the images
 of the basis, per k = 1..m-1, over four 5-bit chunks of the mask, and
 a^(2^k) is the XOR of four lookups in 32-entry tables (19 x 4 x 32
 entries in all, about 0.1 MiB, built in well under a millisecond), not
@@ -74,7 +76,7 @@ from __future__ import annotations
 
 from collections import deque
 from importlib import resources
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd
 from operator import xor
 from string import hexdigits
@@ -284,27 +286,18 @@ class BinaryField:
     # Each kernel skips zero entries: log[0] is a placeholder.
 
     def convolve(self, u: Sequence[int], v: Sequence[int], n: int) -> list[int]:
-        """The coefficients below n of the product of the coefficient lists u and v."""
+        """The coefficients below n of the product of the coefficient lists u
+        and v, walking only the nonzero entries of each, picked by ``compress``."""
         out = [0] * n
         log, exp = self._log, self._exp
-        logs_v = [(j, log[b]) for j, b in enumerate(v[:n]) if b]
-        for i, a in enumerate(u[:n]):
-            if a:
-                la, room = log[a], n - i
-                for j, lb in logs_v:
-                    if j >= room:
-                        break
-                    out[i + j] ^= exp[la + lb]
+        logs_v = [(j, log[v[j]]) for j in compress(range(n), v)]
+        for i in compress(range(n), u):
+            la, room = log[u[i]], n - i
+            for j, lb in logs_v:
+                if j >= room:
+                    break
+                out[i + j] ^= exp[la + lb]
         return out
-
-    def frob_row(self, row: Sequence[int], k: int) -> list[int]:
-        """Every entry of row raised to the power 2^k."""
-        if not k % self.m:
-            return list(row)
-        log, exp = self._log, self._exp
-        period = self.order - 1
-        e = (1 << k % self.m) % period
-        return [exp[log[a] * e % period] if a else 0 for a in row]
 
     def values_by_log(self, part: dict[int, int]) -> list[int]:
         """One period of sum c x^e over part = {e: c} at x = g^i, with
@@ -546,28 +539,19 @@ class TowerField(BinaryField):
         t0, t1, t2, t3 = frob[k]
         return t0[a & low] ^ t1[a >> w & low] ^ t2[a >> 2 * w & low] ^ t3[a >> 3 * w]
 
-    # -- row kernels: a call per zero entry would cost more than the product
+    # -- row kernel: a call per zero entry would cost more than the product
 
     def convolve(self, u: Sequence[int], v: Sequence[int], n: int) -> list[int]:
         out = [0] * n
         mul = self.mul_int
-        nonzero_v = [(j, b) for j, b in enumerate(v[:n]) if b]
-        for i, a in enumerate(u[:n]):
-            if a:
-                room = n - i
-                for j, b in nonzero_v:
-                    if j >= room:
-                        break
-                    out[i + j] ^= mul(a, b)
+        nonzero_v = [(j, v[j]) for j in compress(range(n), v)]
+        for i in compress(range(n), u):
+            a, room = u[i], n - i
+            for j, b in nonzero_v:
+                if j >= room:
+                    break
+                out[i + j] ^= mul(a, b)
         return out
-
-    def frob_row(self, row: Sequence[int], k: int) -> list[int]:
-        k %= self.m
-        if not k:
-            return list(row)
-        w, low, frob = self._frob
-        t0, t1, t2, t3 = frob[k]
-        return [t0[a & low] ^ t1[a >> w & low] ^ t2[a >> 2 * w & low] ^ t3[a >> 3 * w] for a in row]
 
 
 class FieldElement:

@@ -16,20 +16,18 @@ Also here: the Frobenius-collinearity identity
 
     y + y^(q^2) + (x + x^(q^2)) Dy + (x^2 + x^(2q^2)) D^2 y = 0
 
-checked as a truncated-series residual, the evidence-based Frobenius
-order sequence (0, 1, q), and the degree of a system's ramification
-divisor.  Below tau^(q^2) the twists x^(q^2) and y^(q^2) are the
-constants x0^(q^2) and y0^(q^2), so the residual is Dy and D^2 y scaled
-by c1 = x0 + x0^(q^2) and c1^2 and shifted by tau and tau^2, summed
-into one list with ys over the nonzero terms of Dy and D^2 y: no series
-products.  Dy and D^2 y come from :meth:`series.TruncatedSeries.hasse_derivative`,
+checked as a truncated-series residual, and the evidence-based
+Frobenius order sequence (0, 1, q).  Below tau^(q^2) the twists x^(q^2)
+and y^(q^2) are the constants x0^(q^2) and y0^(q^2), so the residual is
+Dy and D^2 y scaled by c1 = x0 + x0^(q^2) and c1^2 and shifted by tau
+and tau^2, summed into one list with ys over the nonzero terms of Dy and
+D^2 y: no series products.  Dy and D^2 y come from :meth:`series.TruncatedSeries.hasse_derivative`,
 the one place that lays y's coefficients out by Lucas' rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .census import AffinePoint, is_rational, sample_points
 from .curves import PlaneCurve
@@ -168,14 +166,3 @@ def frobenius_orders(
         if not (facts.ok() and frob["residual_zero"]):
             raise ArithmeticError(f"Frobenius-order evidence failed at {entry['point']}")
     return (0, 1, q), evidence
-
-
-def sv_ramification_degree(eps: Sequence[int], g: int, n: int, d: int) -> int:
-    """Degree of the ramification divisor of a system of projective
-    dimension n and degree d on a genus-g curve: (sum eps_i)(2g-2) + (n+1)d."""
-    if len(eps) != n + 1:
-        raise ValueError(f"expected n+1 = {n + 1} orders, got {len(eps)}")
-    if any(a >= b for a, b in zip(eps, eps[1:])):
-        raise ValueError("order sequence must be strictly increasing")
-    return sum(eps) * (2 * g - 2) + (n + 1) * d
-

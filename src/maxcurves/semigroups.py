@@ -16,7 +16,7 @@ the point census: count = q^2 + 1 + 2q * genus.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class NumericalSemigroup:
@@ -83,30 +83,3 @@ def infinity_semigroup(q: int) -> NumericalSemigroup:
     if q < 2 or q & (q - 1):
         raise ValueError(f"q={q} is not a power of two")
     return NumericalSemigroup((q // 2, q + 1))
-
-
-def semigroup_classification_check(q: int, order_data: Iterable) -> dict:
-    """Check the first-non-gap classification at sampled rational points.
-
-    Each entry carries the order sequence (j_0..j_3) of the degree-(q+1)
-    system; m_1 = q+1 - j_2 must be q-1 away from the infinite point and
-    q/2 there, and nowhere else.  Raises ArithmeticError on violation.
-    """
-    half = q // 2
-    m1_seen: dict[int, int] = {}
-    checked = 0
-    for entry in order_data:
-        if entry.classification == "non-rational":
-            raise ValueError("classification check applies to rational points only")
-        m1 = q + 1 - entry.orders[2]
-        m1_seen[m1] = m1_seen.get(m1, 0) + 1
-        checked += 1
-        if m1 not in (q - 1, half):
-            raise ArithmeticError(f"first non-gap {m1} at {entry.point} outside {{q-1, q/2}}")
-        if entry.classification == "at-P0" and m1 != half:
-            raise ArithmeticError(f"infinite point reports m_1 = {m1}, expected q/2 = {half}")
-        if entry.classification == "rational" and m1 != q - 1:
-            raise ArithmeticError(
-                f"affine rational point {entry.point} reports m_1 = {m1}, expected q-1"
-            )
-    return {"q": q, "checked": checked, "m1_histogram": m1_seen}

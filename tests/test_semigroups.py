@@ -1,19 +1,15 @@
-"""Numerical semigroups: gaps, genus, dimensions, classification checks."""
+"""Numerical semigroups: gaps, genus and dimensions."""
 
 import math
-import random
 
 import pytest
 
 from maxcurves.census import count_rational
 from maxcurves.curves import trace_curve
-from maxcurves.orders import dp_orders, dp_orders_at_infinity
-from maxcurves.census import enumerate_points, AffinePoint
 from maxcurves.semigroups import (
     NumericalSemigroup,
     dim_from_semigroup,
     infinity_semigroup,
-    semigroup_classification_check,
 )
 
 
@@ -104,29 +100,3 @@ def test_constructor_guards():
         NumericalSemigroup([3])  # gcd 3
     s = NumericalSemigroup([2, 5])
     assert s.genus == 2 and s.bound == 5
-
-
-def test_classification_check_on_sampled_orders():
-    rng = random.Random(11)
-    for t in (2, 3):
-        curve = trace_curve(t)
-        q = curve.q
-        points = [p for p in enumerate_points(curve, 1) if isinstance(p, AffinePoint)]
-        if t == 3:
-            points = rng.sample(points, 40)
-        data = [dp_orders(curve, p) for p in points]
-        data.append(dp_orders_at_infinity(curve))
-        report = semigroup_classification_check(q, data)
-        assert report["checked"] == len(points) + 1
-        assert report["m1_histogram"] == {q - 1: len(points), q // 2: 1}
-
-
-def test_classification_check_rejects_bad_m1():
-    from maxcurves.orders import OrderData
-
-    fake = OrderData(point=("0", "0"), orders=(0, 1, 3, 5), classification="rational")
-    with pytest.raises(ArithmeticError):
-        semigroup_classification_check(4, [fake])  # m1 = 2 = q/2 away from P0
-    nonrational = OrderData(point=("0", "0"), orders=(0, 1, 2, 4), classification="non-rational")
-    with pytest.raises(ValueError):
-        semigroup_classification_check(4, [nonrational])

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import tracemalloc
+from operator import xor
 
 import pytest
 
@@ -17,7 +18,7 @@ from maxcurves.curves import (
     hermitian,
     trace_curve,
 )
-from maxcurves.fields import FieldElement, additive_map, make_field
+from maxcurves.fields import BinaryField, FieldElement, additive_map, make_field
 from maxcurves.orders import dp_orders
 from maxcurves.series import (
     PRECISION_LIMIT,
@@ -26,7 +27,6 @@ from maxcurves.series import (
     TruncatedSeries,
     check_h_identities,
     expand_y_at,
-    series_equal_mod,
     verify_derivative_facts,
 )
 
@@ -35,8 +35,16 @@ GF64 = make_field(3)
 
 
 def x0_plus_tau(x0, prec):
-    """The series x0 + tau, the x-coordinate near x = x0."""
-    return TruncatedSeries(x0.field, (x0.bits, 1) + (0,) * (prec - 2))
+    """The coefficients of x0 + tau, the x-coordinate near x = x0."""
+    return [x0.bits, 1] + [0] * (prec - 2)
+
+
+def spread(fld, coeffs, k, prec):
+    """coeffs^(2^k) mod tau^prec: c_e^(2^k) at tau^(e 2^k), one frob_int each."""
+    out = [0] * prec
+    step = 1 << k
+    out[::step] = [fld.frob_int(c, k) for c in coeffs[: -(-prec // step)]]
+    return out
 
 
 def monomial(fld, exponent, prec):
@@ -83,23 +91,9 @@ def test_hasse_chain_rule():
         lhs = s.hasse_derivative(j).hasse_derivative(i)
         rhs = s.hasse_derivative(i + j)
         if math.comb(i + j, i) % 2 == 0:
-            assert lhs.is_zero_mod()
+            assert not any(lhs.coeffs)
         else:
-            assert series_equal_mod(lhs, rhs)
-
-
-def test_addition_and_multiplication_precision_rules():
-    a = TruncatedSeries(GF16, (1, 2, 3))  # prec 3
-    b = TruncatedSeries(GF16, (0, 0, 1, 1))  # tau^2 + tau^3, prec 4
-    total = a + b
-    assert total.prec == 3 and total.coeffs[2] == 3 ^ 1
-    prod = a * b
-    assert prod.prec == 3 and prod.valuation() == 2 and prod.coeffs[2] == 1
-    # stored precision, not the scanned valuation, drives the rules: tau
-    # known mod tau^2 squares to a series known only mod tau^2, so the
-    # square's valuation is unknown
-    c0 = TruncatedSeries(GF16, (0, 1))
-    assert (c0 * c0).prec == 2 and (c0 * c0).valuation() is None
+            assert lhs.coeffs == rhs.coeffs
 
 
 def test_valuation_reporting():
@@ -107,21 +101,11 @@ def test_valuation_reporting():
     assert s.valuation() == 3
     z = TruncatedSeries(GF16, (0, 0, 0))
     assert z.valuation() is None  # unknown beyond precision
-    assert s.truncate(-1).prec == 0  # truncation clamps at tau^0
-
-
-def test_pow2k_spreads_exponents_exactly():
-    s = TruncatedSeries(GF16, (1, 1))  # 1 + tau
-    sq = s.pow2k(2)  # (1 + tau)^4 = 1 + tau^4
-    assert sq.coeffs == (1, 0, 0, 0, 1, 0, 0, 0)
-    g = GF16.element(2)
-    gs = TruncatedSeries(GF16, (g.bits, 1)).pow2k(1)
-    assert gs.coeffs[0] == g.square().bits
 
 
 def middle_oracle(ys, lo, hi):
     """D^i ys = 0 for lo <= i <= hi, one derivative series per order."""
-    return all(ys.hasse_derivative(i).is_zero_mod() for i in range(lo, hi + 1))
+    return not any(any(ys.hasse_derivative(i).coeffs) for i in range(lo, hi + 1))
 
 
 def submasks(e):
@@ -147,16 +131,20 @@ def test_one_pass_middle_test_matches_the_derivative_loop_on_sparse_series():
         TruncatedSeries(GF16, (0,) * 5).derivatives_vanish(-1, 2)
 
 
-def test_middle_test_reads_terms_beyond_the_precision_limit():
-    # a pow2k can make a series longer than PRECISION_LIMIT: its support
-    # scan must still reach the terms past the limit
-    n = series.PRECISION_LIMIT + 8
-    coeffs = [0] * n
-    coeffs[series.PRECISION_LIMIT + 4] = 1  # submasks 0, 4, 4096 and 4100
-    s = TruncatedSeries(GF16, tuple(coeffs))
-    assert s.derivatives_vanish(5, 4095)
-    assert not s.derivatives_vanish(4, 4) and not s.derivatives_vanish(4097, n - 1)
-    assert s.derivatives_vanish(4, 4) == middle_oracle(s, 4, 4)
+def test_a_series_longer_than_the_precision_limit_is_refused():
+    # every support scan reads the exponents below PRECISION_LIMIT, so a
+    # longer series would lose its terms past the limit: none is made
+    for n in (PRECISION_LIMIT + 1, 2 * PRECISION_LIMIT):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            TruncatedSeries(GF16, [0] * n)
+    # at the limit the last terms are still read: 4088 and 4092 are
+    # submasks of 4092, 4094 and 4095 are not
+    coeffs = [0] * PRECISION_LIMIT
+    coeffs[PRECISION_LIMIT - 4] = 1
+    s = TruncatedSeries(GF16, coeffs)
+    assert not s.derivatives_vanish(4088, 4092) and s.derivatives_vanish(4094, 4095)
+    for lo, hi in ((4088, 4092), (4094, 4095), (4092, 4092)):
+        assert s.derivatives_vanish(lo, hi) == middle_oracle(s, lo, hi)
 
 
 def middle_test_points(curve, t):
@@ -235,14 +223,9 @@ def test_expansion_residual_at_random_points():
                 for p in points:
                     n = 2 * curve.q + 8
                     s = expand_y_at(curve, p, n)
-                    fld = p.x.field
-                    xs = x0_plus_tau(p.x, n)
                     # recompose F(x0 + tau, y(tau)) term by term
-                    acc = TruncatedSeries(fld, (0,) * n)
-                    for (i, j), c in curve.model(level).terms().items():
-                        term = ((xs ** i) * (s ** j)).truncate(n)
-                        acc = acc + TruncatedSeries.constant(fld.element(c), n) * term
-                    assert acc.is_zero_mod(n)
+                    terms = curve.model(level).terms()
+                    assert not any(_poly_on_series(terms, x0_plus_tau(p.x, n), s, n))
 
 
 def test_expand_rejects_bad_points():
@@ -646,28 +629,29 @@ def test_planted_recurrence_defect_is_caught(monkeypatch):
         expand_y_at(tc, origin, 16)
 
 
-def _power(cache, e, prec):
+def _power(fld, cache, e, prec):
     """cache[1]^e mod tau^prec, memoising every power built on the way;
-    even exponents come from the half power by pow2k(1)."""
+    even exponents come from the half power by a squaring spread."""
     if e not in cache:
         if e & 1:
-            cache[e] = _power(cache, e - 1, prec) * cache[1]
+            cache[e] = fld.convolve(_power(fld, cache, e - 1, prec), cache[1], prec)
         else:
-            cache[e] = _power(cache, e >> 1, prec).pow2k(1).truncate(prec)
+            cache[e] = spread(fld, _power(fld, cache, e >> 1, prec), 1, prec)
     return cache[e]
 
 
 def _poly_on_series(terms, xs, ys, prec):
     """Reference residual: the polynomial {(i, j): c} evaluated term by term
-    on series arguments, mod tau^prec, by generic products and squarings."""
-    fld = xs.field
-    one = TruncatedSeries.constant(fld.one, prec)
-    xpow = {0: one, 1: xs.truncate(prec)}
-    ypow = {0: one, 1: ys.truncate(prec)}
-    acc = TruncatedSeries(fld, (0,) * prec)
+    at the coefficient list xs and the series ys, mod tau^prec, by list
+    products, squaring spreads and list sums."""
+    fld = ys.field
+    one = [1] + [0] * (prec - 1)
+    xpow = {0: one, 1: xs[:prec]}
+    ypow = {0: one, 1: list(ys.coeffs[:prec])}
+    acc = [0] * prec
     for (i, j), c in terms.items():
-        term = _power(xpow, i, prec) * _power(ypow, j, prec)
-        acc = acc + TruncatedSeries.constant(FieldElement(c, fld), prec) * term
+        term = fld.convolve(_power(fld, xpow, i, prec), _power(fld, ypow, j, prec), prec)
+        acc = list(map(xor, acc, fld.convolve([c], term, prec)))
     return acc
 
 
@@ -717,7 +701,7 @@ def test_additive_residual_equals_the_term_by_term_reference():
         xs = x0_plus_tau(p.x, n)
         ys = expand_y_at(curve, p, n)
         assert series._additive_residual(p.x.bits, ys, *parts) == [0] * n
-        assert _poly_on_series(terms, xs, ys, n).is_zero_mod()
+        assert not any(_poly_on_series(terms, xs, ys, n))
         # one planted coefficient: both residuals see the same nonzero list
         # (not at tau^0, where a kernel element of A moves to another point)
         e = rng.randrange(1, n)
@@ -725,7 +709,7 @@ def test_additive_residual_equals_the_term_by_term_reference():
         coeffs[e] ^= rng.randrange(1, p.x.field.order)
         planted = TruncatedSeries(ys.field, tuple(coeffs))
         residual = series._additive_residual(p.x.bits, planted, *parts)
-        assert residual == list(_poly_on_series(terms, xs, planted, n).coeffs), (p, e)
+        assert residual == _poly_on_series(terms, xs, planted, n), (p, e)
         assert any(residual), (p, e)
         cases += 1
     assert cases > 900
@@ -750,7 +734,7 @@ def test_precision_over_the_limit_is_refused_before_it_is_allocated():
     assert expand_y_at(tc, origin, PRECISION_LIMIT).prec == PRECISION_LIMIT
 
 
-@pytest.mark.parametrize("t", [2, 3])
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
 def test_h_identities_random_suite(t):
     rng = random.Random(100 + t)
     report = check_h_identities(make_field(t), 1000, rng)
@@ -775,6 +759,28 @@ def test_off_by_one_hasse_binomial_fails_check_h_identities(monkeypatch):
     report = check_h_identities(make_field(2), 200, random.Random(0))
     assert report["h2"]["fail"] and report["h3"]["fail"] and report["h3prime"]["fail"]
     assert not report["all_pass"]
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [
+        # the loop over u stops one entry short: u's last term below n is left out
+        lambda convolve, fld, u, v, n: convolve(fld, u[: n - 1], v, n),
+        # the product comes back one coefficient short, which a comparison
+        # on the shared precision alone would not see
+        lambda convolve, fld, u, v, n: convolve(fld, u, v, n)[: n - 1],
+    ],
+    ids=["last-u-term", "last-coefficient"],
+)
+def test_a_product_dropping_its_last_term_fails_check_h_identities(monkeypatch, plant):
+    # H1, H3 and H3' put the same products, if any, on both sides, so only
+    # the Leibniz rule H2 can see a wrong product
+    convolve = BinaryField.convolve
+    monkeypatch.setattr(BinaryField, "convolve", lambda fld, u, v, n: plant(convolve, fld, u, v, n))
+    for t in (2, 3):
+        report = check_h_identities(make_field(t), 200, random.Random(t))
+        assert report["h2"]["fail"] and not report["all_pass"]
+        assert not any(report[name]["fail"] for name in ("h1", "h3", "h3prime"))
 
 
 def test_derivative_facts_at_origin_q4():
@@ -814,20 +820,20 @@ def test_derivative_facts_on_trace_form():
 
 def dense_facts(curve, p, ys):
     """(dy_is_xq, d2y_is_x2q) against dense right sides: x^q built by
-    squaring x0 + tau t times with pow2k(1), x^(2q) once more, each
-    scaled by a_t^-1 or a_{t-1} a_t^-3 through a constant series."""
+    squaring x0 + tau t times, each a spread of frob_int, x^(2q) once
+    more, each scaled by a_t^-1 or a_{t-1} a_t^-3 through a one-term product."""
     fld, n = ys.field, ys.prec
     model = curve.model(1 if fld is curve.field else 2)
     inv = FieldElement(model.ypart[1], fld).inv()
     xq = x0_plus_tau(p.x, n)
     for _ in range(curve.t):
-        xq = xq.pow2k(1).truncate(n)
-    x2q = xq.pow2k(1).truncate(n)
-    rhs1 = TruncatedSeries.constant(inv, n) * xq
-    rhs2 = TruncatedSeries.constant(FieldElement(model.ypart.get(2, 0), fld) * inv ** 3, n) * x2q
+        xq = spread(fld, xq, 1, n)
+    x2q = spread(fld, xq, 1, n)
+    rhs1 = fld.convolve([inv.bits], xq, n)
+    rhs2 = fld.convolve([(FieldElement(model.ypart.get(2, 0), fld) * inv ** 3).bits], x2q, n)
     return (
-        series_equal_mod(ys.hasse_derivative(1), rhs1),
-        series_equal_mod(ys.hasse_derivative(2), rhs2),
+        list(ys.hasse_derivative(1).coeffs) == rhs1[: n - 1],
+        list(ys.hasse_derivative(2).coeffs) == rhs2[: n - 2],
     )
 
 
