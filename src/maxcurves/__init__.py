@@ -48,7 +48,7 @@ from .orders import (
     frobenius_orders,
 )
 from .semigroups import NumericalSemigroup, dim_from_semigroup
-from .series import TruncatedSeries, expand_y_at
+from .series import expand_y_at
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

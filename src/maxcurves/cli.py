@@ -95,14 +95,17 @@ def _cmd_expand(config: RunConfig):
     curve = config.curve_obj()
     point = _parse_point(config, curve)
     n = config.default_precision()
-    s = series.expand_y_at(curve, point, n)
+    coeffs = series.expand_y_at(curve, point, n)
+    hexes = [point.x.field.to_hex(c) for c in coeffs]
     return {
         "point": [point.x.hex(), point.y.hex()],
         "level": config.level,
         "precision": n,
-        "valuation": s.valuation(),
-        "series": repr(s),
-        "coefficients": [point.x.field.to_hex(c) for c in s.coeffs],
+        # the first exponent with a nonzero coefficient, null when all n vanish
+        "valuation": next((e for e, c in enumerate(coeffs) if c), None),
+        # the leading "0 + " (the starting exponent) stays for payload stability
+        "series": f"0 + [{' '.join(hexes)}] mod t^{n}",
+        "coefficients": hexes,
     }, True
 
 

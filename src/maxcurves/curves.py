@@ -11,7 +11,8 @@ Each reads A(y) = P(x) + c with A additive, and a curve is held as that
 one :class:`AdditiveModel`: the parts A = {2^k: a} and P = {i: b} and
 the constant c, O(t) coefficients in all.  Census, series and orders
 read it; at level 2 it is the same model embedded in GF(q^4), once per
-curve.  The model holds its reduction of A and the membership table of
+curve, and :meth:`PlaneCurve.model_at` picks the model of a point's
+field.  The model holds its reduction of A and the membership table of
 the coset im A + c, made on first use.  :func:`hermitian` and
 :func:`trace_curve` are interned, one curve per field as
 :func:`fields.make_field` interns fields, so the embedding, reductions
@@ -207,16 +208,20 @@ class PlaneCurve:
             model = self._models[level] = self._models[1].embed_into(self.level_field(level))
         return model
 
+    def model_at(self, field: BinaryField) -> AdditiveModel:
+        """The additive model over ``field``, the field of one of the two
+        tower levels; any other field is refused."""
+        if field is self.field:
+            return self.model(1)
+        if field is self.level_field(2):
+            return self.model(2)
+        raise ValueError("point field matches neither tower level of the curve")
+
     def evaluate(self, x: FieldElement, y: FieldElement) -> FieldElement:
         """A(y) + P(x) + c for a point at either tower level."""
         if x.field is not y.field:
             raise ValueError("x and y live in different fields")
-        if x.field is self.field:
-            model = self.model(1)
-        elif x.field is self.level_field(2):
-            model = self.model(2)
-        else:
-            raise ValueError("point field matches neither tower level of the curve")
+        model = self.model_at(x.field)
         fld = model.field
         return FieldElement(
             model.const ^ fld.part_at(model.xpart, x.bits) ^ fld.part_at(model.ypart, y.bits),

@@ -25,8 +25,9 @@ lookup in them.  GF(2^20), the quartic field at q = 32, is a
 K[w]/(w^2 + w + nu) over its tabled subfield K = ``base``, instead of
 2^m-entry tables: two lookups per operand change basis, three K products
 in Karatsuba form and three lookups change back, all from tables of
-about 2^(m/2) entries.  A tower inverse is (a + b + b w) / N with the
-norm N = a^2 + ab + nu b^2 in K, so it takes one tabled K inverse.
+about 2^(m/2) entries.  The tower inverts through the inherited
+``inv_int``, a^(2^m - 2) by square-and-multiply on those products: the
+standard curves' checks make no tower inverse, so no faster path is kept.
 
 The tables are one run 1, g, g^2, ... of the least primitive element g,
 found by its order: g^((2^m - 1)/r) != 1 for every prime r dividing
@@ -469,7 +470,7 @@ class TowerField(BinaryField):
         sq_lo, sq_hi = _span_table(squares[:h]), _span_table(squares[h:])
         self._tower = (
             h, period, _span_table(coords[:h]), _span_table(coords[h:]),
-            log, exp, back_ac, back_bd, from_b, sq_lo, sq_hi, nu,
+            log, exp, back_ac, back_bd, from_b, sq_lo, sq_hi,
         )
         # a^(2^k) for k = 1..m-1: the basis images, squared once more per k
         # (period = 2^h - 1 is also the mask of a low half), spanned over
@@ -489,7 +490,7 @@ class TowerField(BinaryField):
             return b
         if b == 1:
             return a
-        h, low, to_lo, to_hi, log, exp, back_ac, back_bd, back_s, sq_lo, sq_hi, _ = self._tower
+        h, low, to_lo, to_hi, log, exp, back_ac, back_bd, back_s, sq_lo, sq_hi = self._tower
         if a == b:  # squaring is GF(2)-linear
             return sq_lo[a & low] ^ sq_hi[a >> h]
         u = to_lo[a & low] ^ to_hi[a >> h]
@@ -507,7 +508,7 @@ class TowerField(BinaryField):
             raise ValueError("negative exponent; use inv_int first")
         if e and not e & (e - 1):  # a^(2^k) is one Frobenius lookup
             return self.frob_int(a, e.bit_length() - 1)
-        h, low, _, _, _, _, _, _, _, sq_lo, sq_hi, _ = self._tower
+        h, low, _, _, _, _, _, _, _, sq_lo, sq_hi = self._tower
         r = 1
         while e:
             if e & 1:
@@ -516,19 +517,6 @@ class TowerField(BinaryField):
             if e:
                 a = sq_lo[a & low] ^ sq_hi[a >> h]  # squaring is GF(2)-linear
         return r
-
-    def inv_int(self, a: int) -> int:
-        # (a + b w)(a + b + b w) = a^2 + ab + nu b^2 = N, an element of K;
-        # N = 0 exactly at a = 0, and K refuses to invert it
-        h, low, to_lo, to_hi, _, _, back_ac, _, back_s, _, _, nu = self._tower
-        base = self.base
-        u = to_lo[a & low] ^ to_hi[a >> h]
-        a, b = u & low, u >> h
-        c = a ^ b
-        n_inv = base.inv_int(base.mul_int(a, c) ^ base.mul_int(nu, base.mul_int(b, b)))
-        # back_ac[k] ^ back_s[k] is k, and back_s[k] is k w, in this field's masks
-        c, b = base.mul_int(c, n_inv), base.mul_int(b, n_inv)
-        return back_ac[c] ^ back_s[c] ^ back_s[b]
 
     def frob_int(self, a: int, k: int) -> int:
         """a^(2^k), the k-fold binary Frobenius: one lookup per chunk of a."""

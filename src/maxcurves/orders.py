@@ -21,25 +21,23 @@ Frobenius order sequence (0, 1, q).  Below tau^(q^2) the twists x^(q^2)
 and y^(q^2) are the constants x0^(q^2) and y0^(q^2), so the residual is
 Dy and D^2 y scaled by c1 = x0 + x0^(q^2) and c1^2 and shifted by tau
 and tau^2, summed into one list with ys over the nonzero terms of Dy and
-D^2 y: no series products.  Dy and D^2 y come from :meth:`series.TruncatedSeries.hasse_derivative`,
-the one place that lays y's coefficients out by Lucas' rule.
+D^2 y: no series products.  Dy and D^2 y come from
+:func:`series.hasse_derivative`, the one place that lays y's coefficients
+out by Lucas' rule.  Every series here is y's tuple of coefficient masks
+from :func:`series.expand_y_at`; its field is that of the curve's model
+at the point (:meth:`curves.PlaneCurve.model_at`).  The names of
+:mod:`series` are read through the module, as :mod:`cli` reads them, so
+the one definition of each is the one every caller reaches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
+from . import series
 from .census import AffinePoint, is_rational, sample_points
 from .curves import PlaneCurve
-from .series import (
-    PrecisionError,
-    TruncatedSeries,
-    _support,
-    default_precision,
-    derivative_facts,
-    derivative_facts_gate,
-    expand_y_at,
-)
 
 
 @dataclass(frozen=True)
@@ -59,13 +57,13 @@ def dp_orders(curve: PlaneCurve, point: AffinePoint, n: int | None = None) -> Or
     """
     q = curve.q
     if n is None:
-        n = default_precision(q)
+        n = series.default_precision(q)
     if n < q + 3:
         raise ValueError(f"precision {n} too small; need at least q+3 = {q + 3}")
-    coeffs = expand_y_at(curve, point, n).coeffs
-    j = next((e for e in _support(coeffs) if e >= 3), None)
+    coeffs = series.expand_y_at(curve, point, n)
+    j = next((e for e in series._support(coeffs) if e >= 3), None)
     if j is None:
-        raise PrecisionError(f"only 3 orders visible below precision {n}; increase precision")
+        raise series.PrecisionError(f"only 3 orders visible below precision {n}; increase precision")
     tag = "rational" if is_rational(curve, point) else "non-rational"
     return OrderData(point=(point.x.hex(), point.y.hex()), orders=(0, 1, 2, j), classification=tag)
 
@@ -89,13 +87,13 @@ def frobenius_identity_check(curve: PlaneCurve, point: AffinePoint, n: int | Non
     twists of x and y reduce to constants.
     """
     n = _frobenius_precision(curve, n)
-    return _frobenius_residual(curve, point, expand_y_at(curve, point, n))
+    return _frobenius_residual(curve, point, series.expand_y_at(curve, point, n))
 
 
 def _frobenius_precision(curve: PlaneCurve, n: int | None) -> int:
     q = curve.q
     if n is None:
-        n = min(default_precision(q), q * q)
+        n = min(series.default_precision(q), q * q)
     if n > q * q:
         raise ValueError(f"precision {n} exceeds q^2 = {q * q}; Frobenius twist would survive")
     if n < 4:
@@ -103,9 +101,10 @@ def _frobenius_precision(curve: PlaneCurve, n: int | None) -> int:
     return n
 
 
-def _frobenius_residual(curve: PlaneCurve, point: AffinePoint, ys: TruncatedSeries) -> dict:
-    """The report of :func:`frobenius_identity_check`, from the expansion
-    ys of y at the point; its precision is the n checked.
+def _frobenius_residual(curve: PlaneCurve, point: AffinePoint, ys: Sequence[int]) -> dict:
+    """The report of :func:`frobenius_identity_check`, from the
+    coefficients ys of y's expansion at the point; their number is the n
+    checked.
 
     With c1 = x0 + x0^(q^2), x + x^(q^2) is c1 + tau and x^2 + x^(2q^2) is
     c1^2 + tau^2, so the residual is ys + y0^(q^2) + c1 Dy + tau Dy +
@@ -113,15 +112,15 @@ def _frobenius_residual(curve: PlaneCurve, point: AffinePoint, ys: TruncatedSeri
     D^2 y adds c d_e at tau^e and d_e at tau^(e+s), for c = c1 or c1^2
     and s = 1 or 2.  Terms at tau^(n-2) and above are not known.
     """
-    fld, n = ys.field, ys.prec
+    fld, n = curve.model_at(point.x.field).field, len(ys)
     k = 2 * curve.t  # the GF(q^2)-Frobenius is the 2^(2t)-power
     x0 = point.x.bits
     c1 = x0 ^ fld.frob_int(x0, k)
-    acc = list(ys.coeffs)
+    acc = list(ys)
     acc[0] ^= fld.frob_int(point.y.bits, k)
     for c, s in ((c1, 1), (fld.sqr_int(c1), 2)):
-        d = ys.hasse_derivative(s).coeffs
-        for e in _support(d):  # e + s < n, as D has precision n - s: acc holds every term
+        d = series.hasse_derivative(ys, s)
+        for e in series._support(d):  # e + s < n, as D has precision n - s: acc holds every term
             acc[e] ^= fld.mul_int(c, d[e])
             acc[e + s] ^= d[e]
     # known mod tau^(n-2), the precision of D^2 y
@@ -148,12 +147,12 @@ def frobenius_orders(
         raise ValueError("sample_size must be at least 1")
     q = curve.q
     n = _frobenius_precision(curve, n)
-    derivative_facts_gate(curve, n)
+    series.derivative_facts_gate(curve, n)
     points = sample_points(curve, level=1, count=sample_size, rng=rng)
     evidence = []
     for p in points:
-        ys = expand_y_at(curve, p, n)
-        facts = derivative_facts(curve, p, ys)
+        ys = series.expand_y_at(curve, p, n)
+        facts = series.derivative_facts(curve, p, ys)
         frob = _frobenius_residual(curve, p, ys)
         entry = {
             "point": frob["point"],

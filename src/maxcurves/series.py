@@ -1,16 +1,18 @@
-"""Truncated power series at affine curve points, with Hasse derivatives.
+"""Power series of y at affine curve points, with Hasse derivatives.
 
-A series is sum_{k<N} coeffs[k] tau^k + O(tau^N) over a tower field,
-tau = x - x(P).  Every series starts at tau^0 (no point at infinity gets
-one), so its precision is N, the number of stored coefficients.  N is at
-most ``PRECISION_LIMIT``: a longer list is refused, so every scan of a
-series' support reads the one list of exponents made at import and
-drops no term.  A derivative asked beyond the precision raises
-:class:`PrecisionError` rather than guessing: "insufficient precision"
-is always distinct from "identity fails".  Series are read, not
-multiplied: the expansion, its residual and the derivative facts work on
-y's coefficients, and :func:`check_h_identities` sums, multiplies and
-raises to 2^k on plain coefficient lists.
+A series is a sequence of N coefficient masks, sum_{k<N} coeffs[k] tau^k
++ O(tau^N) over the field of the point, tau = x - x(P).  Every series
+starts at tau^0 (no point at infinity gets one), so its precision is N,
+its length.  :func:`expand_y_at` returns y's as a tuple; the field comes
+from the curve's model at the point (:meth:`curves.PlaneCurve.model_at`),
+not from the series.  A scan of a series' support reads the one list of
+exponents made at import, so it refuses a list longer than
+``PRECISION_LIMIT`` rather than drop a term.  A derivative asked beyond
+the precision raises :class:`PrecisionError` rather than guessing:
+"insufficient precision" is always distinct from "identity fails".  Series are read, not multiplied: the expansion, its
+residual and the derivative facts work on y's coefficients, and
+:func:`check_h_identities` sums, multiplies and raises to 2^k on plain
+coefficient lists.
 
 Expansions of y along the curve cost their nonzero terms, not their
 precision.  Every curve is held as its additive model A(y) = P(x) + c
@@ -37,22 +39,22 @@ residual's tau^0 term is F(x(P), y(P)), which the lift never reads, so
 it is also the test that P lies on the curve: no separate evaluation is
 made.  Dense lists appear only where C fills them (a zero list,
 ``compress`` picking the nonzero exponents out of one list of ints made
-at import, tuple equality), so the interpreter's steps follow the
+at import, list equality), so the interpreter's steps follow the
 support.  Precisions above ``PRECISION_LIMIT`` are refused.
 
 Hasse derivatives act coefficientwise through binomials mod 2, evaluated
 by Lucas' rule inline: binom(n, i) is odd iff (n & i) == i, that is, iff
 the bits of i are a subset of the bits of n.  D^i is one strided slice
 per residue mod 2^L (L the bit length of i) whose bits hold those of i,
-so Dy and D^2 y are one and two slices.  :meth:`TruncatedSeries.hasse_derivative`
+so Dy and D^2 y are one and two slices.  :func:`hasse_derivative`
 is the one place that lays y's coefficients out into D^i: the derivative
 facts and the Frobenius residual of :mod:`orders` both read Dy and D^2 y
-from it.  The facts compare them, by tuple equality, with their right
+from it.  The facts compare them, by list equality, with their right
 sides a_t^-1 (x0^q + tau^q) and a_{t-1} a_t^-3 (x0^(2q) + tau^(2q)),
 which have at most two nonzero terms each.  D^i y = 0 for every i in a
 range iff no nonzero coefficient c_e has a submask i in it, so the
 middle-derivative test of :func:`verify_derivative_facts` is one walk
-over the nonzero coefficients (:meth:`TruncatedSeries.derivatives_vanish`),
+over the nonzero coefficients (:func:`derivatives_vanish`),
 not one derivative series per order.
 """
 
@@ -63,7 +65,7 @@ from itertools import compress
 from operator import eq, xor
 from typing import Iterator, Sequence
 
-from .curves import PlaneCurve
+from .curves import AdditiveModel, PlaneCurve
 from .fields import BinaryField, CheckFailed
 
 
@@ -74,8 +76,10 @@ _EXPONENTS = list(range(PRECISION_LIMIT))  # made once, read by every support sc
 def _support(coeffs: Sequence[int]) -> Iterator[int]:
     """The exponents of the nonzero coefficients, ascending, picked at C
     speed by ``compress`` from :data:`_EXPONENTS`, whose ints already
-    exist: ``range`` would make one per exponent.  No series is longer
-    than :data:`_EXPONENTS`, so no term is left out."""
+    exist: ``range`` would make one per exponent.  A list longer than
+    :data:`_EXPONENTS` is refused, so no term is left out."""
+    if len(coeffs) > PRECISION_LIMIT:
+        raise ValueError(f"a series of {len(coeffs)} coefficients exceeds the limit {PRECISION_LIMIT}")
     return compress(_EXPONENTS, coeffs)
 
 
@@ -88,109 +92,73 @@ class PrecisionError(ArithmeticError):
     """A computation asked for more precision than the operands carry."""
 
 
-class TruncatedSeries:
-    """sum_k coeffs[k] tau^k, known modulo tau^len(coeffs)."""
+def hasse_derivative(coeffs: Sequence[int], i: int) -> list[int]:
+    """D^i of the series with coefficients ``coeffs``: the coefficientwise
+    binom(n, i) shift, as a list; precision drops by i.
 
-    __slots__ = ("field", "coeffs")
+    c_e survives, at tau^(e-i), iff e is a supermask of i.  Modulo
+    2^L, L = i.bit_length(), those e fill the residues i | s over the
+    submasks s of the free bits (2^L - 1) ^ i, so the derivative is one
+    strided slice per residue below the precision, copied at C speed:
+    one or two for Dy and D^2 y, whatever the precision.
+    """
+    if i < 0:
+        raise ValueError("derivative order must be non-negative")
+    if i == 0:
+        return list(coeffs)
+    n = len(coeffs)
+    if n <= i:
+        raise PrecisionError(f"order-{i} derivative exhausts precision {n}")
+    out = [0] * (n - i)
+    step = 1 << i.bit_length()
+    free = (step - 1) ^ i
+    s = 0
+    while (r := i | s) < n:  # the submasks s of the free bits, ascending
+        out[r - i :: step] = coeffs[r::step]
+        if s == free:
+            break
+        s = (s - free) & free
+    return out
 
-    def __init__(self, field: BinaryField, coeffs: Sequence[int]) -> None:
-        coeffs = tuple(coeffs)
-        if len(coeffs) > PRECISION_LIMIT:
-            raise ValueError(f"a series of {len(coeffs)} coefficients exceeds the limit {PRECISION_LIMIT}")
-        self.field = field
-        self.coeffs = coeffs
 
-    @property
-    def prec(self) -> int:
-        """Absolute precision: the series is known modulo tau^prec."""
-        return len(self.coeffs)
-
-    def valuation(self) -> int | None:
-        """Exponent of the first nonzero coefficient; None when every
-        stored coefficient vanishes (unknown beyond precision)."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return None
-
-    def __repr__(self) -> str:
-        hexes = " ".join(self.field.to_hex(c) for c in self.coeffs)
-        # the leading "0 + " (the starting exponent) stays for payload
-        # stability: the expand subcommand prints this string
-        return f"0 + [{hexes}] mod t^{self.prec}"
-
-    def hasse_derivative(self, i: int) -> TruncatedSeries:
-        """Coefficientwise binom(n, i) shift; precision drops by i.
-
-        c_e survives, at tau^(e-i), iff e is a supermask of i.  Modulo
-        2^L, L = i.bit_length(), those e fill the residues i | s over the
-        submasks s of the free bits (2^L - 1) ^ i, so the derivative is one
-        strided slice per residue below the precision, copied at C speed:
-        one or two for Dy and D^2 y, whatever the precision.
-        """
-        if i < 0:
-            raise ValueError("derivative order must be non-negative")
-        if i == 0:
-            return self
-        n = self.prec
-        if n <= i:
-            raise PrecisionError(f"order-{i} derivative exhausts precision {n}")
-        coeffs = self.coeffs
-        out = [0] * (n - i)
-        step = 1 << i.bit_length()
-        free = (step - 1) ^ i
-        s = 0
-        while (r := i | s) < n:  # the submasks s of the free bits, ascending
-            out[r - i :: step] = coeffs[r::step]
-            if s == free:
-                break
-            s = (s - free) & free
-        return TruncatedSeries(self.field, out)
-
-    def derivatives_vanish(self, lo: int, hi: int) -> bool:
-        """True iff ``hasse_derivative(i)`` is all zeros for every lo <= i <= hi,
-        in one pass: D^i carries c_e exactly when i is a submask of e, so
-        they all vanish iff no nonzero c_e has a submask in [lo, hi].  The
-        submasks of each nonzero c_e are walked down to the first below lo."""
-        if lo < 0:
-            raise ValueError("derivative order must be non-negative")
-        if lo <= hi and self.prec <= hi:
-            raise PrecisionError(f"order-{hi} derivative exhausts precision {self.prec}")
-        if lo > hi:
-            return True
-        for e in _support(self.coeffs):
-            s = e
-            while s >= lo:  # the submasks of e, in descending order
-                if s <= hi:
-                    return False
-                s = (s - 1) & e  # reaching 0 ends the walk: 0 < lo, or 0 <= hi returned
+def derivatives_vanish(coeffs: Sequence[int], lo: int, hi: int) -> bool:
+    """True iff ``hasse_derivative(coeffs, i)`` is all zeros for every
+    lo <= i <= hi, in one pass: D^i carries c_e exactly when i is a submask
+    of e, so they all vanish iff no nonzero c_e has a submask in [lo, hi].
+    The submasks of each nonzero c_e are walked down to the first below lo."""
+    if lo < 0:
+        raise ValueError("derivative order must be non-negative")
+    if lo <= hi and len(coeffs) <= hi:
+        raise PrecisionError(f"order-{hi} derivative exhausts precision {len(coeffs)}")
+    if lo > hi:
         return True
+    for e in _support(coeffs):
+        s = e
+        while s >= lo:  # the submasks of e, in descending order
+            if s <= hi:
+                return False
+            s = (s - 1) & e  # reaching 0 ends the walk: 0 < lo, or 0 <= hi returned
+    return True
 
 
-def _additive_residual(
-    x0: int,
-    ys: TruncatedSeries,
-    xpart: dict[int, int],
-    ypart: dict[int, int],
-    const: int,
-) -> list[int]:
-    """Coefficients of A(y) + P(x) + c mod tau^n at x = x0 + tau, y = ys
-    (of precision n), for the mask x0, ypart = {2^k: a}, xpart = {i: b}
-    and the constant c.
+def _additive_residual(x0: int, coeffs: Sequence[int], model: AdditiveModel) -> list[int]:
+    """Coefficients of A(y) + P(x) + c mod tau^n at x = x0 + tau and y the
+    series of the n coefficients ``coeffs``, for the mask x0 and the model
+    A(y) = P(x) + c over the field of x0, ypart = {2^k: a}, xpart = {i: b}.
 
-    ys is read off its nonzero terms, in ascending order: a y^(2^k) term
+    y is read off its nonzero terms, in ascending order: a y^(2^k) term
     puts a c_e^(2^k) at tau^(e 2^k) for each nonzero c_e, one ``frob_int``
     call each, up to the first e 2^k >= n.  Only y's coefficients are
     read, never the lift's, so this is an independent check of them.
     b x^i is b times the product of the two-term factors
     x0^(2^k) + tau^(2^k) over the set bits 2^k of i, multiplied out, not
     taken from binomials.  The tau^0 coefficient is A(y0) + P(x0) + c,
-    that is, F at the point (x0, y0), y0 the tau^0 coefficient of ys.
+    that is, F at the point (x0, y0), y0 the tau^0 coefficient of y.
     """
-    fld, coeffs, n = ys.field, ys.coeffs, ys.prec
+    fld, xpart, ypart, n = model.field, model.xpart, model.ypart, len(coeffs)
     frob, mul = fld.frob_int, fld.mul_int
     acc = [0] * n
-    acc[0] = const
+    acc[0] = model.const
     exps = list(_support(coeffs))  # the nonzero terms, picked at C speed
     for j, a in ypart.items():
         k = j.bit_length() - 1
@@ -260,9 +228,9 @@ def _additive_lift(
     return eta
 
 
-def expand_y_at(curve: PlaneCurve, point, n: int) -> TruncatedSeries:
-    """The unique series y(tau), tau = x - x(P), with y(0) = y(P) and
-    F(x(P) + tau, y(tau)) = 0 mod tau^n.
+def expand_y_at(curve: PlaneCurve, point, n: int) -> tuple[int, ...]:
+    """The coefficient masks of the unique series y(tau) mod tau^n,
+    tau = x - x(P), with y(0) = y(P) and F(x(P) + tau, y(tau)) = 0 mod tau^n.
 
     The curve's model reads A(y) = P(x) + c with A additive; the coefficients
     come from the one-pass recurrence of :func:`_additive_lift`, and the
@@ -280,23 +248,17 @@ def expand_y_at(curve: PlaneCurve, point, n: int) -> TruncatedSeries:
     if n > PRECISION_LIMIT:
         raise ValueError(f"precision {n} exceeds the limit {PRECISION_LIMIT}")
     x0, y0 = point.x, point.y
-    fld = x0.field
-    if y0.field is not fld:
+    if y0.field is not x0.field:
         raise ValueError("x and y live in different fields")
-    if fld is curve.field:
-        model = curve.model(1)
-    elif fld is curve.level_field(2):
-        model = curve.model(2)
-    else:
-        raise ValueError("point field matches neither tower level of the curve")
+    model = curve.model_at(x0.field)
     # dF/dy of the additive model is a_t, the coefficient of y
     if not model.ypart.get(1):
         raise ValueError("singular point: dF/dy vanishes")
 
-    coeffs = _additive_lift(fld, x0.bits, model.xpart, model.ypart, n)
+    coeffs = _additive_lift(model.field, x0.bits, model.xpart, model.ypart, n)
     coeffs[0] = y0.bits
-    ys = TruncatedSeries(fld, tuple(coeffs))
-    residual = _additive_residual(x0.bits, ys, model.xpart, model.ypart, model.const)
+    ys = tuple(coeffs)
+    residual = _additive_residual(x0.bits, ys, model)
     if residual[0]:
         raise ValueError("point does not lie on the curve")
     if any(residual):
@@ -317,11 +279,11 @@ def check_h_identities(field: BinaryField, count: int, rng) -> dict:
     H3': the 2-power analogue for q' in {2, 4, 8}.
 
     Only the derivatives are code under test, through
-    :meth:`TruncatedSeries.hasse_derivative`; the rest works on plain
-    coefficient lists.  A sum is a list XOR, the one product is the
-    field's ``convolve``, cut at the precision its identity compares, and
-    a 2^k-th power puts c_e^(2^k) at tau^(e 2^k), one ``frob_int`` per
-    coefficient, so no squaring is a product.  Two sides agree when both
+    :func:`hasse_derivative`; the rest works on plain coefficient lists.
+    A sum is a list XOR, the one product is the field's ``convolve``, cut
+    at the precision its identity compares, and a 2^k-th power puts
+    c_e^(2^k) at tau^(e 2^k), one ``frob_int`` per coefficient, so no
+    squaring is a product.  Two sides agree when both
     are the same list of as many coefficients as the identity compares,
     so a side cut short fails.
     """
@@ -329,9 +291,6 @@ def check_h_identities(field: BinaryField, count: int, rng) -> dict:
         raise ValueError("count must be at least 1")
     prec = H_IDENTITY_PRECISION
     frob, convolve = field.frob_int, field.convolve
-
-    def derivative(coeffs: Sequence[int], i: int) -> tuple[int, ...]:
-        return TruncatedSeries(field, coeffs).hasse_derivative(i).coeffs
 
     def power2k(coeffs: Sequence[int], k: int) -> list[int]:
         """coeffs^(2^k), known mod tau^(len(coeffs) 2^k)."""
@@ -352,15 +311,16 @@ def check_h_identities(field: BinaryField, count: int, rng) -> dict:
         w = [rng.randrange(field.order) for _ in range(prec)]
 
         i = rng.randrange(0, 9)
-        lhs = derivative(list(map(xor, z, w)), i)
-        tally("h1", agree(lhs, list(map(xor, derivative(z, i), derivative(w, i))), prec - i))
+        lhs = hasse_derivative(list(map(xor, z, w)), i)
+        rhs = list(map(xor, hasse_derivative(z, i), hasse_derivative(w, i)))
+        tally("h1", agree(lhs, rhs, prec - i))
 
         i = rng.randrange(0, 7)
         n = prec - i
-        lhs = derivative(convolve(z, w, prec), i)
+        lhs = hasse_derivative(convolve(z, w, prec), i)
         rhs = [0] * n
         for j in range(i + 1):
-            rhs = list(map(xor, rhs, convolve(derivative(z, i - j), derivative(w, j), n)))
+            rhs = list(map(xor, rhs, convolve(hasse_derivative(z, i - j), hasse_derivative(w, j), n)))
         tally("h2", agree(lhs, rhs, n))
 
         j = rng.randrange(1, 4)
@@ -368,18 +328,18 @@ def check_h_identities(field: BinaryField, count: int, rng) -> dict:
         zj = z if j == 1 else power2k(z, 1)[:prec]  # z^j mod tau^prec
         if j == 3:
             zj = convolve(z, zj, prec)
-        lhs = derivative(power2k(zj, 1)[:prec], i)
+        lhs = hasse_derivative(power2k(zj, 1)[:prec], i)
         if i % 2 == 0:
-            tally("h3", agree(lhs, power2k(derivative(zj, i // 2), 1)[: prec - i], prec - i))
+            tally("h3", agree(lhs, power2k(hasse_derivative(zj, i // 2), 1)[: prec - i], prec - i))
         else:
             tally("h3", not any(lhs))
 
         qprime = 1 << rng.randrange(1, 4)
         i = rng.randrange(0, 2 * qprime + 1)
         k = qprime.bit_length() - 1
-        lhs = derivative(power2k(z, k), i)
+        lhs = hasse_derivative(power2k(z, k), i)
         if i % qprime == 0:
-            tally("h3prime", agree(lhs, power2k(derivative(z, i // qprime), k), (prec << k) - i))
+            tally("h3prime", agree(lhs, power2k(hasse_derivative(z, i // qprime), k), (prec << k) - i))
         else:
             tally("h3prime", not any(lhs))
 
@@ -422,32 +382,33 @@ def derivative_facts_gate(curve: PlaneCurve, n: int) -> None:
         raise ValueError(f"precision {n} too small; need n > q+2 = {curve.q + 2}")
 
 
-def derivative_facts(curve: PlaneCurve, point, ys: TruncatedSeries) -> DerivativeFactsReport:
+def derivative_facts(curve: PlaneCurve, point, ys: Sequence[int]) -> DerivativeFactsReport:
     """The facts of :func:`verify_derivative_facts`, read off the
-    expansion ys of y at the point; its precision is the n checked.
+    coefficients ys of y's expansion at the point; their number is the n
+    checked.
 
     In characteristic 2, x^q = x0^q + tau^q and x^(2q) = x0^(2q) + tau^(2q),
     so each right side has at most two nonzero coefficients, both from one
-    x0^q, and Dy and D^2 y are compared with them by tuple equality.
+    x0^q, and Dy and D^2 y are compared with them by list equality.
     """
-    t, q, n = curve.t, curve.q, ys.prec
-    fld = point.x.field
-    model = curve.model(1 if fld is curve.field else 2)
+    t, q, n = curve.t, curve.q, len(ys)
+    model = curve.model_at(point.x.field)
+    fld = model.field
     a_t, a_t1 = model.ypart[1], model.ypart.get(2, 0)  # the coefficients of y and y^2
     inv = 1 if a_t == 1 else fld.inv_int(a_t)
     x0q = fld.frob_int(point.x.bits, t)
 
-    def two_terms(c: int, x0_j: int, j: int, m: int) -> tuple[int, ...]:
+    def two_terms(c: int, x0_j: int, j: int, m: int) -> list[int]:
         """c (x0^j + tau^j) mod tau^m, given x0^j as the mask x0_j."""
         out = [0] * m
         out[0] = x0_j if c == 1 else fld.mul_int(c, x0_j)
         if j < m:
             out[j] = c
-        return tuple(out)
+        return out
 
-    dy_ok = ys.hasse_derivative(1).coeffs == two_terms(inv, x0q, q, n - 1)
+    dy_ok = hasse_derivative(ys, 1) == two_terms(inv, x0q, q, n - 1)
     d2y_scale = a_t1 if inv == 1 else fld.mul_int(a_t1, fld.pow_int(inv, 3))
-    d2y_ok = ys.hasse_derivative(2).coeffs == two_terms(d2y_scale, fld.sqr_int(x0q), 2 * q, n - 2)
+    d2y_ok = hasse_derivative(ys, 2) == two_terms(d2y_scale, fld.sqr_int(x0q), 2 * q, n - 2)
     hi = min(q - 1, n - 1)
     return DerivativeFactsReport(
         q=q,
@@ -455,5 +416,5 @@ def derivative_facts(curve: PlaneCurve, point, ys: TruncatedSeries) -> Derivativ
         dy_is_xq=dy_ok,
         d2y_is_x2q=d2y_ok,
         middle_range=(3, hi),
-        middle_vanish=ys.derivatives_vanish(3, hi),
+        middle_vanish=derivatives_vanish(ys, 3, hi),
     )

@@ -256,9 +256,9 @@ def test_full_suite_names_a_skipped_check(capsys):
 def test_a_failed_derivative_fact_exits_1(capsys, monkeypatch, command, fact):
     # Dy or D^2 y off its right side at every sampled point, the middle
     # derivatives and the Frobenius residual left as they are
-    derivative_facts = orders.derivative_facts
+    derivative_facts = series.derivative_facts
     monkeypatch.setattr(
-        orders,
+        series,
         "derivative_facts",
         lambda *args: dataclasses.replace(derivative_facts(*args), **{fact: False}),
     )

@@ -83,6 +83,12 @@ def test_level_2_model_is_the_level_1_model_embedded(t):
         assert two == AdditiveModel(fld, xpart, ypart, embed(one.const))
         assert two.pole_orders == one.pole_orders
         assert curve.model(2) is two  # parsed once per curve
+        # a point's field picks its model; a field of neither level is refused
+        assert curve.model_at(curve.field) is one and curve.model_at(fld) is two
+        other = t % 5 + 1
+        for stranger in (make_field(other), make_field(other, "quartic")):
+            with pytest.raises(ValueError, match="^point field matches neither tower level"):
+                curve.model_at(stranger)
 
 
 @pytest.mark.parametrize("ctor,genus", [(hermitian, census.g1), (trace_curve, census.g2)])

@@ -500,6 +500,9 @@ def test_gf2_20_powers_inverses_and_frobenius_match_shift_and_reduce():
         if a:
             inv = GF2_20.inv_int(a)
             assert ref_mul(a, inv, mod) == 1 and inv == ref_pow(a, GF2_20.order - 2, mod)
+    assert GF2_20.inv_int(1) == 1
+    with pytest.raises(ValueError, match="zero has no inverse"):
+        GF2_20.inv_int(0)
 
 
 def test_tower_is_built_when_the_field_is_made():
@@ -603,27 +606,6 @@ def test_planted_flipped_embedding_entry_is_caught(monkeypatch):
     planted[0x2A5] ^= 1 << 7
     monkeypatch.setattr(fld, "_from_base", planted)
     assert embedding_mismatches(fld) == [0x2A5]
-
-
-def inverse_failures(fld: BinaryField, samples) -> list[int]:
-    return [a for a in samples if a and ref_mul(a, fld.inv_int(a), fld.modulus) != 1]
-
-
-def test_gf2_20_inverse_goes_through_the_tower_norm():
-    samples = gf2_20_samples()
-    subfield = set(samples[4:-60])  # 1, the embedded basis and the GF(2^10) picks
-    fld = TowerField(5, "quartic", 20, GF2_20.modulus)
-    assert fld.inv_int(1) == 1
-    with pytest.raises(ValueError, match="zero has no inverse"):  # the norm of 0 is 0
-        fld.inv_int(0)
-    assert not inverse_failures(fld, samples)
-    # plant a wrong nu in the norm a^2 + ab + nu b^2: products stay right,
-    # inverses of elements outside GF(2^10) (b != 0) go wrong
-    *tables, nu = fld._tower
-    fld._tower = (*tables, nu ^ 1)
-    assert all(fld.mul_int(a, b) == ref_mul(a, b, fld.modulus) for a in samples for b in samples[:8])
-    failures = inverse_failures(fld, samples)
-    assert failures and subfield.isdisjoint(failures)
 
 
 # -- row kernels against shift-and-reduce, at every shipped degree ------------

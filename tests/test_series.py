@@ -1,4 +1,4 @@
-"""Truncated series, Hensel expansions, and Hasse-derivative identities."""
+"""Coefficient lists of y, Hensel expansions, and Hasse-derivative identities."""
 
 import math
 import random
@@ -8,7 +8,7 @@ from operator import xor
 
 import pytest
 
-from maxcurves import series
+from maxcurves import cli, series
 from maxcurves.census import AffinePoint, enumerate_points, sample_points
 from maxcurves.curves import (
     CoordinateChange,
@@ -19,19 +19,19 @@ from maxcurves.curves import (
     trace_curve,
 )
 from maxcurves.fields import BinaryField, FieldElement, additive_map, make_field
-from maxcurves.orders import dp_orders
+from maxcurves.orders import dp_orders, frobenius_identity_check
 from maxcurves.series import (
     PRECISION_LIMIT,
     CheckFailed,
     PrecisionError,
-    TruncatedSeries,
     check_h_identities,
+    derivatives_vanish,
     expand_y_at,
+    hasse_derivative,
     verify_derivative_facts,
 )
 
 GF16 = make_field(2)
-GF64 = make_field(3)
 
 
 def x0_plus_tau(x0, prec):
@@ -47,10 +47,15 @@ def spread(fld, coeffs, k, prec):
     return out
 
 
-def monomial(fld, exponent, prec):
+def monomial(exponent, prec):
     coeffs = [0] * prec
     coeffs[exponent] = 1
-    return TruncatedSeries(fld, tuple(coeffs))
+    return tuple(coeffs)
+
+
+def valuation(coeffs):
+    """The exponent of the first nonzero coefficient, None if there is none."""
+    return next((e for e, c in enumerate(coeffs) if c), None)
 
 
 def test_lucas_matches_pascal_below_64():
@@ -61,51 +66,62 @@ def test_lucas_matches_pascal_below_64():
         row = [1] + [pascal[-1][k - 1] + pascal[-1][k] for k in range(1, n)] + [1]
         pascal.append(row)
     for n in range(64):
-        tau_n = monomial(GF16, n, 64)
+        tau_n = monomial(n, 64)
         for k in range(n + 1):
-            coefficient = tau_n.hasse_derivative(k).coeffs[n - k]
+            coefficient = hasse_derivative(tau_n, k)[n - k]
             assert coefficient == pascal[n][k] % 2 == math.comb(n, k) % 2
 
 
 def test_hasse_derivative_monomial_examples():
-    t5 = monomial(GF16, 5, 12)
-    assert t5.hasse_derivative(1).valuation() == 4  # binom(5,1) odd
-    assert t5.hasse_derivative(2).valuation() is None  # binom(5,2) = 10 even
-    t6 = monomial(GF16, 6, 12)
-    d2 = t6.hasse_derivative(2)
-    assert d2.valuation() == 4 and d2.coeffs[4] == 1  # binom(6,2) = 15 odd
+    t5 = monomial(5, 12)
+    assert valuation(hasse_derivative(t5, 1)) == 4  # binom(5,1) odd
+    assert valuation(hasse_derivative(t5, 2)) is None  # binom(5,2) = 10 even
+    t6 = monomial(6, 12)
+    d2 = hasse_derivative(t6, 2)
+    assert valuation(d2) == 4 and d2[4] == 1  # binom(6,2) = 15 odd
 
 
 def test_hasse_derivative_precision_drop_and_exhaustion():
-    s = monomial(GF16, 1, 5)
-    assert s.hasse_derivative(2).prec == 3
+    s = monomial(1, 5)
+    assert len(hasse_derivative(s, 2)) == 3
     with pytest.raises(PrecisionError):
-        s.hasse_derivative(5)
+        hasse_derivative(s, 5)
 
 
 def test_hasse_chain_rule():
     rng = random.Random(0)
     for _ in range(300):
-        s = TruncatedSeries(GF64, tuple(rng.randrange(64) for _ in range(16)))
+        s = tuple(rng.randrange(64) for _ in range(16))
         i, j = rng.randrange(0, 5), rng.randrange(0, 5)
-        lhs = s.hasse_derivative(j).hasse_derivative(i)
-        rhs = s.hasse_derivative(i + j)
+        lhs = hasse_derivative(hasse_derivative(s, j), i)
+        rhs = hasse_derivative(s, i + j)
         if math.comb(i + j, i) % 2 == 0:
-            assert not any(lhs.coeffs)
+            assert not any(lhs)
         else:
-            assert lhs.coeffs == rhs.coeffs
+            assert lhs == rhs
+
+
+def expand_payload(curve, point, precision):
+    config = cli.RunConfig(command="expand", t=2, curve=curve, point=point, precision=precision)
+    payload, code = cli.run(config)
+    assert code == cli.EXIT_OK, payload
+    return payload
 
 
 def test_valuation_reporting():
-    s = TruncatedSeries(GF16, (0, 0, 0, 5))
-    assert s.valuation() == 3
-    z = TruncatedSeries(GF16, (0, 0, 0))
-    assert z.valuation() is None  # unknown beyond precision
+    # the expand payload reports the first exponent with a nonzero
+    # coefficient: y = tau^5 + tau^20 at the Hermitian origin at q = 4
+    assert expand_payload("hermitian", "0,0", 8)["valuation"] == 5
+    zero = expand_payload("hermitian", "0,0", 5)
+    assert zero["valuation"] is None  # unknown beyond precision
+    assert zero["series"] == "0 + [0 0 0 0 0] mod t^5"
+    # y(P) != 0 is the tau^0 coefficient
+    assert expand_payload("hermitian", "0,1", 5)["valuation"] == 0
 
 
 def middle_oracle(ys, lo, hi):
     """D^i ys = 0 for lo <= i <= hi, one derivative series per order."""
-    return not any(any(ys.hasse_derivative(i).coeffs) for i in range(lo, hi + 1))
+    return not any(any(hasse_derivative(ys, i)) for i in range(lo, hi + 1))
 
 
 def submasks(e):
@@ -121,30 +137,34 @@ def test_one_pass_middle_test_matches_the_derivative_loop_on_sparse_series():
     for _ in range(2000):
         n = rng.randrange(1, 40)
         coeffs = [rng.randrange(1, 16) if rng.random() < 0.15 else 0 for _ in range(n)]
-        s = TruncatedSeries(GF16, tuple(coeffs))
         lo = rng.randrange(0, n)
         hi = rng.randrange(lo - 1, n)  # lo - 1: an empty range of orders
-        assert s.derivatives_vanish(lo, hi) == middle_oracle(s, lo, hi), (coeffs, lo, hi)
+        assert derivatives_vanish(coeffs, lo, hi) == middle_oracle(coeffs, lo, hi), (coeffs, lo, hi)
     with pytest.raises(PrecisionError):
-        TruncatedSeries(GF16, (0,) * 5).derivatives_vanish(3, 5)
+        derivatives_vanish((0,) * 5, 3, 5)
     with pytest.raises(ValueError):
-        TruncatedSeries(GF16, (0,) * 5).derivatives_vanish(-1, 2)
+        derivatives_vanish((0,) * 5, -1, 2)
 
 
 def test_a_series_longer_than_the_precision_limit_is_refused():
-    # every support scan reads the exponents below PRECISION_LIMIT, so a
-    # longer series would lose its terms past the limit: none is made
+    # every support scan reads the exponents below PRECISION_LIMIT, so it
+    # would lose the terms of a longer list past the limit: it refuses one,
+    # and so does the middle test, which reads the support
     for n in (PRECISION_LIMIT + 1, 2 * PRECISION_LIMIT):
+        coeffs = [0] * n
+        coeffs[-1] = 1
         with pytest.raises(ValueError, match="exceeds the limit"):
-            TruncatedSeries(GF16, [0] * n)
+            series._support(coeffs)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            derivatives_vanish(coeffs, 4088, 4092)
     # at the limit the last terms are still read: 4088 and 4092 are
     # submasks of 4092, 4094 and 4095 are not
     coeffs = [0] * PRECISION_LIMIT
     coeffs[PRECISION_LIMIT - 4] = 1
-    s = TruncatedSeries(GF16, coeffs)
-    assert not s.derivatives_vanish(4088, 4092) and s.derivatives_vanish(4094, 4095)
+    assert list(series._support(coeffs)) == [4092]
+    assert not derivatives_vanish(coeffs, 4088, 4092) and derivatives_vanish(coeffs, 4094, 4095)
     for lo, hi in ((4088, 4092), (4094, 4095), (4092, 4092)):
-        assert s.derivatives_vanish(lo, hi) == middle_oracle(s, lo, hi)
+        assert derivatives_vanish(coeffs, lo, hi) == middle_oracle(coeffs, lo, hi)
 
 
 def middle_test_points(curve, t):
@@ -171,7 +191,7 @@ def test_one_pass_middle_test_matches_the_derivative_loop_at_curve_points(t):
         for p in middle_test_points(curve, t):
             ys = expand_y_at(curve, p, n)
             expected = middle_oracle(ys, 3, q - 1)
-            assert ys.derivatives_vanish(3, q - 1) == expected
+            assert derivatives_vanish(ys, 3, q - 1) == expected
             if t >= 2 and curve.family == "trace-standard":
                 assert series.derivative_facts(curve, p, ys).middle_vanish == expected
 
@@ -184,9 +204,9 @@ def test_planted_coefficient_with_a_middle_submask_flips_middle_vanish(t):
     ys = expand_y_at(curve, p, n)
     assert series.derivative_facts(curve, p, ys).middle_vanish
     flips = set()
-    for e, c in enumerate(ys.coeffs):
+    for e, c in enumerate(ys):
         # a nonzero coefficient at e, other than the expansion's own
-        planted = TruncatedSeries(ys.field, ys.coeffs[:e] + ((c ^ 1) or 2,) + ys.coeffs[e + 1 :])
+        planted = ys[:e] + ((c ^ 1) or 2,) + ys[e + 1 :]
         facts = series.derivative_facts(curve, p, planted)
         has_middle_submask = any(3 <= s <= q - 1 for s in submasks(e))
         assert facts.middle_vanish is (not has_middle_submask) is middle_oracle(planted, 3, q - 1), e
@@ -201,16 +221,17 @@ def test_expand_trace_curve_at_origin():
     tc = trace_curve(2)
     origin = AffinePoint(tc.field.zero, tc.field.zero, 1)
     s = expand_y_at(tc, origin, 21)
-    nonzero = {e for e in range(21) if s.coeffs[e]}
+    assert type(s) is tuple and len(s) == 21
+    nonzero = {e for e in range(21) if s[e]}
     assert nonzero == {5, 10, 20}
-    assert all(s.coeffs[e] == 1 for e in nonzero)
+    assert all(s[e] == 1 for e in nonzero)
 
 
 def test_expand_hermitian_at_origin():
     h = hermitian(2)
     origin = AffinePoint(h.field.zero, h.field.zero, 1)
     s = expand_y_at(h, origin, 21)
-    nonzero = {e for e in range(21) if s.coeffs[e]}
+    nonzero = {e for e in range(21) if s[e]}
     assert nonzero == {5, 20}
 
 
@@ -225,7 +246,7 @@ def test_expansion_residual_at_random_points():
                     s = expand_y_at(curve, p, n)
                     # recompose F(x0 + tau, y(tau)) term by term
                     terms = curve.model(level).terms()
-                    assert not any(_poly_on_series(terms, x0_plus_tau(p.x, n), s, n))
+                    assert not any(_poly_on_series(p.x.field, terms, x0_plus_tau(p.x, n), s, n))
 
 
 def test_expand_rejects_bad_points():
@@ -256,7 +277,7 @@ def newton_reference(curve, point, n):
     """y(tau) mod tau^n by Newton's iteration y <- y + F(x0 + tau, y) / F_y
     on plain coefficient lists, ceil(log2 n) rounds from y = y0."""
     fld = point.x.field
-    terms = curve.model(1 if fld is curve.field else 2).terms()
+    terms = curve.model_at(fld).terms()
     cinv = fld.inv_int(terms[(0, 1)])  # F_y, constant on an additive model
 
     def mul(a, b):
@@ -317,7 +338,7 @@ def test_expansion_matches_newton_at_every_rational_point(t):
         points = [p for p in enumerate_points(curve, 1) if isinstance(p, AffinePoint)]
         assert points
         for p in points:
-            assert list(expand_y_at(curve, p, n).coeffs) == newton_reference(curve, p, n)
+            assert list(expand_y_at(curve, p, n)) == newton_reference(curve, p, n)
 
 
 def moved_extended_curve(t, rng):
@@ -361,11 +382,11 @@ def test_expansion_matches_newton_at_quartic_points(t):
         if ys:
             points.append(AffinePoint(x, fld.element(rng.choice(ys)), 2))
     for p in points:
-        assert list(expand_y_at(curve, p, n).coeffs) == newton_reference(curve, p, n)
+        assert list(expand_y_at(curve, p, n)) == newton_reference(curve, p, n)
     # a moved curve: x-linear terms and a nonzero constant, at x0 = 0 too
     moved = moved_extended_curve(t, random.Random(45 + t))
     for p in level2_points(moved, 2, random.Random(46 + t), xs=[0]):
-        assert list(expand_y_at(moved, p, n).coeffs) == newton_reference(moved, p, n)
+        assert list(expand_y_at(moved, p, n)) == newton_reference(moved, p, n)
 
 
 def dense_lift(fld, x0, xpart, ypart, n):
@@ -436,7 +457,7 @@ def test_a_lift_missing_the_chain_of_q_plus_1_is_caught(monkeypatch, t, level):
     else:
         p = level2_points(curve, 1, random.Random(t))[0]
     honest = expand_y_at(curve, p, n)
-    assert honest.coeffs[q + 1]  # eta_(q+1) = b / a_t: the chain is never empty
+    assert honest[q + 1]  # eta_(q+1) = b / a_t: the chain is never empty
     monkeypatch.setattr(series, "_additive_lift", zero_the_chain_of(q + 1, series._additive_lift))
     with pytest.raises(CheckFailed):
         expand_y_at(curve, p, n)
@@ -542,7 +563,7 @@ def test_an_expansion_makes_no_field_call_by_1(monkeypatch):
     p = AffinePoint(fld.from_hex("f2921"), fld.from_hex("e1c2b"), 2)
     calls = field_calls(monkeypatch, fld)
     ys = expand_y_at(curve, p, 2 * curve.q + 8)
-    assert ys.coeffs[1] == fld.frob_int(p.x.bits, 5)  # eta_1 = x0^q / a_t, a_t = 1
+    assert ys[1] == fld.frob_int(p.x.bits, 5)  # eta_1 = x0^q / a_t, a_t = 1
     assert calls, "the residual multiplies x0 by x0^q"
     assert {name for name, _ in calls} == {"mul_int"}, calls
     assert not [args for _, args in calls if 1 in args], calls
@@ -608,10 +629,9 @@ def test_hasse_derivative_matches_lucas_on_dense_and_sparse_series():
     rng = random.Random(12)
     for n, density in ((14, 1.0), (40, 0.3), (80, 0.05)):
         coeffs = tuple(rng.randrange(1, 64) if rng.random() < density else 0 for _ in range(n))
-        s = TruncatedSeries(GF64, coeffs)
         for i in range(1, n):
             expected = [c if e & i == i else 0 for e, c in enumerate(coeffs[i:], i)]
-            assert list(s.hasse_derivative(i).coeffs) == expected, (n, i)
+            assert hasse_derivative(coeffs, i) == expected, (n, i)
 
 
 def test_planted_recurrence_defect_is_caught(monkeypatch):
@@ -640,14 +660,13 @@ def _power(fld, cache, e, prec):
     return cache[e]
 
 
-def _poly_on_series(terms, xs, ys, prec):
-    """Reference residual: the polynomial {(i, j): c} evaluated term by term
-    at the coefficient list xs and the series ys, mod tau^prec, by list
+def _poly_on_series(fld, terms, xs, ys, prec):
+    """Reference residual: the polynomial {(i, j): c} over fld evaluated
+    term by term at the coefficient lists xs and ys, mod tau^prec, by list
     products, squaring spreads and list sums."""
-    fld = ys.field
     one = [1] + [0] * (prec - 1)
     xpow = {0: one, 1: xs[:prec]}
-    ypow = {0: one, 1: list(ys.coeffs[:prec])}
+    ypow = {0: one, 1: list(ys[:prec])}
     acc = [0] * prec
     for (i, j), c in terms.items():
         term = fld.convolve(_power(fld, xpow, i, prec), _power(fld, ypow, j, prec), prec)
@@ -694,22 +713,19 @@ def test_additive_residual_equals_the_term_by_term_reference():
     cases = 0
     for curve, p in residual_cases():
         n = 2 * curve.q + 8
-        level = 1 if p.x.field is curve.field else 2
-        model = curve.model(level)
-        parts = (model.xpart, model.ypart, model.const)
-        terms = model.terms()
+        model = curve.model_at(p.x.field)
+        fld, terms = model.field, model.terms()
         xs = x0_plus_tau(p.x, n)
         ys = expand_y_at(curve, p, n)
-        assert series._additive_residual(p.x.bits, ys, *parts) == [0] * n
-        assert not any(_poly_on_series(terms, xs, ys, n))
+        assert series._additive_residual(p.x.bits, ys, model) == [0] * n
+        assert not any(_poly_on_series(fld, terms, xs, ys, n))
         # one planted coefficient: both residuals see the same nonzero list
         # (not at tau^0, where a kernel element of A moves to another point)
         e = rng.randrange(1, n)
-        coeffs = list(ys.coeffs)
-        coeffs[e] ^= rng.randrange(1, p.x.field.order)
-        planted = TruncatedSeries(ys.field, tuple(coeffs))
-        residual = series._additive_residual(p.x.bits, planted, *parts)
-        assert residual == _poly_on_series(terms, xs, planted, n), (p, e)
+        planted = list(ys)
+        planted[e] ^= rng.randrange(1, fld.order)
+        residual = series._additive_residual(p.x.bits, planted, model)
+        assert residual == _poly_on_series(fld, terms, xs, planted, n), (p, e)
         assert any(residual), (p, e)
         cases += 1
     assert cases > 900
@@ -731,7 +747,7 @@ def test_precision_over_the_limit_is_refused_before_it_is_allocated():
     assert peak < 1 << 16  # a series at the limit alone would take 32 KiB of pointers
     # the largest precision frobenius-check accepts, q^2 at t = 5, fits
     assert PRECISION_LIMIT >= 32 * 32
-    assert expand_y_at(tc, origin, PRECISION_LIMIT).prec == PRECISION_LIMIT
+    assert len(expand_y_at(tc, origin, PRECISION_LIMIT)) == PRECISION_LIMIT
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
@@ -744,21 +760,42 @@ def test_h_identities_random_suite(t):
     assert report["all_pass"]
 
 
+def lucas_off_by_one(coeffs, i):
+    """D^i with binom(n + 1, i) mod 2 where Lucas' rule asks for binom(n, i)."""
+    return [c if ((n + 1) & i) == i else 0 for n, c in enumerate(coeffs[i:], i)]
+
+
 def test_off_by_one_hasse_binomial_fails_check_h_identities(monkeypatch):
-    derivative = TruncatedSeries.hasse_derivative
+    derivative = series.hasse_derivative
 
-    def planted(self, i):
-        # binom(n + 1, i) mod 2 where Lucas' rule asks for binom(n, i), at
-        # orders i >= q = 4 only, which no order check at t = 2 reads
-        if i < 4:
-            return derivative(self, i)
-        out = [c if ((n + 1) & i) == i else 0 for n, c in enumerate(self.coeffs[i:], i)]
-        return TruncatedSeries(self.field, out)
+    def planted(coeffs, i):
+        # the off-by-one at orders i >= q = 4 only, which no order check
+        # at t = 2 reads
+        return derivative(coeffs, i) if i < 4 else lucas_off_by_one(coeffs, i)
 
-    monkeypatch.setattr(TruncatedSeries, "hasse_derivative", planted)
+    monkeypatch.setattr(series, "hasse_derivative", planted)
     report = check_h_identities(make_field(2), 200, random.Random(0))
     assert report["h2"]["fail"] and report["h3"]["fail"] and report["h3prime"]["fail"]
     assert not report["all_pass"]
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_a_lucas_defect_in_the_one_derivative_reaches_every_reader(monkeypatch, t):
+    # Dy and D^2 y are laid out in one place, series.hasse_derivative: an
+    # off-by-one at every order, planted on the series module alone, must
+    # fail the Hasse identities, the derivative facts and the Frobenius
+    # residual.  A reader that bound its own copy of the function by name,
+    # or laid the derivative out itself, would miss the plant
+    curve = trace_curve(t)
+    p = sample_points(curve, 1, 1, random.Random(t))[0]
+    n = 2 * curve.q + 8
+    assert verify_derivative_facts(curve, p, n).ok()
+    assert frobenius_identity_check(curve, p)["residual_zero"]
+    monkeypatch.setattr(series, "hasse_derivative", lucas_off_by_one)
+    assert not check_h_identities(make_field(t), 200, random.Random(t))["all_pass"]
+    facts = verify_derivative_facts(curve, p, n)
+    assert not facts.dy_is_xq and not facts.d2y_is_x2q
+    assert not frobenius_identity_check(curve, p)["residual_zero"]
 
 
 @pytest.mark.parametrize(
@@ -822,8 +859,8 @@ def dense_facts(curve, p, ys):
     """(dy_is_xq, d2y_is_x2q) against dense right sides: x^q built by
     squaring x0 + tau t times, each a spread of frob_int, x^(2q) once
     more, each scaled by a_t^-1 or a_{t-1} a_t^-3 through a one-term product."""
-    fld, n = ys.field, ys.prec
-    model = curve.model(1 if fld is curve.field else 2)
+    model, n = curve.model_at(p.x.field), len(ys)
+    fld = model.field
     inv = FieldElement(model.ypart[1], fld).inv()
     xq = x0_plus_tau(p.x, n)
     for _ in range(curve.t):
@@ -832,8 +869,8 @@ def dense_facts(curve, p, ys):
     rhs1 = fld.convolve([inv.bits], xq, n)
     rhs2 = fld.convolve([(FieldElement(model.ypart.get(2, 0), fld) * inv ** 3).bits], x2q, n)
     return (
-        list(ys.hasse_derivative(1).coeffs) == rhs1[: n - 1],
-        list(ys.hasse_derivative(2).coeffs) == rhs2[: n - 2],
+        hasse_derivative(ys, 1) == rhs1[: n - 1],
+        hasse_derivative(ys, 2) == rhs2[: n - 2],
     )
 
 
@@ -865,12 +902,11 @@ def test_two_term_derivative_facts_match_the_dense_right_sides():
         for n in (q + 3, 2 * q + 8, 3 * q):
             ys = expand_y_at(curve, p, n)
             for e in (None, 1, 2, 3, q, q + 1, 2 * q, 2 * q + 2, n - 1):
-                coeffs = list(ys.coeffs)
+                planted = list(ys)
                 if e is not None:
                     if e >= n:
                         continue
-                    coeffs[e] ^= 1 + e % (p.x.field.order - 1)
-                planted = TruncatedSeries(ys.field, tuple(coeffs))
+                    planted[e] ^= 1 + e % (p.x.field.order - 1)
                 facts = series.derivative_facts(curve, p, planted)
                 verdict = (facts.dy_is_xq, facts.d2y_is_x2q)
                 assert verdict == dense_facts(curve, p, planted), (curve.family, p, n, e)
